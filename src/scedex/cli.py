@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import errors as err
-from . import dependence, gp_mle, mc, panel, scedasis, trend_tests
+from . import dependence, gp_mle, mc, panel, scedasis, tail, trend_tests
 
 _FLOAT_FMT = "%.12g"
 
@@ -427,7 +427,8 @@ def fit_gp(input, season, gap, k, with_cov, tol, output, dry_run):
         return _dry_run_report("fit-gp", input=input, season=season, gap=gap,
                                k=k, with_cov=with_cov, tol=tol)
     p = _load(input, season, gap)
-    fit = gp_mle.fit_gp_pml(p, k)
+    pooled = tail.pool(p)
+    fit = gp_mle.fit_gp_pml(p, k, pooled=pooled)
     payload = {
         "gamma_hat": fit.gamma_hat,
         "scale_hat": fit.scale_hat,
@@ -439,7 +440,7 @@ def fit_gp(input, season, gap, k, with_cov, tol, output, dry_run):
         "method": fit.method,
     }
     if with_cov:
-        cov = gp_mle.mle_asymptotic_cov(fit, p, tol=tol)
+        cov = gp_mle.mle_asymptotic_cov(fit, p, pooled=pooled, tol=tol)
         payload["se_gamma"] = cov.se_gamma
         payload["se_scale_rel"] = cov.se_scale_rel
         payload["quadrature_error"] = cov.quadrature_error

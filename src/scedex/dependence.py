@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import RangeError
 from .panel import PanelSample
@@ -129,13 +128,35 @@ def sigma1_matrix(
 # ---------------------------------------------------------------------------
 
 
+def _cell(nodes: np.ndarray, x: np.ndarray):
+    """Index of the grid cell holding each ``x`` and the fractional position
+    inside it; the first and last cells extend beyond the grid."""
+    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
+    return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
+
+
+def _bilinear(nodes: np.ndarray, grid: np.ndarray, s, t):
+    """Bilinear interpolation of ``grid`` on ``nodes`` x ``nodes`` at the
+    broadcast points (s, t); a float for scalar queries."""
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    i, ds = _cell(nodes, s)
+    j, dt = _cell(nodes, t)
+    out = (grid[i, j] * (1.0 - ds) * (1.0 - dt) + grid[i, j + 1] * (1.0 - ds) * dt
+           + grid[i + 1, j] * ds * (1.0 - dt) + grid[i + 1, j + 1] * ds * dt)
+    return float(out) if out.ndim == 0 else out
+
+
 class EmpiricalTailDependence:
-    """Tail-copula surfaces r(j1, j2; s, t) on a geometric level grid.
+    """Tail-copula surfaces on a geometric level grid.
 
     Values are joint exceedance counts at pooled order-statistic thresholds,
     divided by ``k``, on a ``grid_size`` x ``grid_size`` geometric grid over
     [1/k, 1]; queries interpolate bilinearly, decaying linearly to 0 below
-    the smallest grid level (the surface vanishes at s = 0 or t = 0).
+    the smallest grid level (the surfaces vanish at s = 0 or t = 0).
+
+    :meth:`cross` is the aggregate surface X(s, t) = sum over i != j of
+    r(i, j; s, t) that the sandwich covariance integrates; :meth:`r` is one
+    station pair's surface.
     """
 
     def __init__(self, p: PanelSample, k: int, grid_size: int = 64,
@@ -158,40 +179,34 @@ class EmpiricalTailDependence:
         thr_asc = thresholds[::-1]
         filled = np.where(p.missing_mask, -np.inf, p.values)
         self._first_level = G - np.searchsorted(thr_asc, filled, side="left")
-        self._s_nodes = s_nodes
-        self._counts: dict[tuple[int, int], np.ndarray] = {}
-        self._interp: dict[tuple[int, int], RegularGridInterpolator] = {}
+        # Grids gain a leading zero row and column at level 0, where every
+        # surface vanishes.
+        self._nodes = np.concatenate(([0.0], s_nodes))
+
+        # N[r, a] = number of stations in row r above level a (rows above no
+        # level add nothing).  Summed over rows, N(a) N(b) counts every
+        # ordered station pair jointly above (a, b), and N(min(a, b)) the
+        # same-station pairs among them.
+        first = self._first_level[self._first_level.min(axis=1) < G]
+        rows = first.shape[0]
+        hist = np.bincount((np.arange(rows)[:, None] * (G + 1) + first).ravel(),
+                           minlength=rows * (G + 1)).reshape(rows, G + 1)
+        N = np.cumsum(hist[:, :G], axis=1).astype(float)
+        level = np.arange(G)
+        same = N.sum(axis=0)[np.minimum.outer(level, level)]
+        self._cross = np.pad((N.T @ N - same) / k, ((1, 0), (1, 0)))
 
         self.c1 = _exceed_matrix(p, global_threshold(o, k)).sum(axis=0) / k
 
-    def _pair_grid(self, i: int, j: int) -> np.ndarray:
-        """counts[a, b] = (1/k) #{rows exceeding level a at i and level b at j}."""
-        key = (min(i, j), max(i, j))
-        if key not in self._counts:
-            G = self.grid_size
-            ei = self._first_level[:, key[0]]
-            ej = self._first_level[:, key[1]]
-            hist, _, _ = np.histogram2d(ei, ej, bins=[np.arange(G + 2), np.arange(G + 2)])
-            cdf = np.cumsum(np.cumsum(hist, axis=0), axis=1)
-            # row exceeds (a, b) jointly <=> e_i <= a and e_j <= b
-            self._counts[key] = cdf[:G, :G] / self.k
-        grid = self._counts[key]
-        return grid if (i, j) == key else grid.T
+    def cross(self, s, t):
+        """Interpolated aggregate cross-station surface X(s, t); symmetric."""
+        return _bilinear(self._nodes, self._cross, s, t)
 
     def r(self, i: int, j: int, s, t):
         """Interpolated tail-copula surface value(s) r_{ij}(s, t)."""
-        key = (i, j)
-        if key not in self._interp:
-            vals = self._pair_grid(i, j)
-            nodes = np.concatenate(([0.0], self._s_nodes))
-            padded = np.zeros((nodes.size, nodes.size))
-            padded[1:, 1:] = vals
-            self._interp[key] = RegularGridInterpolator(
-                (nodes, nodes), padded, method="linear", bounds_error=False, fill_value=None
-            )
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        pts = np.stack(np.broadcast_arrays(s, t), axis=-1)
-        scalar = pts.ndim == 1
-        out = self._interp[key](pts[None] if scalar else pts)
-        return float(out[0]) if scalar else out
+        G = self.grid_size
+        hist, _, _ = np.histogram2d(self._first_level[:, i], self._first_level[:, j],
+                                    bins=[np.arange(G + 2), np.arange(G + 2)])
+        # row exceeds (a, b) jointly <=> e_i <= a and e_j <= b
+        counts = np.cumsum(np.cumsum(hist, axis=0), axis=1)[:G, :G] / self.k
+        return _bilinear(self._nodes, np.pad(counts, ((1, 0), (1, 0))), s, t)

@@ -5,8 +5,10 @@ The ``k`` largest pooled observations, reduced by the pooled threshold, are
 fed to a GP(gamma, sigma) pseudo maximum likelihood.  Because the pooled
 sample is neither independent across stations nor identically distributed in
 time, the usual inverse-Fisher variance is wrong; the limiting covariance is
-a sandwich built from the stations' shares of the tail and the pairwise
-tail-copula surfaces.
+a sandwich built from the stations' shares of the tail and the tail-copula
+surfaces of the station pairs.  The cross-station part is linear in those
+surfaces, so it integrates one symmetric aggregate surface, the sum over all
+ordered pairs, and its cost does not depend on the number of pairs.
 """
 
 from __future__ import annotations
@@ -360,32 +362,37 @@ def _score_weights(gamma: float, s: np.ndarray):
     return F1, G1, P2, Q2
 
 
-def _eval_r(r_ij: Callable, s: np.ndarray, t: np.ndarray, chunk: int = 32) -> np.ndarray:
+def _eval_r(cross: Callable, s: np.ndarray, t: np.ndarray, chunk: int = 32) -> np.ndarray:
     """Evaluate a tail-copula surface on matching matrices in row blocks so
     lookups that expand an inner integration axis stay memory-bounded."""
     if s.ndim < 2:
-        return np.asarray(r_ij(s, t), dtype=float)
+        return np.asarray(cross(s, t), dtype=float)
     out = np.empty(s.shape)
     for a in range(0, s.shape[0], chunk):
-        out[a:a + chunk] = r_ij(s[a:a + chunk], t[a:a + chunk])
+        out[a:a + chunk] = cross(s[a:a + chunk], t[a:a + chunk])
     return out
 
 
-def _cross_station_taus(gamma: float, r_ij: Callable, n_panels: int, order: int):
-    """The cross-station score covariances for one ordered station pair.
+def _cross_station_taus(gamma: float, cross: Callable, n_panels: int, order: int):
+    """The cross-station score covariances, summed over all station pairs.
 
-    ``r_ij(s, t)`` must accept broadcast arrays.  Returns (tau11, tau22,
-    tau12, tau21) where 1 = shape component, 2 = scale component, evaluated
-    by quadrature of
+    ``cross(s, t)`` is the aggregate surface X(s, t) = sum over i != j of
+    r_ij(s, t); it is symmetric and must accept broadcast arrays.  Returns
+    (tau11, tau22, tau12) where 1 = shape component, 2 = scale component,
+    evaluated by quadrature of
 
-        int int wa(s) wb(t) r(s,t) - wa(s) qb(t) r(s,1)
-                - qa(s) wb(t) r(1,t) + qa(s) qb(t) r(1,1) ds dt.
+        int int wa(s) wb(t) X(s,t) - wa(s) qb(t) X(s,1)
+                - qa(s) wb(t) X(1,t) + qa(s) qb(t) X(1,1) ds dt.
+
+    Every term is linear in the surface, so this equals the sum of the
+    per-pair integrals; symmetry makes tau21 = tau12.
 
     Tail-copula surfaces are typically non-smooth on the diagonal (exactly
     min(s,t) under complete dependence), so the double integral is split
     into the two triangles s <= t and s >= t, each mapped to the unit square
     by s = t v, where the integrand is smooth up to endpoint singularities
-    that the clustered composite rule absorbs.
+    that the clustered composite rule absorbs.  By symmetry the surface is
+    evaluated on the s <= t triangle only.
 
     For gamma < 0 the corner of the double integral behaves like t^(2 gamma)
     (two score weights, one taming factor of r).  The substitution t = u^beta
@@ -415,11 +422,9 @@ def _cross_station_taus(gamma: float, r_ij: Callable, n_panels: int, order: int)
         F1, _, P2, _ = _score_weights(gamma, s)
         F1_in, _, P2_in, _ = _score_weights(gamma, S)
 
-    r_low = _eval_r(r_ij, S, T)             # r(s, t) on s <= t
-    r_up = _eval_r(r_ij, T, S)              # r(s, t) on s >= t
-    r_s1 = np.asarray(r_ij(s, np.ones_like(s)), dtype=float)
-    r_1t = np.asarray(r_ij(np.ones_like(s), s), dtype=float)
-    r_11 = float(r_ij(1.0, 1.0))
+    x_tri = _eval_r(cross, S, T)            # X(s, t) on s <= t, = X(t, s)
+    x_s1 = np.asarray(cross(s, np.ones_like(s)), dtype=float)   # = X(1, s)
+    x_11 = float(cross(1.0, 1.0))
 
     # The compensator weights integrate in closed form; everything that needs
     # quadrature carries a factor r = O(s and t) near zero, which tames the
@@ -436,20 +441,20 @@ def _cross_station_taus(gamma: float, r_ij: Callable, n_panels: int, order: int)
         wa, wb = weights_1d[a], weights_1d[b]
         iqa, iqb = comp_integrals[a], comp_integrals[b]
         with np.errstate(over="ignore", invalid="ignore"):
-            two_d = float(np.sum(W2 * weights_2d[a] * wb[None, :] * r_low)) \
-                + float(np.sum(W2 * wa[None, :] * weights_2d[b] * r_up))
-        t2 = np.dot(w * wa, r_s1) * iqb
-        t3 = iqa * np.dot(w * wb, r_1t)
-        t4 = iqa * iqb * r_11
+            two_d = float(np.sum(W2 * x_tri * (weights_2d[a] * wb[None, :]
+                                               + wa[None, :] * weights_2d[b])))
+        t2 = np.dot(w * wa, x_s1) * iqb
+        t3 = iqa * np.dot(w * wb, x_s1)
+        t4 = iqa * iqb * x_11
         return two_d - t2 - t3 + t4
 
-    return tau("F", "F"), tau("P", "P"), tau("F", "P"), tau("P", "F")
+    return tau("F", "F"), tau("P", "P"), tau("F", "P")
 
 
 def sigma_gamma0(
     gamma: float,
     c1_values,
-    r_lookup: Callable | None = None,
+    cross: Callable | None = None,
     tol: float = 1e-6,
     n_panels: tuple[int, int] = (32, 64),
     order: int = 4,
@@ -457,10 +462,12 @@ def sigma_gamma0(
     """Limiting covariance of the pooled GP score in (shape, scale).
 
     Same-station contributions use closed forms linear in the stations'
-    tail shares ``c1_values``; cross-station contributions integrate the four
-    score-weight combinations against ``r_lookup(i, j, s, t)``, the pairwise
-    tail-copula surface.  ``r_lookup=None`` treats stations as tail
-    independent (all cross terms vanish).
+    tail shares ``c1_values``.  Cross-station contributions are linear in the
+    tail-copula surfaces, so they integrate the four score-weight
+    combinations once against ``cross(s, t)``, the symmetric aggregate
+    surface X(s, t) = sum over stations i != j of r_ij(s, t); their cost does
+    not depend on the number of station pairs.  ``cross=None`` treats
+    stations as tail independent (all cross terms vanish).
 
     Returns the 2x2 matrix together with the quadrature error estimate
     (difference between the two nested panel counts); the estimate must meet
@@ -473,29 +480,15 @@ def sigma_gamma0(
         raise RangeError("c1_values must be a non-empty 1-D collection")
     if np.any(c1 < 0):
         raise RangeError("tail shares must be >= 0")
-    m = c1.size
 
     a, b, c = _same_station_coeffs(gamma)
     total = float(c1.sum())
-    s11, s22, s12 = a * total, b * total, c * total
+    sigma = np.array([[a, c], [c, b]]) * total
     quad_err = 0.0
 
-    if r_lookup is not None and m > 1:
-        coarse = np.zeros(3)
-        fine = np.zeros(3)
-        for i in range(m):
-            for j in range(i + 1, m):
-                def rij(s, t, _i=i, _j=j):
-                    return r_lookup(_i, _j, s, t)
-
-                # Swapping the pair only relabels the integration axes, so
-                # each unordered pair enters the shape-shape and scale-scale
-                # sums twice and contributes both mixed orders to shape-scale.
-                for out, panels in ((coarse, n_panels[0]), (fine, n_panels[1])):
-                    t11, t22, t12, t21 = _cross_station_taus(gamma, rij, panels, order)
-                    out[0] += 2.0 * t11
-                    out[1] += 2.0 * t22
-                    out[2] += t12 + t21
+    if cross is not None and c1.size > 1:
+        coarse = np.array(_cross_station_taus(gamma, cross, n_panels[0], order))
+        fine = np.array(_cross_station_taus(gamma, cross, n_panels[1], order))
         if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
             raise QuadratureError(
                 f"cross-station variance integrals are numerically divergent at "
@@ -507,11 +500,8 @@ def sigma_gamma0(
                 f"cross-station quadrature error {quad_err:.3g} exceeds tol {tol:.3g}; "
                 f"increase n_panels or loosen tol"
             )
-        s11 += fine[0]
-        s22 += fine[1]
-        s12 += fine[2]
+        sigma += np.array([[fine[0], fine[2]], [fine[2], fine[1]]])
 
-    sigma = np.array([[s11, s12], [s12, s22]])
     return sigma, quad_err
 
 
@@ -548,14 +538,16 @@ def mle_asymptotic_cov(
     grid_size: int = 64,
     tol: float = 2e-3,
     c1_values=None,
-    r_lookup: Callable | None = None,
+    cross: Callable | None = None,
 ) -> AsymptoticCov:
     """Sandwich covariance I^{-1} Sigma I^{-1} for a pooled GP fit.
 
-    By default the tail shares and pairwise tail-copula surfaces are
-    estimated from the panel at the fit's ``k`` (surfaces on a
-    ``grid_size``-point geometric level grid, bilinearly interpolated);
-    analytic inputs can be supplied instead via ``c1_values``/``r_lookup``.
+    By default the tail shares and the aggregate cross-station surface
+    X(s, t) = sum over i != j of r_ij(s, t) are estimated from the panel at
+    the fit's ``k`` (one symmetric surface on a ``grid_size``-point geometric
+    level grid, bilinearly interpolated, whose quadrature cost does not
+    depend on the number of station pairs); analytic inputs can be supplied
+    instead via ``c1_values``/``cross``.
     The default tolerance is looser than for analytic surfaces because the
     integrands inherit the interpolation kinks, which keep the nested panel
     counts from agreeing more tightly than the surface's own sampling error
@@ -563,13 +555,13 @@ def mle_asymptotic_cov(
     """
     if not fit.converged:
         raise FitConvergenceError("cannot form a covariance from a non-converged fit")
-    if c1_values is None or (r_lookup is None and p.m > 1):
+    if c1_values is None or (cross is None and p.m > 1):
         dep = EmpiricalTailDependence(p, fit.k, grid_size=grid_size, pooled=pooled)
         if c1_values is None:
             c1_values = dep.c1
-        if r_lookup is None and p.m > 1:
-            r_lookup = dep.r
-    sigma, quad_err = sigma_gamma0(fit.gamma_hat, c1_values, r_lookup, tol=tol)
+        if cross is None and p.m > 1:
+            cross = dep.cross
+    sigma, quad_err = sigma_gamma0(fit.gamma_hat, c1_values, cross, tol=tol)
     inv = fisher_info_inverse(fit.gamma_hat)
     matrix = inv @ sigma @ inv
     return AsymptoticCov(

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import RangeError, ScedexError, SimSpecError
 from .gp_mle import fit_gp_pml, sigma_gamma0, fisher_info_inverse
@@ -118,13 +117,16 @@ class SimSpec:
         funcs = self.scedasis
         if funcs is None:
             funcs = tuple(constant_scedasis(1.0) for _ in range(self.m))
+            integrals = np.ones(self.m)  # constant 1 integrates to 1 exactly
         else:
             funcs = tuple(funcs)
             if len(funcs) != self.m:
                 raise SimSpecError(
                     f"expected {self.m} frequency functions, got {len(funcs)}"
                 )
-        integrals = np.array([quad(f, 0.0, 1.0, limit=200)[0] for f in funcs])
+            from scipy.integrate import quad
+
+            integrals = np.array([quad(f, 0.0, 1.0, limit=200)[0] for f in funcs])
         if np.any(integrals <= 0):
             raise SimSpecError("every frequency function must have positive mass")
         rho = self.m / integrals.sum()
@@ -250,6 +252,32 @@ def analytic_r_lookup(spec: SimSpec, n_nodes: int = 200) -> Callable:
     return r
 
 
+def analytic_cross_surface(spec: SimSpec, n_nodes: int = 200) -> Callable:
+    """Exact aggregate cross-station surface X(s, t) = sum over i != j of
+    r(i, j; s, t), the input :func:`sigma_gamma0` integrates.
+
+    Stations whose frequency functions agree on the quadrature nodes have the
+    same surfaces, so r is evaluated once per ordered pair of such groups and
+    weighted by the number of ordered station pairs it stands for.
+    """
+    r = analytic_r_lookup(spec, n_nodes)
+    u = (np.polynomial.legendre.leggauss(n_nodes)[0] + 1.0) / 2.0
+    groups: dict[bytes, list[int]] = {}
+    for j in range(spec.m):
+        groups.setdefault(np.asarray(spec.scedasis[j](u), dtype=float).tobytes(), []).append(j)
+    terms = []
+    for a in groups.values():
+        for b in groups.values():
+            pairs = len(a) * (len(b) - (a is b))
+            if pairs:
+                terms.append((pairs, a[0], b[-1]))  # distinct stations when a is b
+
+    def cross(s, t):
+        return sum(pairs * r(i, j, s, t) for pairs, i, j in terms)
+
+    return cross
+
+
 def analytic_sigma(spec: SimSpec, j1: int, j2: int, s1: float, s2: float,
                    t1: float, t2: float) -> float:
     """Limiting covariance of the threshold-exceedance counts:
@@ -259,6 +287,8 @@ def analytic_sigma(spec: SimSpec, j1: int, j2: int, s1: float, s2: float,
     upper = min(t1, t2)
     if upper <= 0:
         return 0.0
+    from scipy.integrate import quad
+
     val, _ = quad(
         lambda u: float(R(s1 * float(spec.scedasis[j1](u)),
                           s2 * float(spec.scedasis[j2](u)))) / spec.m,
@@ -460,8 +490,8 @@ def mc_mle_variance(
     k_var_gamma = float(k * gammas.var(ddof=1))
     k_var_scale = float(k * rel_scales.var(ddof=1))
 
-    r_lookup = analytic_r_lookup(spec) if spec.m > 1 else None
-    sigma, _ = sigma_gamma0(spec.gamma, spec.c1, r_lookup)
+    cross = analytic_cross_surface(spec) if spec.m > 1 else None
+    sigma, _ = sigma_gamma0(spec.gamma, spec.c1, cross)
     inv = fisher_info_inverse(spec.gamma)
     sandwich = inv @ sigma @ inv
     rel_se = math.sqrt(2.0 / (vals.shape[0] - 1))  # relative MC error of a variance

@@ -1,6 +1,9 @@
 """End-to-end tests of the command line frontend via click's CliRunner."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -75,6 +78,19 @@ def test_help_lists_every_command(runner):
 def test_version(runner):
     result = _ok(runner.invoke(main, ["--version"], prog_name="scedex"))
     assert result.output == f"scedex, version {scedex.__version__}\n"
+
+
+def test_import_leaves_heavy_scipy_subpackages_unloaded():
+    """Every command pays the CLI's import; the estimators need only
+    scipy.special at import time."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, scedex.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.stats', 'scipy.interpolate', 'scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_missing_input_is_a_usage_error(runner, tmp_path):

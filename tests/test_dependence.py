@@ -175,6 +175,21 @@ def test_surface_monotone_queries(surface_panel):
     assert np.all(np.diff(vals) >= -1e-12)
 
 
+def test_cross_is_the_sum_of_pair_counts(surface_panel):
+    """X(s, t) = sum over i != j of r_ij(s, t): exact at the grid nodes and
+    symmetric everywhere."""
+    k = 40
+    etd = EmpiricalTailDependence(surface_panel, k, grid_size=8)
+    nodes = np.geomspace(1.0 / k, 1.0, 8)
+    want = sum(_brute_pair_count(surface_panel, k, i, j, nodes, nodes)
+               for i in range(3) for j in range(3) if i != j)
+    got = etd.cross(nodes[:, None], nodes[None, :])
+    assert got == pytest.approx(want, abs=1e-12)
+    assert np.array_equal(got, got.T)
+    s, t = np.random.default_rng(3).uniform(size=(2, 50))
+    assert etd.cross(s, t) == pytest.approx(etd.cross(t, s), abs=1e-14)
+
+
 def test_surface_c1_matches_sigma1(surface_panel):
     etd = EmpiricalTailDependence(surface_panel, 40)
     dep = sigma1_matrix(surface_panel, 40)

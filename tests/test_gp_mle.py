@@ -245,27 +245,27 @@ def test_fisher_domain():
 # ---------------------------------------------------------------------------
 
 
-def _min_lookup(i, j, s, t):
-    return 0.5 * np.minimum(s, t)
+def _min_cross(s, t):
+    """Aggregate surface of two comonotone stations: 1/2 min on each ordered pair."""
+    return np.minimum(s, t)
 
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
 def test_cross_taus_closed_form_under_complete_dependence(gamma):
-    """With r(s,t) = C min(s,t) every cross integral equals the same-station
+    """With X(s,t) = C min(s,t) every cross integral equals the same-station
     coefficient scaled by C."""
     a, b, c = _same_station_coeffs(gamma)
-    t11, t22, t12, t21 = _cross_station_taus(
+    t11, t22, t12 = _cross_station_taus(
         gamma, lambda s, t: 0.5 * np.minimum(s, t), 64, 4
     )
     assert t11 == pytest.approx(0.5 * a, abs=5e-10)
     assert t22 == pytest.approx(0.5 * b, abs=5e-10)
     assert t12 == pytest.approx(0.5 * c, abs=5e-10)
-    assert t21 == pytest.approx(0.5 * c, abs=5e-10)
 
 
 def test_cross_taus_vanish_without_dependence():
     zero = lambda s, t: np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)))
-    assert _cross_station_taus(0.3, zero, 16, 4) == (0.0, 0.0, 0.0, 0.0)
+    assert _cross_station_taus(0.3, zero, 16, 4) == (0.0, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("gamma", [-0.43, -0.1, 0.0, 0.25, 1.0])
@@ -285,10 +285,30 @@ def test_sandwich_single_station_closed_form(gamma):
 def test_sigma_comonotone_duplicates_double_the_single_station(gamma):
     """Duplicating a station under complete dependence doubles the score
     covariance: same-station terms contribute C1 + C2 = 1 and each ordered
-    cross pair adds the same coefficients times min's share 1/2."""
+    cross pair adds the same coefficients times min's share 1/2.  With m
+    copies each of the m (m - 1) ordered pairs adds min's share 1/m, so
+    X = (m - 1) min and the covariance is m times the single station's."""
     single, _ = sigma_gamma0(gamma, [1.0])
-    double, _ = sigma_gamma0(gamma, [0.5, 0.5], _min_lookup)
+    double, _ = sigma_gamma0(gamma, [0.5, 0.5], _min_cross)
     assert np.allclose(double, 2.0 * single, atol=1e-9)
+    quadruple, _ = sigma_gamma0(gamma, [0.25] * 4, lambda s, t: 3.0 * np.minimum(s, t))
+    assert np.allclose(quadruple, 4.0 * single, atol=1e-9)
+
+
+def test_sigma_surface_calls_do_not_depend_on_station_count():
+    calls = []
+
+    def counted(s, t):
+        calls.append(1)
+        return _min_cross(s, t)
+
+    per_m = []
+    for m in (2, 32):
+        calls.clear()
+        sigma_gamma0(0.25, [1.0 / m] * m, counted)
+        per_m.append(len(calls))
+    assert per_m[0] > 0
+    assert per_m[0] == per_m[1]
 
 
 def test_sigma_independent_stations_match_single():
@@ -308,12 +328,12 @@ def test_sigma_validation():
 
 def test_sigma_near_boundary_fails_honestly():
     with pytest.raises(QuadratureError):
-        sigma_gamma0(-0.49, [0.5, 0.5], _min_lookup)
+        sigma_gamma0(-0.49, [0.5, 0.5], _min_cross)
 
 
 def test_sigma_reports_unmet_tolerance():
     with pytest.raises(QuadratureError):
-        sigma_gamma0(0.25, [0.5, 0.5], _min_lookup, tol=1e-18)
+        sigma_gamma0(0.25, [0.5, 0.5], _min_cross, tol=1e-18)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from scedex import (
     RangeError,
     SimSpec,
     SimSpecError,
+    analytic_cross_surface,
     analytic_r_lookup,
     analytic_sigma,
     constant_scedasis,
@@ -251,6 +252,23 @@ def test_analytic_r_broadcasts():
     out = r(0, 1, s, np.ones(3))
     assert out.shape == (3,)
     assert out == pytest.approx(s / 2.0, abs=1e-12)
+
+
+def test_analytic_cross_surface_sums_the_pairs():
+    """Two stations share a frequency function and one trends, so the pair
+    sum is regrouped as a group of 2 and a group of 1."""
+    spec = SimSpec(
+        n=100, m=3, gamma=0.1, dependence="logistic", alpha=0.6,
+        scedasis=(constant_scedasis(1.0), linear_scedasis(0.5, 1.5), constant_scedasis(1.0)),
+    )
+    r = analytic_r_lookup(spec)
+    cross = analytic_cross_surface(spec)
+    s = np.array([0.05, 0.3, 1.0, 0.7])
+    t = np.array([0.6, 0.3, 1.0, 0.1])
+    want = sum(r(i, j, s, t) for i in range(3) for j in range(3) if i != j)
+    assert cross(s, t) == pytest.approx(want, abs=1e-12)
+    assert cross(0.4, 0.9) == pytest.approx(
+        sum(r(i, j, 0.4, 0.9) for i in range(3) for j in range(3) if i != j), abs=1e-12)
 
 
 def test_analytic_sigma_truncates_in_time():
