@@ -135,8 +135,12 @@ def _analysis_command(fn):
     return wrapper
 
 
-def _load(input, season, gap, min_days=150):
-    p = panel.load_panel(input)
+def _load(input, season, gap):
+    return _select(panel.load_panel(input), season, gap)
+
+
+def _select(p, season, gap, min_days=150):
+    """Apply the season split and declustering to a loaded panel."""
     if season != "all":
         definition = (panel.SeasonDefinition.winter() if season == "winter"
                       else panel.SeasonDefinition.summer())
@@ -193,7 +197,7 @@ def ingest_check(input, season, gap, output, dry_run):
     if dry_run:
         return _dry_run_report("ingest-check", input=input, season=season, gap=gap)
     raw = panel.load_panel(input)
-    p = _load(input, season, gap)
+    p = _select(raw, season, gap)
     payload = {
         "input": input,
         "stations": list(raw.station_ids),
@@ -339,7 +343,8 @@ def test_time(input, season, gap, k, stations, alpha, output, dry_run):
         idx = [p.station_index(int(s) if s.isdigit() else s) for s in stations]
     else:
         idx = list(range(p.m))
-    results = [trend_tests.time_test(p, k, j) for j in idx]
+    pooled = tail.pool(p)
+    results = [trend_tests.time_test(p, k, j, pooled=pooled) for j in idx]
     pvals = np.array([r.p_value for r in results])
     corr = trend_tests.bonferroni(pvals, alpha=alpha)
     _emit_json({

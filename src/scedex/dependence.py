@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import RangeError
 from .panel import PanelSample
-from .tail import PooledOrderStatistics, check_k, global_threshold, pool
+from .tail import PooledOrderStatistics, TailAtK, check_k, level_thresholds, pool
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,6 @@ class TailDependenceMatrix:
         return int(self.entries.shape[0])
 
 
-def _exceed_matrix(p: PanelSample, thr: float) -> np.ndarray:
-    filled = np.where(p.missing_mask, -np.inf, p.values)
-    return filled > thr
-
-
 def tail_copula_integral(
     p: PanelSample,
     k: int,
@@ -81,17 +76,12 @@ def tail_copula_integral(
             raise RangeError(f"station index {j} out of range for m={p.m}")
     if not 0 <= t <= 1:
         raise RangeError(f"t must lie in [0, 1], got {t}")
-    n_eff = o.n_effective
-    levels = []
-    for s in (s1, s2):
-        ks = int(np.floor(k * s + 1e-9))
-        if not 1 <= ks < n_eff:
+    levels, (thr1, thr2) = level_thresholds(o, k, [s1, s2])
+    for s, ks in zip((s1, s2), levels):
+        if not 1 <= ks < o.n_effective:
             raise RangeError(
-                f"s={s} gives floor(k*s)={ks}, need 1 <= floor(k*s) < {n_eff}"
+                f"s={s} gives floor(k*s)={int(ks)}, need 1 <= floor(k*s) < {o.n_effective}"
             )
-        levels.append(ks)
-    thr1 = float(o.values[n_eff - levels[0] - 1])
-    thr2 = float(o.values[n_eff - levels[1] - 1])
 
     cut = int(np.floor(p.n * t + 1e-9))
     col1 = np.where(p.missing_mask[:cut, j1], -np.inf, p.values[:cut, j1])
@@ -112,15 +102,11 @@ def sigma1_matrix(
     divisor, which restores the exact row-sum identity when the threshold is
     tied.
     """
-    o = pooled if pooled is not None else pool(p)
-    k = check_k(k, o.n_effective)
-    thr = global_threshold(o, k)
-    E = _exceed_matrix(p, thr).astype(np.float64)
-    total = int(o.n_effective - np.searchsorted(o.values, thr, side="right"))
-    tie_count = k - total
-    divisor = total if renormalize else k
-    entries = (E.T @ E) / divisor
-    return TailDependenceMatrix(entries=entries, k=k, divisor=divisor, tie_count=tie_count)
+    tail = TailAtK(p, k, pooled)
+    E = tail.exceed.astype(np.float64)
+    divisor = tail.divisor(renormalize)
+    return TailDependenceMatrix(entries=(E.T @ E) / divisor, k=tail.k, divisor=divisor,
+                                tie_count=tail.tie_count)
 
 
 # ---------------------------------------------------------------------------
@@ -161,17 +147,17 @@ class EmpiricalTailDependence:
 
     def __init__(self, p: PanelSample, k: int, grid_size: int = 64,
                  pooled: PooledOrderStatistics | None = None):
-        o = pooled if pooled is not None else pool(p)
-        k = check_k(k, o.n_effective)
-        self.k = k
+        tail = TailAtK(p, k, pooled)
+        self.k = k = tail.k
         self.m = p.m
         self.grid_size = G = int(grid_size)
         if G < 2:
             raise RangeError("grid_size must be >= 2")
 
         s_nodes = np.geomspace(1.0 / k, 1.0, G)
-        ks = np.clip(np.floor(k * s_nodes + 1e-9).astype(int), 1, o.n_effective - 1)
-        thresholds = o.values[o.n_effective - ks - 1]  # non-increasing in the grid index
+        # Levels run from 1 to k < n_effective, so every threshold is defined;
+        # they are non-increasing in the grid index.
+        _, thresholds = level_thresholds(tail.pooled, k, s_nodes)
 
         # Observation i exceeds grid level a  <=>  value > thresholds[a].
         # With thresholds non-increasing, that set of levels is [e, G) where
@@ -196,7 +182,7 @@ class EmpiricalTailDependence:
         same = N.sum(axis=0)[np.minimum.outer(level, level)]
         self._cross = np.pad((N.T @ N - same) / k, ((1, 0), (1, 0)))
 
-        self.c1 = _exceed_matrix(p, global_threshold(o, k)).sum(axis=0) / k
+        self.c1 = tail.exceed.sum(axis=0) / k
 
     def cross(self, s, t):
         """Interpolated aggregate cross-station surface X(s, t); symmetric."""

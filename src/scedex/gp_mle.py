@@ -28,7 +28,7 @@ from .errors import (
     RangeError,
 )
 from .panel import PanelSample
-from .tail import PooledOrderStatistics, check_k, global_threshold, pool
+from .tail import PooledOrderStatistics, TailAtK, pool
 
 GAMMA_MIN = -0.5 + 1e-6
 GAMMA_MAX = 10.0
@@ -279,21 +279,17 @@ def fit_gp_pml(
     Observations tied with the threshold contribute zero excess and are
     dropped (their count is recorded on the fit).
     """
-    o = pooled if pooled is not None else pool(p)
-    k = check_k(k, o.n_effective)
-    if k < 10:
-        raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {k}")
-    thr = global_threshold(o, k)
-    top = o.values[o.n_effective - k:]
-    excesses = top - thr
-    positive = excesses[excesses > 0]
-    dropped = int(k - positive.size)
-    if positive.size < 10:
+    tail = TailAtK(p, k, pooled)
+    if tail.k < 10:
+        raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {tail.k}")
+    if tail.n_exceedances < 10:
         raise InsufficientDataError(
-            f"only {positive.size} positive excesses at k={k} "
-            f"({dropped} tied with the threshold)"
+            f"only {tail.n_exceedances} positive excesses at k={tail.k} "
+            f"({tail.tie_count} tied with the threshold)"
         )
-    return fit_gp_excesses(positive, k=k, dropped_ties=dropped)
+    o = tail.pooled
+    positive = o.values[o.n_effective - tail.n_exceedances:] - tail.threshold
+    return fit_gp_excesses(positive, k=tail.k, dropped_ties=tail.tie_count)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RangeError
 from .panel import PanelSample
-from .tail import PooledOrderStatistics, check_k, global_threshold, pool
+from .tail import PooledOrderStatistics, TailAtK
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,19 @@ class ScedasisCurve:
         return float(out) if out.ndim == 0 else out
 
 
+def _curve(tail: TailAtK, j: int, renormalize: bool) -> ScedasisCurve:
+    n = tail.panel.n
+    rows = np.flatnonzero(tail.exceed[:, j]) + 1  # 1-based day index
+    return ScedasisCurve(
+        station=j,
+        k=tail.k,
+        n_rows=n,
+        jump_times=rows / n,
+        divisor=tail.divisor(renormalize),
+        tie_count=tail.tie_count,
+    )
+
+
 def scedasis_curve(
     p: PanelSample,
     k: int,
@@ -73,25 +86,10 @@ def scedasis_curve(
     pooled: PooledOrderStatistics | None = None,
 ) -> ScedasisCurve:
     """Estimate station ``j``'s integrated scedasis curve at level ``k``."""
-    o = pooled if pooled is not None else pool(p)
-    k = check_k(k, o.n_effective)
+    tail = TailAtK(p, k, pooled)
     if not 0 <= j < p.m:
         raise RangeError(f"station index {j} out of range for m={p.m}")
-    thr = global_threshold(o, k)
-
-    col = np.where(p.missing_mask[:, j], -np.inf, p.values[:, j])
-    rows = np.flatnonzero(col > thr) + 1  # 1-based day index
-    total = int(o.n_effective - np.searchsorted(o.values, thr, side="right"))
-    tie_count = k - total
-    divisor = total if renormalize else k
-    return ScedasisCurve(
-        station=j,
-        k=k,
-        n_rows=p.n,
-        jump_times=rows / p.n,
-        divisor=divisor,
-        tie_count=tie_count,
-    )
+    return _curve(tail, j, renormalize)
 
 
 def scedasis_all(
@@ -100,6 +98,6 @@ def scedasis_all(
     renormalize: bool = False,
     pooled: PooledOrderStatistics | None = None,
 ) -> list[ScedasisCurve]:
-    """Scedasis curves for every station (one pooled sort, shared threshold)."""
-    o = pooled if pooled is not None else pool(p)
-    return [scedasis_curve(p, k, j, renormalize=renormalize, pooled=o) for j in range(p.m)]
+    """Scedasis curves for every station (one level-k tail view for all)."""
+    tail = TailAtK(p, k, pooled)
+    return [_curve(tail, j, renormalize) for j in range(p.m)]

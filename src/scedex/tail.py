@@ -1,4 +1,5 @@
-"""Pooled order statistics and the tail empirical / tail quantile processes.
+"""Pooled order statistics, the level-k tail view, and the tail empirical /
+tail quantile processes.
 
 All stations are pooled into one sample of size ``n_effective``; thresholds
 are order statistics of the pool.  Exceedances are always strict (``>``).
@@ -7,6 +8,7 @@ are order statistics of the pool.  Exceedances are always strict (``>``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -16,26 +18,16 @@ from .panel import PanelSample
 
 @dataclass(frozen=True)
 class PooledOrderStatistics:
-    """The pooled sample sorted ascending, with provenance.
-
-    ``day_index[r]`` / ``station_index[r]`` give the (row, column) of the
-    r-th smallest pooled value.  Ties sort stably by (day, station).
-    """
+    """The non-missing observations of a panel, pooled and sorted ascending."""
 
     values: np.ndarray
-    day_index: np.ndarray
-    station_index: np.ndarray
 
     def __post_init__(self):
-        for name in ("values", "day_index", "station_index"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if self.values.ndim != 1 or self.values.size == 0:
+        arr = np.asarray(self.values).copy()
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
+        if arr.ndim != 1 or arr.size == 0:
             raise EmptyPoolError("pooled sample is empty")
-        if self.day_index.shape != self.values.shape or self.station_index.shape != self.values.shape:
-            raise RangeError("provenance arrays must match the pooled values in length")
 
     @property
     def n_effective(self) -> int:
@@ -44,16 +36,10 @@ class PooledOrderStatistics:
 
 def pool(p: PanelSample) -> PooledOrderStatistics:
     """Pool all non-missing observations of the panel and sort ascending."""
-    obs = ~p.missing_mask
-    if not obs.any():
+    vals = p.values[~p.missing_mask]
+    if vals.size == 0:
         raise EmptyPoolError("panel has no non-missing observations")
-    day_idx, stat_idx = np.nonzero(obs)
-    vals = p.values[day_idx, stat_idx]
-    # Primary key value, then day, then station: a deterministic total order.
-    order = np.lexsort((stat_idx, day_idx, vals))
-    return PooledOrderStatistics(
-        values=vals[order], day_index=day_idx[order], station_index=stat_idx[order]
-    )
+    return PooledOrderStatistics(values=np.sort(vals))
 
 
 def check_k(k: int, n_effective: int) -> int:
@@ -70,22 +56,56 @@ def global_threshold(o: PooledOrderStatistics, k: int) -> float:
     return float(o.values[o.n_effective - k - 1])
 
 
-def _threshold_at_level(o: PooledOrderStatistics, ks_floor: int) -> float:
-    """Order statistic with ``ks_floor`` pooled points strictly above-or-at it.
+def level_thresholds(o: PooledOrderStatistics, k: int, s):
+    """Levels ``floor(k * s)`` of the tail fractions ``s`` and the pooled order
+    statistics ``X_{N - floor(k s):N}`` at those levels.
 
-    ``ks_floor = 0`` maps to the pooled maximum, matching the convention that
-    the tail quantile at levels below one exceedance is the sample maximum.
+    Level 0 maps to the pooled maximum.  Levels come back as integral floats
+    and are not range-checked here: each caller rejects the ones it does not
+    admit before using them (a level outside [0, n_effective) reads the
+    nearest order statistic).
     """
     n = o.n_effective
-    if not 0 <= ks_floor < n:
-        raise RangeError(f"floor(k*s) must lie in [0, {n}), got {ks_floor}")
-    return float(o.values[n - ks_floor - 1])
+    s = np.asarray(s, dtype=float)
+    # 1e-9 guards floor() against representation error at exact grid points.
+    levels = np.floor(k * s + 1e-9)
+    return levels, o.values[(n - 1 - np.clip(levels, 0, n - 1)).astype(int)]
+
+
+class TailAtK:
+    """The pooled tail at level ``k``: what every estimator counts as extreme.
+
+    ``threshold`` is the pooled order statistic X_{N-k:N}; an observation is
+    extreme when it strictly exceeds it, and a missing cell never does.
+    ``n_exceedances`` pooled observations do, so ``tie_count = k -
+    n_exceedances`` of the top k are tied with the threshold.  ``exceed`` is
+    the days x stations exceedance matrix, built on first use.
+    """
+
+    def __init__(self, p: PanelSample, k: int, pooled: PooledOrderStatistics | None = None):
+        o = pooled if pooled is not None else pool(p)
+        self.pooled = o
+        self.k = check_k(k, o.n_effective)
+        self.threshold = global_threshold(o, self.k)
+        self.n_exceedances = int(
+            o.n_effective - np.searchsorted(o.values, self.threshold, side="right"))
+        self.tie_count = self.k - self.n_exceedances
+        self.panel = p
+
+    def divisor(self, renormalize: bool) -> int:
+        """``k``, or with ``renormalize`` the realised exceedance count."""
+        return self.n_exceedances if renormalize else self.k
+
+    @cached_property
+    def exceed(self) -> np.ndarray:
+        p = self.panel
+        return np.where(p.missing_mask, -np.inf, p.values) > self.threshold
 
 
 def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise RangeError(f"{name} must be a non-empty 1-D grid")
+    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
+        raise RangeError(f"{name} must be a non-empty, finite 1-D grid")
     if np.any(np.diff(grid) < 0):
         raise RangeError(f"{name} must be sorted ascending")
     return grid
@@ -121,14 +141,15 @@ def tail_empirical_process(
     # 1e-9 guards floor() against representation error at exact grid points.
     t_cut = np.floor(n * t_grid + 1e-9).astype(int)
 
+    ks, thresholds = level_thresholds(o, k, s_grid)
+    too_deep = np.flatnonzero(ks >= o.n_effective)
+    if too_deep.size:
+        a = too_deep[0]
+        raise RangeError(
+            f"s={s_grid[a]} gives floor(k*s)={int(ks[a])} >= n_effective={o.n_effective}"
+        )
     out = np.empty((s_grid.size, t_grid.size), dtype=float)
-    for a, s in enumerate(s_grid):
-        ks = int(np.floor(k * s + 1e-9))
-        if ks >= o.n_effective:
-            raise RangeError(
-                f"s={s} gives floor(k*s)={ks} >= n_effective={o.n_effective}"
-            )
-        thr = _threshold_at_level(o, ks)
+    for a, thr in enumerate(thresholds):
         cum = np.concatenate(([0], np.cumsum(col > thr)))
         out[a] = cum[t_cut] / k
     return out
@@ -155,10 +176,5 @@ def tail_quantile_process(
         raise RangeError(
             f"s_grid must lie in [{lo}, {hi}) = [1/(2k), n_effective/k)"
         )
-    base = global_threshold(o, k)
-    out = np.empty((s_grid.size, 2), dtype=float)
-    for a, s in enumerate(s_grid):
-        ks = int(np.floor(k * s + 1e-9))
-        out[a, 0] = s
-        out[a, 1] = _threshold_at_level(o, ks) - base
-    return out
+    _, thresholds = level_thresholds(o, k, s_grid)
+    return np.column_stack((s_grid, thresholds - global_threshold(o, k)))

@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
+from scipy.special import chdtrc, kolmogorov
 
 from .dependence import sigma1_matrix
 from .errors import NoExceedanceError, RangeError, ScedexError, SingularCovarianceError
 from .panel import PanelSample
 from .scedasis import scedasis_curve
-from .tail import PooledOrderStatistics, check_k, pool
+from .tail import PooledOrderStatistics, pool
 
 # Condition-number ceiling for the studentising matrix; beyond this the
 # quadratic form is numerically meaningless (typically duplicated stations).
@@ -38,24 +38,10 @@ class TestResult:
 
 
 def kolmogorov_pvalue(d: float) -> float:
-    """Tail probability of the Kolmogorov law: 2 sum (-1)^{i-1} exp(-2 i^2 d^2).
-
-    The alternating series is truncated once terms fall below 1e-12 and the
-    result clamped to [0, 1].
-    """
+    """Tail probability of the Kolmogorov law: 2 sum (-1)^{i-1} exp(-2 i^2 d^2)."""
     if d < 0:
         raise RangeError(f"Kolmogorov statistic must be >= 0, got {d}")
-    if d == 0:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for i in range(1, 100001):
-        term = np.exp(-2.0 * i * i * d * d)
-        if term < 1e-12:
-            break
-        total += sign * term
-        sign = -sign
-    return float(min(1.0, max(0.0, 2.0 * total)))
+    return float(kolmogorov(d))
 
 
 @dataclass(frozen=True)
@@ -152,11 +138,9 @@ def space_test(
     p: PanelSample, k: int, pooled: PooledOrderStatistics | None = None
 ) -> TestResult:
     """Test equality of the stations' shares of the pooled tail."""
-    o = pooled if pooled is not None else pool(p)
-    k = check_k(k, o.n_effective)
     if p.m < 2:
         raise RangeError("space test needs at least two stations")
-    dep = sigma1_matrix(p, k, renormalize=True, pooled=o)
+    dep = sigma1_matrix(p, k, renormalize=True, pooled=pooled)
     if dep.divisor == 0:
         raise NoExceedanceError("no strict exceedances of the pooled threshold")
     c1 = np.diag(dep.entries)
@@ -167,7 +151,7 @@ def space_test(
         statistic=result.statistic,
         law=result.law,
         p_value=result.p_value,
-        k=k,
+        k=dep.k,
         df=result.df,
         extras=extras,
     )
@@ -194,19 +178,17 @@ def time_test(
     p: PanelSample, k: int, j: int, pooled: PooledOrderStatistics | None = None
 ) -> TestResult:
     """Test uniformity in time of station ``j``'s exceedances of the pooled threshold."""
-    o = pooled if pooled is not None else pool(p)
-    k = check_k(k, o.n_effective)
-    curve = scedasis_curve(p, k, j, renormalize=True, pooled=o)
+    curve = scedasis_curve(p, k, j, renormalize=True, pooled=pooled)
     if curve.n_exceedances == 0:
         raise NoExceedanceError(
-            f"station {j} has no strict exceedances of the pooled threshold at k={k}"
+            f"station {j} has no strict exceedances of the pooled threshold at k={curve.k}"
         )
     stat = ks_statistic_from_jumps(curve.jump_times)
     return TestResult(
         statistic=stat,
         law="kolmogorov",
         p_value=kolmogorov_pvalue(stat),
-        k=k,
+        k=curve.k,
         station=j,
         extras={"n_exceedances": curve.n_exceedances, "tie_count": curve.tie_count},
     )

@@ -2,6 +2,7 @@
 
 import json
 import os
+from collections import Counter
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import scedex
-from scedex import panel, scedasis, trend_tests
+from scedex import panel, scedasis, tail, trend_tests
 from scedex.cli import main
 
 COMMANDS = ["ingest-check", "scedasis", "sigma1", "test-space", "test-time",
@@ -346,12 +347,43 @@ def test_output_file_matches_stdout_and_leaves_no_temp(runner, panel_csv, tmp_pa
     assert leftovers == []
 
 
-def test_reruns_are_byte_identical(runner, panel_csv, tmp_path):
-    args = ["scedasis", "--input", str(panel_csv), "--gap", "0", "--k", "60"]
-    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+_SWEEP_KS = ["--k-min", "40", "--k-max", "140", "--k-step", "50"]
+
+
+@pytest.mark.parametrize("command", [
+    pytest.param(["ingest-check"], id="ingest-check"),
+    pytest.param(["scedasis", "--k", "60"], id="scedasis"),
+    pytest.param(["sigma1", "--k", "60"], id="sigma1"),
+    pytest.param(["test-space", "--k", "60"], id="test-space"),
+    pytest.param(["test-time", "--k", "60"], id="test-time"),
+    pytest.param(["sweep", *_SWEEP_KS], id="sweep"),
+    pytest.param(["fit-gp", "--k", "80", "--with-cov"], id="fit-gp-with-cov"),
+    pytest.param(["gamma-path", *_SWEEP_KS], id="gamma-path"),
+])
+def test_reruns_are_byte_identical(runner, panel_csv, tmp_path, command):
+    args = [command[0], "--input", str(panel_csv), "--gap", "0", *command[1:]]
+    first, second = tmp_path / "a.out", tmp_path / "b.out"
     _ok(runner.invoke(main, args + ["--output", str(first)]))
     _ok(runner.invoke(main, args + ["--output", str(second)]))
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_commands_load_and_pool_once(runner, panel_csv, monkeypatch):
+    calls = Counter()
+    for original in (tail.pool, panel.load_panel):
+        def counted(*args, _original=original, **kwargs):
+            calls[_original.__name__] += 1
+            return _original(*args, **kwargs)
+        for name, module in list(sys.modules.items()):
+            if name.partition(".")[0] == "scedex" and getattr(
+                    module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, counted)
+
+    _ok(runner.invoke(main, ["test-time", "--input", str(panel_csv), "--k", "60"]))
+    assert calls == {"load_panel": 1, "pool": 1}  # one pool for all three stations
+    calls.clear()
+    _ok(runner.invoke(main, ["ingest-check", "--input", str(panel_csv)]))
+    assert calls == {"load_panel": 1}
 
 
 def test_dry_run_validates_without_writing(runner, panel_csv, tmp_path):

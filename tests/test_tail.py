@@ -1,47 +1,52 @@
-"""Pooled order statistics and the two tail processes.
+"""Pooled order statistics, the level-k tail and the two tail processes.
 
 The small 8x2 fixture pools to N=16 tie-free values; with k=4 the global
 threshold is the 5th largest pooled value (5.0) and every entry of the
-exceedance surfaces below is checked by hand.
+exceedance surfaces below is checked by hand.  A property test recounts the
+level-k tail of tied panels with missing cells and checks that every
+estimator sees the same exceedances and ties.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from scedex import (
+    EmpiricalTailDependence,
     EmptyPoolError,
+    FitConvergenceError,
+    InsufficientDataError,
+    NoExceedanceError,
     RangeError,
+    fit_gp_pml,
     global_threshold,
     pool,
+    scedasis_all,
+    sigma1_matrix,
     tail_empirical_process,
     tail_quantile_process,
+    time_test,
 )
 from scedex.tail import check_k
 
 from conftest import make_panel
 
 
-def test_pool_sorted_with_provenance(small_panel):
+def test_pool_sorted_and_frozen(small_panel):
     o = pool(small_panel)
     assert o.n_effective == 16
     assert np.all(np.diff(o.values) > 0)  # fixture is tie-free
-    # largest pooled value is 9.0 at (day 3, station 0)
     assert o.values[-1] == 9.0
-    assert o.day_index[-1] == 3
-    assert o.station_index[-1] == 0
     # arrays are frozen
     with pytest.raises(ValueError):
         o.values[0] = -1.0
 
 
-def test_pool_ties_break_by_day_then_station():
+def test_pool_keeps_tied_values():
     p = make_panel([[2.0, 2.0], [2.0, 1.0]])
     o = pool(p)
     assert o.values.tolist() == [1.0, 2.0, 2.0, 2.0]
-    assert o.day_index.tolist() == [1, 0, 0, 1]
-    assert o.station_index.tolist() == [1, 0, 1, 0]
 
 
 def test_pool_skips_missing(small_panel):
@@ -165,3 +170,48 @@ def test_station_shares_sum_to_one_without_ties(n, m, seed):
     for j in range(m):
         total += tail_empirical_process(p, k, j, s_grid=[1.0], t_grid=[1.0])[0, 0]
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(min_value=4, max_value=60),
+    m=st.integers(min_value=1, max_value=4),
+    k_draw=st.integers(min_value=0, max_value=10**6),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_every_estimator_sees_the_same_level_k_tail(n, m, k_draw, seed):
+    """Heavy-tailed integer panels (many ties) with about 20% missing cells."""
+    rng = np.random.default_rng(seed)
+    vals = np.floor(rng.pareto(1.0, (n, m)) * 3)
+    missing = rng.random((n, m)) < 0.2
+    observed = np.sort(vals[~missing])
+    N = observed.size
+    if N < 2:
+        reject()
+    k = 1 + k_draw % (N - 1)
+    # Independent recount: strict exceedances of X_{N-k:N}, missing cells excluded.
+    thr = observed[N - k - 1]
+    counts = ((vals > thr) & ~missing).sum(axis=0)
+    ties = k - int(np.count_nonzero(observed > thr))
+    p = make_panel(vals, missing=missing)
+
+    curves = scedasis_all(p, k)
+    assert [c.n_exceedances for c in curves] == counts.tolist()
+    assert [c.tie_count for c in curves] == [ties] * m
+    assert np.diag(sigma1_matrix(p, k).entries) * k == pytest.approx(counts, abs=1e-9)
+    assert EmpiricalTailDependence(p, k, grid_size=4).c1 * k == pytest.approx(counts, abs=1e-9)
+    for j in range(m):
+        if counts[j] == 0:
+            with pytest.raises(NoExceedanceError):
+                time_test(p, k, j)
+        else:
+            assert time_test(p, k, j).extras["n_exceedances"] == counts[j]
+    if k - ties < 10:
+        with pytest.raises(InsufficientDataError):
+            fit_gp_pml(p, k)
+        return
+    try:
+        fit = fit_gp_pml(p, k)
+    except FitConvergenceError:
+        reject()  # a degenerate excess sample has no fit to read the count from
+    assert fit.dropped_ties == ties

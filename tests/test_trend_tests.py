@@ -1,10 +1,12 @@
 """Space and time homogeneity tests, with closed-form and scipy oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 
 from scedex import (
     NoExceedanceError,
@@ -28,8 +30,14 @@ from conftest import make_panel
 
 
 def test_kolmogorov_pvalue_against_scipy():
+    # the defining series 2 sum (-1)^{i-1} exp(-2 i^2 d^2), summed until its
+    # terms underflow
     for d in (0.3, 0.5, 0.8, 1.0, 1.36, 2.0):
-        assert kolmogorov_pvalue(d) == pytest.approx(float(special.kolmogorov(d)), abs=1e-12)
+        total, i = 0.0, 1
+        while (term := math.exp(-2.0 * i * i * d * d)) > 0.0:
+            total += term if i % 2 else -term
+            i += 1
+        assert kolmogorov_pvalue(d) == pytest.approx(2.0 * total, abs=1e-12)
 
 
 def test_kolmogorov_pvalue_near_critical_value():
@@ -40,7 +48,8 @@ def test_kolmogorov_pvalue_near_critical_value():
 
 def test_kolmogorov_pvalue_edges():
     assert kolmogorov_pvalue(0.0) == 1.0
-    assert kolmogorov_pvalue(10.0) == 0.0  # series underflows, clamped
+    # first term only: the next one, exp(-800), underflows
+    assert kolmogorov_pvalue(10.0) == pytest.approx(2.0 * math.exp(-200.0), rel=1e-12)
     assert 0.0 <= kolmogorov_pvalue(0.02) <= 1.0  # tiny d: near-certain p
     with pytest.raises(RangeError):
         kolmogorov_pvalue(-0.1)
