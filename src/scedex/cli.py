@@ -35,7 +35,6 @@ _ERROR_MODULE = {
     err.InsufficientDataError: ("gp_mle", "increase k; at least 10 positive excesses are needed"),
     err.SingularCovarianceError: ("trend_tests", "drop near-duplicate stations or change k"),
     err.FitConvergenceError: ("gp_mle", "try a different k; the optimizer hit a parameter boundary"),
-    err.QuadratureError: ("gp_mle", "loosen --tol or inspect the dependence surface"),
     err.SimSpecError: ("mc", "fix the simulation specification"),
 }
 
@@ -420,17 +419,15 @@ def sweep(input, season, gap, which, k_min, k_max, k_step, station, fmt, output,
 @click.option("--k", type=int, required=True)
 @click.option("--with-cov", is_flag=True,
               help="Also estimate dependence-aware standard errors (slower).")
-@click.option("--tol", type=float, default=2e-3, show_default=True,
-              help="Quadrature tolerance for --with-cov.")
 @_output_opt
 @_dry_opt
 @_analysis_command
-def fit_gp(input, season, gap, k, with_cov, tol, output, dry_run):
+def fit_gp(input, season, gap, k, with_cov, output, dry_run):
     """Pooled generalized Pareto fit to the top-k excesses."""
     _check_input_exists(input)
     if dry_run:
         return _dry_run_report("fit-gp", input=input, season=season, gap=gap,
-                               k=k, with_cov=with_cov, tol=tol)
+                               k=k, with_cov=with_cov)
     p = _load(input, season, gap)
     pooled = tail.pool(p)
     fit = gp_mle.fit_gp_pml(p, k, pooled=pooled)
@@ -445,10 +442,11 @@ def fit_gp(input, season, gap, k, with_cov, tol, output, dry_run):
         "method": fit.method,
     }
     if with_cov:
-        cov = gp_mle.mle_asymptotic_cov(fit, p, pooled=pooled, tol=tol)
+        cov = gp_mle.mle_asymptotic_cov(fit, p, pooled=pooled)
         payload["se_gamma"] = cov.se_gamma
         payload["se_scale_rel"] = cov.se_scale_rel
-        payload["quadrature_error"] = cov.quadrature_error
+        # the covariance is closed-form; the key stays for payload readers
+        payload["quadrature_error"] = 0.0
     _emit_json(payload, output)
 
 

@@ -2,8 +2,11 @@
 
 The central object is the matrix of joint exceedance frequencies at the
 pooled threshold, which doubles as the covariance estimate used to
-studentise the spatial homogeneity test, plus a gridded version used as a
-plug-in when integrating limiting covariances.
+studentise the spatial homogeneity test.  For the sandwich covariance of the
+pooled GP fit, :class:`EmpiricalTailDependence` estimates the edge
+X(v, 1) of the aggregate cross-station tail-copula surface on a level grid:
+tail copulas are homogeneous of degree 1, so the edge determines the whole
+surface.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def sigma1_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Gridded tail-copula plug-in (for covariance quadrature)
+# Gridded tail-copula estimates (for the sandwich covariance)
 # ---------------------------------------------------------------------------
 
 
@@ -133,22 +136,25 @@ def _bilinear(nodes: np.ndarray, grid: np.ndarray, s, t):
 
 
 class EmpiricalTailDependence:
-    """Tail-copula surfaces on a geometric level grid.
+    """Tail-copula estimates on a geometric level grid.
 
     Values are joint exceedance counts at pooled order-statistic thresholds,
-    divided by ``k``, on a ``grid_size`` x ``grid_size`` geometric grid over
-    [1/k, 1]; queries interpolate bilinearly, decaying linearly to 0 below
-    the smallest grid level (the surfaces vanish at s = 0 or t = 0).
+    divided by ``k``, at the ``grid_size`` geometric levels ``s`` over
+    [1/k, 1].
 
-    :meth:`cross` is the aggregate surface X(s, t) = sum over i != j of
-    r(i, j; s, t) that the sandwich covariance integrates; :meth:`r` is one
-    station pair's surface.
+    :attr:`edge` is the pair (levels, X(s, 1)) for the aggregate surface
+    X(s, t) = sum over i != j of r(i, j; s, t), the input of the sandwich
+    covariance.  :meth:`r` is one station pair's surface on the full grid,
+    interpolated bilinearly and decaying linearly to 0 below the smallest
+    level (the surfaces vanish at s = 0 or t = 0).
     """
 
     def __init__(self, p: PanelSample, k: int, grid_size: int = 64,
                  pooled: PooledOrderStatistics | None = None):
         tail = TailAtK(p, k, pooled)
         self.k = k = tail.k
+        if k < 2:
+            raise RangeError(f"a tail-copula level grid needs k >= 2, got k={k}")
         self.m = p.m
         self.grid_size = G = int(grid_size)
         if G < 2:
@@ -170,23 +176,17 @@ class EmpiricalTailDependence:
         self._nodes = np.concatenate(([0.0], s_nodes))
 
         # N[r, a] = number of stations in row r above level a (rows above no
-        # level add nothing).  Summed over rows, N(a) N(b) counts every
-        # ordered station pair jointly above (a, b), and N(min(a, b)) the
+        # level add nothing).  Summed over rows, N(a) N(top) counts every
+        # ordered station pair jointly above (a, top), and N(a) the
         # same-station pairs among them.
         first = self._first_level[self._first_level.min(axis=1) < G]
         rows = first.shape[0]
         hist = np.bincount((np.arange(rows)[:, None] * (G + 1) + first).ravel(),
                            minlength=rows * (G + 1)).reshape(rows, G + 1)
         N = np.cumsum(hist[:, :G], axis=1).astype(float)
-        level = np.arange(G)
-        same = N.sum(axis=0)[np.minimum.outer(level, level)]
-        self._cross = np.pad((N.T @ N - same) / k, ((1, 0), (1, 0)))
+        self.edge = (s_nodes, N.T @ (N[:, -1] - 1.0) / k)
 
         self.c1 = tail.exceed.sum(axis=0) / k
-
-    def cross(self, s, t):
-        """Interpolated aggregate cross-station surface X(s, t); symmetric."""
-        return _bilinear(self._nodes, self._cross, s, t)
 
     def r(self, i: int, j: int, s, t):
         """Interpolated tail-copula surface value(s) r_{ij}(s, t)."""

@@ -65,9 +65,5 @@ class FitConvergenceError(ScedexError):
         self.trace = trace or []
 
 
-class QuadratureError(ScedexError):
-    """Numerical integration did not reach the requested tolerance."""
-
-
 class SimSpecError(ScedexError):
     """Invalid simulation specification."""

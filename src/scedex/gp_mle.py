@@ -7,15 +7,17 @@ sample is neither independent across stations nor identically distributed in
 time, the usual inverse-Fisher variance is wrong; the limiting covariance is
 a sandwich built from the stations' shares of the tail and the tail-copula
 surfaces of the station pairs.  The cross-station part is linear in those
-surfaces, so it integrates one symmetric aggregate surface, the sum over all
-ordered pairs, and its cost does not depend on the number of pairs.
+surfaces, so it needs only their sum over all ordered pairs, and because
+every tail copula is homogeneous of degree 1 it is closed-form in two
+numbers of that sum's edge X(v, 1): its moment int_0^1 X(v, 1) / v dv and
+its corner X(1, 1).  No integral is evaluated numerically, and the cost does
+not depend on the number of stations.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .errors import (
     DomainError,
     FitConvergenceError,
     InsufficientDataError,
-    QuadratureError,
     RangeError,
 )
 from .panel import PanelSample
@@ -36,7 +37,6 @@ GAMMA_MAX = 10.0
 # closed forms divide log1p(g z) by g^3, whose rounding error blows past the
 # series truncation error once |g| drops under about 1e-5.
 _SMALL_GAMMA = 1e-5
-_WEIGHT_SMALL = 1e-7  # the score weights only divide by g once
 _SCORE_TOL = 1e-8
 _MAX_ITER = 80
 
@@ -313,161 +313,60 @@ def fisher_info_inverse(gamma: float) -> np.ndarray:
     return np.array([[gp1 ** 2, -gp1], [-gp1, 2.0 * gp1]])
 
 
-def _same_station_coeffs(gamma: float) -> tuple[float, float, float]:
-    """Per-station contributions to the score covariance: the (shape, shape),
-    (scale, scale) and (shape, scale) coefficients multiplying C_j(1)."""
-    g = gamma
-    a = (2.0 + 6.0 * g + 5.0 * g * g) / ((1.0 + g) ** 2 * (1.0 + 2.0 * g) ** 2)
-    b = ((1.0 + g) / (1.0 + 2.0 * g)) ** 2
-    c = (1.0 + g) / (1.0 + 2.0 * g) ** 2
-    return a, b, c
+def _edge_moment(nodes: np.ndarray, values: np.ndarray) -> float:
+    """Integral of E(v) / v over (0, 1] for the E that is linear between
+    consecutive ``nodes`` and runs linearly from E(0) = 0 up to the first;
+    exact cell by cell."""
+    a, b = nodes[:-1], nodes[1:]
+    ea, eb = values[:-1], values[1:]
+    log_ratio = np.log(b / a)
+    # on [a, b]: E(v) = ea + (eb - ea) (v - a) / (b - a)
+    cells = ea * log_ratio + (eb - ea) * (1.0 - a * log_ratio / (b - a))
+    return float(values[0] + cells.sum())
 
 
-def _quad_axis(n_panels: int, order: int, beta: float):
-    """Composite Gauss-Legendre nodes/weights on (0, 1) for the substitution
-    s = u^beta (beta >= 1 clusters nodes near 0)."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mids = (edges[:-1] + edges[1:]) / 2.0
-    half = (edges[1:] - edges[:-1]) / 2.0
-    u = (mids[:, None] + half[:, None] * gl_x[None, :]).ravel()
-    wu = (half[:, None] * gl_w[None, :]).ravel()
-    s = u ** beta
-    jac = beta * u ** (beta - 1.0)
-    return s, wu * jac
+def _score_covariance(gamma: float, moment: float, corner: float) -> np.ndarray:
+    """Score covariance in (shape, scale) of a pooled tail whose aggregate
+    tail-copula surface T has edge moment ``moment`` = int_0^1 E(v) / v dv and
+    corner ``corner`` = E(1), where E(v) = T(v, 1).
 
+    T(s, t) sums the tail copulas of every ordered station pair, same-station
+    pairs included.  Tail copulas are homogeneous of degree 1, so
+    T(s, t) = max(s, t) E(min(s, t) / max(s, t)).  The entry tau_ab is
 
-def _score_weights(gamma: float, s: np.ndarray):
-    """The four weight functions entering the score covariance integrals.
+        int int w_a(s) w_b(t) T(s, t) - w_a(s) q_b(t) T(s, 1)
+                - q_a(s) w_b(t) T(1, t) + q_a(s) q_b(t) T(1, 1) ds dt
 
-    The shape component of the score integrates the tail fluctuation against
-    (F1, G1); the scale component against (P2, Q2).
+    with the shape weight (1/s - (1+g) s^(g-1)) / g, the scale weight
+    (1+g) s^(g-1) and their compensators q(t) = t^(1+g) w(t).  The weights
+    combine the powers s^p, p in {-1, g-1}; splitting the square at s = t and
+    substituting s = v t gives int int s^p t^q T = (M(p) + M(q)) / (p + q + 3)
+    with M(p) = int_0^1 v^p E(v) dv.  The M(g - 1) terms cancel against the
+    compensators, which leaves M(-1) and E(1).  Nothing divides by g, so the
+    form needs no series branch near g = 0; it diverges as g -> -1/2.
     """
     g = gamma
-    if abs(g) < _WEIGHT_SMALL:
-        L = np.log(s)
-        F1 = -(1.0 + L) / s
-        G1 = -(1.0 + L)
-        P2 = (1.0 + g) * s ** (g - 1.0)
-        Q2 = (1.0 + g) * s ** (2.0 * g)
-        return F1, G1, P2, Q2
-    F1 = (1.0 / s - (1.0 + g) * s ** (g - 1.0)) / g
-    G1 = (s ** g - (1.0 + g) * s ** (2.0 * g)) / g
-    P2 = (1.0 + g) * s ** (g - 1.0)
-    Q2 = (1.0 + g) * s ** (2.0 * g)
-    return F1, G1, P2, Q2
+    d = 1.0 + 2.0 * g
+    u = 1.0 + g
+    t11 = 2.0 * moment / (u * d) + (g / (u * d)) ** 2 * corner
+    t22 = (u / d) ** 2 * corner
+    t12 = moment / d - g * corner / d ** 2
+    return np.array([[t11, t12], [t12, t22]])
 
 
-def _eval_r(cross: Callable, s: np.ndarray, t: np.ndarray, chunk: int = 32) -> np.ndarray:
-    """Evaluate a tail-copula surface on matching matrices in row blocks so
-    lookups that expand an inner integration axis stay memory-bounded."""
-    if s.ndim < 2:
-        return np.asarray(cross(s, t), dtype=float)
-    out = np.empty(s.shape)
-    for a in range(0, s.shape[0], chunk):
-        out[a:a + chunk] = cross(s[a:a + chunk], t[a:a + chunk])
-    return out
-
-
-def _cross_station_taus(gamma: float, cross: Callable, n_panels: int, order: int):
-    """The cross-station score covariances, summed over all station pairs.
-
-    ``cross(s, t)`` is the aggregate surface X(s, t) = sum over i != j of
-    r_ij(s, t); it is symmetric and must accept broadcast arrays.  Returns
-    (tau11, tau22, tau12) where 1 = shape component, 2 = scale component,
-    evaluated by quadrature of
-
-        int int wa(s) wb(t) X(s,t) - wa(s) qb(t) X(s,1)
-                - qa(s) wb(t) X(1,t) + qa(s) qb(t) X(1,1) ds dt.
-
-    Every term is linear in the surface, so this equals the sum of the
-    per-pair integrals; symmetry makes tau21 = tau12.
-
-    Tail-copula surfaces are typically non-smooth on the diagonal (exactly
-    min(s,t) under complete dependence), so the double integral is split
-    into the two triangles s <= t and s >= t, each mapped to the unit square
-    by s = t v, where the integrand is smooth up to endpoint singularities
-    that the clustered composite rule absorbs.  By symmetry the surface is
-    evaluated on the s <= t triangle only.
-
-    For gamma < 0 the corner of the double integral behaves like t^(2 gamma)
-    (two score weights, one taming factor of r).  The substitution t = u^beta
-    turns that into u^(beta (1 + 2 gamma) - 1); choosing beta = 2q/(1 + 2 gamma)
-    with integer q makes the exponent an odd integer, so the dominant singular
-    term is polynomial and the rule converges fast; q is the smallest integer
-    keeping beta >= 6, which also soaks up the logarithmic weights near
-    gamma = 0.  The cap keeps the substitution inside floating-point range;
-    within a hair of gamma = -1/2 the variance integrals nearly diverge and
-    the caller reports honest failure instead.
-    """
-    if gamma < 0:
-        q = math.ceil(3.0 * (1.0 + 2.0 * gamma))
-        beta = min(2.0 * q / (1.0 + 2.0 * gamma), 40.0)
-    else:
-        beta = 6.0
-    s, w = _quad_axis(n_panels, order, beta)
-    v, wv = _quad_axis(n_panels, order, beta)
-
-    T = np.broadcast_to(s[None, :], (v.size, s.size))
-    S = v[:, None] * T                      # inner coordinate on each triangle
-    W2 = (wv[:, None] * w[None, :]) * T     # quadrature weight times jacobian
-
-    # Within a hair of the shape boundary the clustered nodes underflow and
-    # the weights overflow; the caller checks finiteness, so keep quiet here.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        F1, _, P2, _ = _score_weights(gamma, s)
-        F1_in, _, P2_in, _ = _score_weights(gamma, S)
-
-    x_tri = _eval_r(cross, S, T)            # X(s, t) on s <= t, = X(t, s)
-    x_s1 = np.asarray(cross(s, np.ones_like(s)), dtype=float)   # = X(1, s)
-    x_11 = float(cross(1.0, 1.0))
-
-    # The compensator weights integrate in closed form; everything that needs
-    # quadrature carries a factor r = O(s and t) near zero, which tames the
-    # singular score weights (the raw compensators behave like s^(2*gamma)
-    # and would converge hopelessly slowly for gamma < -1/4).
-    int_G1 = -gamma / ((1.0 + gamma) * (1.0 + 2.0 * gamma))
-    int_Q2 = (1.0 + gamma) / (1.0 + 2.0 * gamma)
-
-    weights_1d = {"F": F1, "P": P2}
-    weights_2d = {"F": F1_in, "P": P2_in}
-    comp_integrals = {"F": int_G1, "P": int_Q2}
-
-    def tau(a: str, b: str) -> float:
-        wa, wb = weights_1d[a], weights_1d[b]
-        iqa, iqb = comp_integrals[a], comp_integrals[b]
-        with np.errstate(over="ignore", invalid="ignore"):
-            two_d = float(np.sum(W2 * x_tri * (weights_2d[a] * wb[None, :]
-                                               + wa[None, :] * weights_2d[b])))
-        t2 = np.dot(w * wa, x_s1) * iqb
-        t3 = iqa * np.dot(w * wb, x_s1)
-        t4 = iqa * iqb * x_11
-        return two_d - t2 - t3 + t4
-
-    return tau("F", "F"), tau("P", "P"), tau("F", "P")
-
-
-def sigma_gamma0(
-    gamma: float,
-    c1_values,
-    cross: Callable | None = None,
-    tol: float = 1e-6,
-    n_panels: tuple[int, int] = (32, 64),
-    order: int = 4,
-) -> tuple[np.ndarray, float]:
+def sigma_gamma0(gamma: float, c1_values, *, edge=None) -> tuple[np.ndarray, float]:
     """Limiting covariance of the pooled GP score in (shape, scale).
 
-    Same-station contributions use closed forms linear in the stations'
-    tail shares ``c1_values``.  Cross-station contributions are linear in the
-    tail-copula surfaces, so they integrate the four score-weight
-    combinations once against ``cross(s, t)``, the symmetric aggregate
-    surface X(s, t) = sum over stations i != j of r_ij(s, t); their cost does
-    not depend on the number of station pairs.  ``cross=None`` treats
-    stations as tail independent (all cross terms vanish).
+    Station j's own tail surface is C_j(1) min(s, t), with the tail shares
+    C_j(1) given by ``c1_values``.  ``edge`` is a pair (nodes, values) that
+    samples X(v, 1), the edge of the aggregate cross-station surface
+    X(s, t) = sum over stations i != j of r_ij(s, t), at nodes increasing to
+    exactly 1; X(v, 1) is taken linear between nodes and from 0 at v = 0.
+    ``edge=None`` treats stations as tail independent (all cross terms
+    vanish).  The cost does not depend on the number of stations.
 
-    Returns the 2x2 matrix together with the quadrature error estimate
-    (difference between the two nested panel counts); the estimate must meet
-    ``tol`` or a :class:`QuadratureError` is raised.
+    Returns the 2x2 matrix and its integration error, which is 0.0: every
+    entry is closed-form in the edge (see :func:`_score_covariance`).
     """
     if gamma <= -0.5:
         raise DomainError(f"shape must exceed -1/2, got {gamma}")
@@ -477,28 +376,17 @@ def sigma_gamma0(
     if np.any(c1 < 0):
         raise RangeError("tail shares must be >= 0")
 
-    a, b, c = _same_station_coeffs(gamma)
-    total = float(c1.sum())
-    sigma = np.array([[a, c], [c, b]]) * total
-    quad_err = 0.0
-
-    if cross is not None and c1.size > 1:
-        coarse = np.array(_cross_station_taus(gamma, cross, n_panels[0], order))
-        fine = np.array(_cross_station_taus(gamma, cross, n_panels[1], order))
-        if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
-            raise QuadratureError(
-                f"cross-station variance integrals are numerically divergent at "
-                f"gamma={gamma:.6g} (the shape is too close to -1/2)"
-            )
-        quad_err = float(np.max(np.abs(fine - coarse)))
-        if quad_err > tol:
-            raise QuadratureError(
-                f"cross-station quadrature error {quad_err:.3g} exceeds tol {tol:.3g}; "
-                f"increase n_panels or loosen tol"
-            )
-        sigma += np.array([[fine[0], fine[2]], [fine[2], fine[1]]])
-
-    return sigma, quad_err
+    # the same-station surfaces sum to C min(s, t), whose edge is C v
+    moment = corner = float(c1.sum())
+    if edge is not None:
+        nodes, values = (np.asarray(x, dtype=float) for x in edge)
+        if (nodes.ndim != 1 or nodes.size == 0 or values.shape != nodes.shape
+                or nodes[0] <= 0 or nodes[-1] != 1.0 or np.any(np.diff(nodes) <= 0)):
+            raise RangeError("edge nodes must increase from above 0 to exactly 1, "
+                             "with one value per node")
+        moment += _edge_moment(nodes, values)
+        corner += float(values[-1])
+    return _score_covariance(gamma, moment, corner), 0.0
 
 
 @dataclass(frozen=True)
@@ -508,7 +396,6 @@ class AsymptoticCov:
     matrix: np.ndarray
     fisher: np.ndarray
     sigma: np.ndarray
-    quadrature_error: float
     k: int
 
     def __post_init__(self):
@@ -532,39 +419,30 @@ def mle_asymptotic_cov(
     p: PanelSample,
     pooled: PooledOrderStatistics | None = None,
     grid_size: int = 64,
-    tol: float = 2e-3,
     c1_values=None,
-    cross: Callable | None = None,
+    edge=None,
 ) -> AsymptoticCov:
     """Sandwich covariance I^{-1} Sigma I^{-1} for a pooled GP fit.
 
-    By default the tail shares and the aggregate cross-station surface
-    X(s, t) = sum over i != j of r_ij(s, t) are estimated from the panel at
-    the fit's ``k`` (one symmetric surface on a ``grid_size``-point geometric
-    level grid, bilinearly interpolated, whose quadrature cost does not
-    depend on the number of station pairs); analytic inputs can be supplied
-    instead via ``c1_values``/``cross``.
-    The default tolerance is looser than for analytic surfaces because the
-    integrands inherit the interpolation kinks, which keep the nested panel
-    counts from agreeing more tightly than the surface's own sampling error
-    (order 1/sqrt(k)) anyway.
+    By default the tail shares and the edge X(v, 1) of the aggregate
+    cross-station surface are estimated from the panel at the fit's ``k``, on
+    a ``grid_size``-point geometric level grid; analytic inputs can be
+    supplied instead via ``c1_values``/``edge`` (see :func:`sigma_gamma0`).
     """
     if not fit.converged:
         raise FitConvergenceError("cannot form a covariance from a non-converged fit")
-    if c1_values is None or (cross is None and p.m > 1):
+    if c1_values is None or (edge is None and p.m > 1):
         dep = EmpiricalTailDependence(p, fit.k, grid_size=grid_size, pooled=pooled)
         if c1_values is None:
             c1_values = dep.c1
-        if cross is None and p.m > 1:
-            cross = dep.cross
-    sigma, quad_err = sigma_gamma0(fit.gamma_hat, c1_values, cross, tol=tol)
+        if edge is None and p.m > 1:
+            edge = dep.edge
+    sigma, _ = sigma_gamma0(fit.gamma_hat, c1_values, edge=edge)
     inv = fisher_info_inverse(fit.gamma_hat)
-    matrix = inv @ sigma @ inv
     return AsymptoticCov(
-        matrix=matrix,
+        matrix=inv @ sigma @ inv,
         fisher=fisher_info(fit.gamma_hat),
         sigma=sigma,
-        quadrature_error=quad_err,
         k=fit.k,
     )
 

@@ -215,11 +215,15 @@ def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
 
     x0 = float(spec.tail_quantile(TAIL_MASS))
     is_tail = v <= tail_mass
-    x = np.empty((n, m))
-    q = np.where(is_tail, v / c_mat, TAIL_MASS)
-    x_tail = spec.tail_quantile(q)
-    frac = (v - tail_mass) / (1.0 - tail_mass)
-    x = np.where(is_tail, x_tail, x0 * (1.0 - np.clip(frac, 0.0, 1.0)))
+    # The filler x0 (1 - frac) everywhere, then the exact GP quantile on the
+    # tail cells.  Building the filler in place and the quantile on the tail
+    # cells alone keeps full-size temporaries, each paid in fresh pages, few.
+    x = v - tail_mass
+    x /= 1.0 - tail_mass
+    np.clip(x, 0.0, 1.0, out=x)
+    np.subtract(1.0, x, out=x)
+    x *= x0
+    x[is_tail] = spec.tail_quantile(v[is_tail] / c_mat[is_tail])
 
     return PanelSample(
         values=x,
@@ -254,7 +258,7 @@ def analytic_r_lookup(spec: SimSpec, n_nodes: int = 200) -> Callable:
 
 def analytic_cross_surface(spec: SimSpec, n_nodes: int = 200) -> Callable:
     """Exact aggregate cross-station surface X(s, t) = sum over i != j of
-    r(i, j; s, t), the input :func:`sigma_gamma0` integrates.
+    r(i, j; s, t), whose edge X(v, 1) is the input of :func:`sigma_gamma0`.
 
     Stations whose frequency functions agree on the quadrature nodes have the
     same surfaces, so r is evaluated once per ordered pair of such groups and
@@ -465,7 +469,9 @@ def mc_mle_variance(
     threads: int | None = None,
 ) -> McReport:
     """Bias and scaled variance of the pooled GP fit against the sandwich
-    prediction computed from the spec's exact tail-copula surfaces."""
+    prediction computed from the spec's exact tail-copula surfaces (their
+    aggregate edge sampled at 4000 geometric nodes from 1e-6 to 1; on a
+    logistic surface that moves the prediction by about 4e-7 relative)."""
     N = spec.n * spec.m
     if k / N > TAIL_MASS:
         raise RangeError(
@@ -490,8 +496,11 @@ def mc_mle_variance(
     k_var_gamma = float(k * gammas.var(ddof=1))
     k_var_scale = float(k * rel_scales.var(ddof=1))
 
-    cross = analytic_cross_surface(spec) if spec.m > 1 else None
-    sigma, _ = sigma_gamma0(spec.gamma, spec.c1, cross)
+    edge = None
+    if spec.m > 1:
+        v = np.geomspace(1e-6, 1.0, 4000)
+        edge = (v, analytic_cross_surface(spec)(v, 1.0))
+    sigma, _ = sigma_gamma0(spec.gamma, spec.c1, edge=edge)
     inv = fisher_info_inverse(spec.gamma)
     sandwich = inv @ sigma @ inv
     rel_se = math.sqrt(2.0 / (vals.shape[0] - 1))  # relative MC error of a variance

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc, kolmogorov
 
 from .dependence import sigma1_matrix
 from .errors import NoExceedanceError, RangeError, ScedexError, SingularCovarianceError
@@ -41,6 +40,8 @@ def kolmogorov_pvalue(d: float) -> float:
     """Tail probability of the Kolmogorov law: 2 sum (-1)^{i-1} exp(-2 i^2 d^2)."""
     if d < 0:
         raise RangeError(f"Kolmogorov statistic must be >= 0, got {d}")
+    from scipy.special import kolmogorov
+
     return float(kolmogorov(d))
 
 
@@ -123,6 +124,8 @@ def space_test_from_estimates(c1_values, sigma1_entries, k: int) -> TestResult:
 
     d = D[: m - 1]
     stat = float(d @ np.linalg.solve(A, d))
+    from scipy.special import chdtrc
+
     p = float(chdtrc(m - 1, stat))
     return TestResult(
         statistic=stat,

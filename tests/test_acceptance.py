@@ -120,7 +120,7 @@ def test_sandwich_reduces_to_single_station_form():
         fit = gp_mle.GpFit(gamma_hat=g, scale_hat=1.0, k=1000, n_excesses=1000,
                            dropped_ties=0, loglik=0.0, iterations=0,
                            converged=True, score_norm=0.0, method="analytic")
-        cov = gp_mle.mle_asymptotic_cov(fit, p1, c1_values=[1.0], tol=1e-4)
+        cov = gp_mle.mle_asymptotic_cov(fit, p1, c1_values=[1.0])
         target = np.array([(1.0 + g) ** 2, 1.0 + (1.0 + g) ** 2])
         worst = max(worst, float(np.max(np.abs(np.diag(cov.matrix) - target))))
     elapsed = time.perf_counter() - start
@@ -211,6 +211,32 @@ def test_mle_variance_with_comonotone_stations():
         f"the duplicated excesses carry no new information, so it cannot be "
         f"met.",
     )
+
+
+def test_sandwich_se_matches_analytic_on_logistic_panels():
+    # At m = 16 and k = 3200 the asymptotics hold (k * Var(gamma_hat) is within
+    # Monte Carlo error of the analytic sandwich), so the data-driven SE must
+    # find the analytic one: the edge is estimated at t = 1, away from the
+    # lower corner where only k s pooled values can exceed level s.
+    spec = mc.SimSpec(n=24000, m=16, gamma=0.1, dependence="logistic", alpha=0.6,
+                      seed=5)
+    k, reps = 3200, 20
+    v = np.geomspace(1e-6, 1.0, 4000)
+    sigma, _ = gp_mle.sigma_gamma0(spec.gamma, spec.c1,
+                                   edge=(v, mc.analytic_cross_surface(spec)(v, 1.0)))
+    inv = gp_mle.fisher_info_inverse(spec.gamma)
+    analytic = math.sqrt((inv @ sigma @ inv)[0, 0] / k)
+    start = time.perf_counter()
+    se = []
+    for rep in range(reps):
+        p = mc.simulate_panel(spec, rep)
+        fit = gp_mle.fit_gp_pml(p, k)
+        se.append(gp_mle.mle_asymptotic_cov(fit, p).se_gamma)
+    elapsed = time.perf_counter() - start
+    ratio = float(np.mean(se)) / analytic
+    _gate("sandwich SE, logistic m=16 k=3200", abs(ratio - 1.0) <= 0.05 and elapsed < 15.0,
+          f"mean se_gamma {np.mean(se):.5f} vs analytic {analytic:.5f} "
+          f"(ratio {ratio:.3f}, within 5%), {reps} reps, {elapsed:.1f}s")
 
 
 # ---------------------------------------------------------------------------

@@ -82,13 +82,13 @@ def test_version(runner):
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    """Every command pays the CLI's import; the estimators need only
-    scipy.special at import time."""
+    """Every command pays the CLI's import; the estimators import scipy
+    only where they call it."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, scedex.cli; print(sorted(m for m in sys.modules if m in "
-            "('scipy.stats', 'scipy.interpolate', 'scipy.integrate')))")
+            "('scipy.stats', 'scipy.interpolate', 'scipy.integrate', 'scipy.special')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
@@ -313,7 +313,15 @@ def test_fit_gp_with_cov(runner, panel_csv):
     payload = json.loads(result.output)
     assert payload["se_gamma"] > 0.0
     assert payload["se_scale_rel"] > 0.0
-    assert 0.0 <= payload["quadrature_error"] < 2e-3
+    assert payload["quadrature_error"] == 0.0  # the covariance is closed-form
+
+
+def test_fit_gp_has_no_tolerance_option(runner, panel_csv):
+    result = runner.invoke(
+        main, ["fit-gp", "--input", str(panel_csv), "--k", "80", "--with-cov",
+               "--tol", "1e-3"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output + _stderr(result)
 
 
 def test_gamma_path_csv(runner, panel_csv):

@@ -176,18 +176,26 @@ def test_surface_monotone_queries(surface_panel):
 
 
 def test_cross_is_the_sum_of_pair_counts(surface_panel):
-    """X(s, t) = sum over i != j of r_ij(s, t): exact at the grid nodes and
-    symmetric everywhere."""
+    """The edge X(v, 1) of the aggregate surface X = sum over i != j of r_ij:
+    at every grid level it is the sum of the pairwise surfaces and of the
+    brute-force joint counts."""
     k = 40
     etd = EmpiricalTailDependence(surface_panel, k, grid_size=8)
-    nodes = np.geomspace(1.0 / k, 1.0, 8)
-    want = sum(_brute_pair_count(surface_panel, k, i, j, nodes, nodes)
-               for i in range(3) for j in range(3) if i != j)
-    got = etd.cross(nodes[:, None], nodes[None, :])
-    assert got == pytest.approx(want, abs=1e-12)
-    assert np.array_equal(got, got.T)
-    s, t = np.random.default_rng(3).uniform(size=(2, 50))
-    assert etd.cross(s, t) == pytest.approx(etd.cross(t, s), abs=1e-14)
+    nodes, edge = etd.edge
+    assert np.array_equal(nodes, np.geomspace(1.0 / k, 1.0, 8))
+    brute = sum(_brute_pair_count(surface_panel, k, i, j, nodes, [1.0])[:, 0]
+                for i in range(3) for j in range(3) if i != j)
+    pairwise = sum(etd.r(i, j, nodes, np.ones_like(nodes))
+                   for i in range(3) for j in range(3) if i != j)
+    assert edge == pytest.approx(brute, abs=1e-12)
+    assert edge == pytest.approx(pairwise, abs=1e-12)
+
+
+def test_surface_needs_two_levels():
+    vals = np.arange(20.0).reshape(10, 2)
+    with pytest.raises(RangeError, match="k=1"):
+        EmpiricalTailDependence(make_panel(vals), 1)
+    assert EmpiricalTailDependence(make_panel(vals), 2).edge[0][0] == 0.5
 
 
 def test_surface_c1_matches_sigma1(surface_panel):

@@ -2,16 +2,17 @@
 
 Oracles: scipy.stats.genpareto for the log-density, numerical differentiation
 for score and Hessian, numerically integrated score outer products for the
-Fisher information, and the complete-dependence tail copula min(s, t) * C,
+Fisher information, the complete-dependence tail copula min(s, t) * C,
 for which every cross-station covariance integral has a closed form (the
-same-station coefficients scaled by C).
+same-station coefficients scaled by C), and direct numerical integration of
+the score covariance's defining double integral on a logistic surface.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -20,7 +21,6 @@ from scedex import (
     DomainError,
     FitConvergenceError,
     InsufficientDataError,
-    QuadratureError,
     RangeError,
     fisher_info,
     fisher_info_inverse,
@@ -31,7 +31,9 @@ from scedex import (
     mle_asymptotic_cov,
     sigma_gamma0,
 )
-from scedex.gp_mle import _cross_station_taus, _loglik_terms, _same_station_coeffs
+from scedex.dependence import EmpiricalTailDependence
+from scedex.gp_mle import _edge_moment, _loglik_terms, _score_covariance
+from scedex.mc import SimSpec, logistic_tail_copula, simulate_panel
 
 from conftest import make_panel
 
@@ -88,10 +90,17 @@ def test_loglik_domain_errors():
     sigma=st.floats(min_value=0.1, max_value=10.0),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
+@example(gamma=5e-324, sigma=1.0, seed=0)
 def test_loglik_matches_scipy_random(gamma, sigma, seed):
     rng = np.random.default_rng(seed)
     x = stats.genpareto.rvs(c=gamma, scale=sigma, size=30, random_state=rng)
-    want = stats.genpareto.logpdf(x, c=gamma, scale=sigma).sum()
+    if abs(gamma) < 1e-12:
+        # scipy's log-density leaves the exponential limit at subnormal shapes
+        # (-35.0 against the exact -35.9128 for the example above), so the
+        # reference there is that limit itself.
+        want = -x.size * math.log(sigma) - x.sum() / sigma
+    else:
+        want = stats.genpareto.logpdf(x, c=gamma, scale=sigma).sum()
     assert gp_loglik(gamma, sigma, x) == pytest.approx(want, rel=1e-9)
 
 
@@ -245,9 +254,21 @@ def test_fisher_domain():
 # ---------------------------------------------------------------------------
 
 
-def _min_cross(s, t):
-    """Aggregate surface of two comonotone stations: 1/2 min on each ordered pair."""
-    return np.minimum(s, t)
+def _min_edge(c=1.0):
+    """Edge of the aggregate surface c min(s, t): c v, linear, so any nodes
+    ending at 1 carry it exactly.  c = 1 is two comonotone stations (1/2 min
+    on each ordered pair)."""
+    nodes = np.geomspace(1e-3, 1.0, 7)
+    return nodes, c * nodes
+
+
+def _same_station_coeffs(g):
+    """The classic one-station score covariance: (shape, shape), (scale,
+    scale) and (shape, scale) entries per unit of tail share."""
+    a = (2.0 + 6.0 * g + 5.0 * g * g) / ((1.0 + g) ** 2 * (1.0 + 2.0 * g) ** 2)
+    b = ((1.0 + g) / (1.0 + 2.0 * g)) ** 2
+    c = (1.0 + g) / (1.0 + 2.0 * g) ** 2
+    return a, b, c
 
 
 @pytest.mark.parametrize("gamma", GAMMA_GRID)
@@ -255,17 +276,76 @@ def test_cross_taus_closed_form_under_complete_dependence(gamma):
     """With X(s,t) = C min(s,t) every cross integral equals the same-station
     coefficient scaled by C."""
     a, b, c = _same_station_coeffs(gamma)
-    t11, t22, t12 = _cross_station_taus(
-        gamma, lambda s, t: 0.5 * np.minimum(s, t), 64, 4
-    )
-    assert t11 == pytest.approx(0.5 * a, abs=5e-10)
-    assert t22 == pytest.approx(0.5 * b, abs=5e-10)
-    assert t12 == pytest.approx(0.5 * c, abs=5e-10)
+    assert _edge_moment(*_min_edge(0.5)) == pytest.approx(0.5, rel=1e-14)
+    (t11, t12), (_, t22) = sigma_gamma0(gamma, [0.0, 0.0], edge=_min_edge(0.5))[0]
+    assert t11 == pytest.approx(0.5 * a, rel=1e-12)
+    assert t22 == pytest.approx(0.5 * b, rel=1e-12)
+    assert t12 == pytest.approx(0.5 * c, rel=1e-12)
 
 
 def test_cross_taus_vanish_without_dependence():
-    zero = lambda s, t: np.zeros(np.broadcast_shapes(np.shape(s), np.shape(t)))
-    assert _cross_station_taus(0.3, zero, 16, 4) == (0.0, 0.0, 0.0)
+    nodes = np.geomspace(1e-3, 1.0, 7)
+    dependent, _ = sigma_gamma0(0.3, [0.5, 0.5], edge=(nodes, np.zeros_like(nodes)))
+    assert np.array_equal(dependent, sigma_gamma0(0.3, [0.5, 0.5])[0])
+
+
+def test_edge_moment_is_exact_for_piecewise_linear_edges():
+    """int_0^1 E(v)/v dv cell by cell.  The hat through (0, 0), (1/2, 1) and
+    (1, 0) is E = 2v on [0, 1/2], contributing 1, and E = 2 - 2v on [1/2, 1],
+    contributing 2 log 2 - 1."""
+    nodes = np.array([0.5, 1.0])
+    assert _edge_moment(nodes, np.array([1.0, 0.0])) == pytest.approx(
+        2.0 * math.log(2.0), rel=1e-14)
+    v = np.geomspace(1e-4, 1.0, 50)
+    want, _ = integrate.quad(lambda x: np.interp(x, np.r_[0.0, v], np.r_[0.0, v ** 0.5]) / x,
+                             0.0, 1.0, points=v[v > 1e-3], limit=500)
+    assert _edge_moment(v, v ** 0.5) == pytest.approx(want, rel=1e-7)
+
+
+@pytest.mark.parametrize("gamma", [-0.2, 0.25])
+def test_sigma_closed_form_matches_direct_integration(gamma):
+    """The edge closed form against the defining integrals
+
+        int int w_a(s) w_b(t) X(s,t) - (int w_a(s) X(s,1)) int q_b
+            - int q_a (int w_b(t) X(1,t)) + int q_a int q_b X(1,1)
+
+    evaluated by adaptive quadrature on a logistic surface, the square split
+    at its diagonal kink."""
+    g = gamma
+    X = lambda s, t: s + t - (s ** (1 / 0.6) + t ** (1 / 0.6)) ** 0.6
+    assert X(0.3, 0.8) == pytest.approx(logistic_tail_copula(0.6)(0.3, 0.8), rel=1e-15)
+    w = {"F": lambda s: (1.0 / s - (1.0 + g) * s ** (g - 1.0)) / g,
+         "P": lambda s: (1.0 + g) * s ** (g - 1.0)}
+    iq = {"F": -g / ((1.0 + g) * (1.0 + 2.0 * g)), "P": (1.0 + g) / (1.0 + 2.0 * g)}
+    opts = dict(epsabs=1e-10, epsrel=1e-10)
+
+    def tau(a, b):
+        f = lambda s, t: w[a](s) * w[b](t) * X(s, t)
+        two_d = (integrate.dblquad(f, 0, 1, 0, lambda t: t, **opts)[0]
+                 + integrate.dblquad(f, 0, 1, lambda t: t, 1, **opts)[0])
+        edge_a = integrate.quad(lambda s: w[a](s) * X(s, 1.0), 0, 1, **opts)[0]
+        edge_b = integrate.quad(lambda t: w[b](t) * X(1.0, t), 0, 1, **opts)[0]
+        return two_d - edge_a * iq[b] - iq[a] * edge_b + iq[a] * iq[b] * X(1.0, 1.0)
+
+    moment = integrate.quad(lambda v: X(v, 1.0) / v, 0, 1, epsabs=1e-13, epsrel=1e-13)[0]
+    got = _score_covariance(g, moment, X(1.0, 1.0))
+    assert got[0, 0] == pytest.approx(tau("F", "F"), rel=1e-9)
+    assert got[1, 1] == pytest.approx(tau("P", "P"), rel=1e-9)
+    assert got[0, 1] == pytest.approx(tau("F", "P"), rel=1e-9)
+    assert got[1, 0] == got[0, 1]
+
+
+def test_sigma_continuous_through_zero_shape():
+    """Nothing in the closed form divides by gamma: across +-1e-7 (where the
+    score weights used to switch to their series) and through 0 the entries
+    move by their first-order change only."""
+    edge = (np.geomspace(1e-3, 1.0, 9), 2.5 * np.geomspace(1e-3, 1.0, 9) ** 1.3)
+    at = lambda g: sigma_gamma0(g, [0.3, 0.7], edge=edge)[0]
+    slope = (at(1e-4) - at(-1e-4)) / 2e-4
+    for g in (-1.01e-7, -1e-7, -0.99e-7, 0.0, 0.99e-7, 1e-7, 1.01e-7):
+        assert np.allclose(at(g), at(0.0) + g * slope, rtol=1e-12, atol=1e-13)
+    with pytest.raises(DomainError):
+        sigma_gamma0(-0.5, [0.3, 0.7], edge=edge)
 
 
 @pytest.mark.parametrize("gamma", [-0.43, -0.1, 0.0, 0.25, 1.0])
@@ -289,31 +369,25 @@ def test_sigma_comonotone_duplicates_double_the_single_station(gamma):
     copies each of the m (m - 1) ordered pairs adds min's share 1/m, so
     X = (m - 1) min and the covariance is m times the single station's."""
     single, _ = sigma_gamma0(gamma, [1.0])
-    double, _ = sigma_gamma0(gamma, [0.5, 0.5], _min_cross)
+    double, _ = sigma_gamma0(gamma, [0.5, 0.5], edge=_min_edge())
     assert np.allclose(double, 2.0 * single, atol=1e-9)
-    quadruple, _ = sigma_gamma0(gamma, [0.25] * 4, lambda s, t: 3.0 * np.minimum(s, t))
+    quadruple, _ = sigma_gamma0(gamma, [0.25] * 4, edge=_min_edge(3.0))
     assert np.allclose(quadruple, 4.0 * single, atol=1e-9)
 
 
-def test_sigma_surface_calls_do_not_depend_on_station_count():
-    calls = []
-
-    def counted(s, t):
-        calls.append(1)
-        return _min_cross(s, t)
-
-    per_m = []
-    for m in (2, 32):
-        calls.clear()
-        sigma_gamma0(0.25, [1.0 / m] * m, counted)
-        per_m.append(len(calls))
-    assert per_m[0] > 0
-    assert per_m[0] == per_m[1]
+def test_sigma_depends_on_stations_only_through_shares_and_edge():
+    """The station count enters only through the tail shares' sum and the
+    aggregate edge, so its cost does not grow with the number of pairs."""
+    nodes = np.geomspace(1e-3, 1.0, 9)
+    edge = (nodes, 0.7 * nodes ** 1.2)
+    two, _ = sigma_gamma0(0.25, [0.5] * 2, edge=edge)
+    many, _ = sigma_gamma0(0.25, [1.0 / 32] * 32, edge=edge)
+    assert np.allclose(two, many, rtol=1e-14, atol=0.0)
 
 
 def test_sigma_independent_stations_match_single():
     one, _ = sigma_gamma0(0.25, [1.0])
-    two, _ = sigma_gamma0(0.25, [0.5, 0.5], None)
+    two, _ = sigma_gamma0(0.25, [0.5, 0.5], edge=None)
     assert np.array_equal(one, two)
 
 
@@ -324,16 +398,25 @@ def test_sigma_validation():
         sigma_gamma0(0.2, [])
     with pytest.raises(RangeError):
         sigma_gamma0(0.2, [-0.1, 1.1])
+    nodes = np.array([0.25, 0.5, 1.0])
+    for bad in [(nodes[:2], nodes[:2]),                # does not end at 1
+                (np.array([0.0, 0.5, 1.0]), nodes),    # starts at 0
+                (np.array([0.5, 0.25, 1.0]), nodes),   # not increasing
+                (nodes, nodes[:2]),                    # length mismatch
+                (np.array([]), np.array([]))]:         # no node
+        with pytest.raises(RangeError):
+            sigma_gamma0(0.2, [0.5, 0.5], edge=bad)
+    with pytest.raises(TypeError):
+        sigma_gamma0(0.2, [0.5, 0.5], (nodes, nodes))  # the edge is keyword-only
 
 
-def test_sigma_near_boundary_fails_honestly():
-    with pytest.raises(QuadratureError):
-        sigma_gamma0(-0.49, [0.5, 0.5], _min_cross)
-
-
-def test_sigma_reports_unmet_tolerance():
-    with pytest.raises(QuadratureError):
-        sigma_gamma0(0.25, [0.5, 0.5], _min_cross, tol=1e-18)
+def test_sigma_near_boundary_is_exact():
+    """At gamma = -0.49 the entries are of order 1/(1 + 2 gamma)^2 = 2500, and
+    the comonotone doubling still holds to rounding."""
+    single, _ = sigma_gamma0(-0.49, [1.0])
+    double, _ = sigma_gamma0(-0.49, [0.5, 0.5], edge=_min_edge())
+    assert single[1, 1] == pytest.approx((0.51 / 0.02) ** 2, rel=1e-12)
+    assert np.allclose(double, 2.0 * single, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +438,8 @@ def test_asymptotic_cov_from_panel():
     assert np.all(np.linalg.eigvalsh(m) > 0)
     ref = (1.0 + fit.gamma_hat) / math.sqrt(fit.k)
     assert 0.5 * ref < cov.se_gamma < 2.0 * ref
-    assert cov.quadrature_error <= 2e-3
+    dep = EmpiricalTailDependence(p, fit.k)
+    assert np.array_equal(cov.sigma, sigma_gamma0(fit.gamma_hat, dep.c1, edge=dep.edge)[0])
     with pytest.raises(ValueError):
         cov.matrix[0, 0] = 0.0
 
@@ -370,6 +454,20 @@ def test_asymptotic_cov_analytic_inputs_bypass_estimation():
     assert cov.matrix[0, 0] == pytest.approx(gp1**2, rel=1e-12)
     assert cov.matrix[1, 1] == pytest.approx(1.0 + gp1**2, rel=1e-12)
     assert cov.se_gamma == pytest.approx(gp1 / math.sqrt(fit.k), rel=1e-12)
+
+
+def test_asymptotic_cov_default_flags_succeed_on_simulated_panels():
+    """Default arguments used to stop with a quadrature-tolerance error on
+    about half of these panels (n = 5000, m = 4, k = 250)."""
+    spec = SimSpec(n=5000, m=4, gamma=0.1, dependence="logistic", alpha=0.6)
+    for rep in range(20):
+        p = simulate_panel(spec, rep)
+        fit = fit_gp_pml(p, 250)
+        cov = mle_asymptotic_cov(fit, p)
+        assert np.all(np.isfinite(cov.matrix))
+        assert np.all(np.linalg.eigvalsh(cov.sigma) > 0)
+        # positive dependence can only widen the pooled fit's spread
+        assert cov.se_gamma >= (1.0 + fit.gamma_hat) / math.sqrt(fit.k)
 
 
 def test_gamma_path_records_failures_and_continues():

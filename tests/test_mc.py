@@ -28,7 +28,7 @@ from scedex import (
     mc_test_size,
     simulate_panel,
 )
-from scedex.mc import TAIL_MASS, _positive_stable, _thread_count
+from scedex.mc import TAIL_MASS, _draw_uniforms, _positive_stable, _thread_count
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +184,27 @@ def test_simulate_linear_trend_shifts_exceedances():
     # expected rates: 0.075 and 0.125 per day
     assert first == pytest.approx(0.075 * half, abs=5 * math.sqrt(0.075 * half))
     assert second == pytest.approx(0.125 * half, abs=5 * math.sqrt(0.125 * half))
+
+
+@pytest.mark.parametrize("spec", [
+    SimSpec(n=3000, m=3, gamma=0.2, dependence="logistic", alpha=0.5, seed=4,
+            scedasis=(linear_scedasis(1.0, 2.0), constant_scedasis(1.0),
+                      linear_scedasis(2.0, 1.0))),
+    SimSpec(n=2000, m=2, gamma=0.0, seed=8),
+])
+def test_simulate_matches_the_direct_quantile_transform(spec):
+    """The panel is built in place; transforming the same uniforms in one
+    expression (GP quantile where v <= c TAIL_MASS, filler elsewhere) must
+    give the identical array."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((spec.seed, 2))))
+    v = _draw_uniforms(spec, rng)
+    u = np.arange(1, spec.n + 1) / spec.n
+    c = np.column_stack([f(u) for f in spec.scedasis])
+    tail = v <= c * TAIL_MASS
+    frac = (v - c * TAIL_MASS) / (1.0 - c * TAIL_MASS)
+    want = np.where(tail, spec.tail_quantile(np.where(tail, v / c, TAIL_MASS)),
+                    spec.tail_quantile(TAIL_MASS) * (1.0 - np.clip(frac, 0.0, 1.0)))
+    assert np.array_equal(simulate_panel(spec, 2).values, want)
 
 
 def test_simulate_comonotone_duplicates_columns():

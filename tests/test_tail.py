@@ -199,7 +199,11 @@ def test_every_estimator_sees_the_same_level_k_tail(n, m, k_draw, seed):
     assert [c.n_exceedances for c in curves] == counts.tolist()
     assert [c.tie_count for c in curves] == [ties] * m
     assert np.diag(sigma1_matrix(p, k).entries) * k == pytest.approx(counts, abs=1e-9)
-    assert EmpiricalTailDependence(p, k, grid_size=4).c1 * k == pytest.approx(counts, abs=1e-9)
+    if k < 2:  # one level is no grid
+        with pytest.raises(RangeError, match="k=1"):
+            EmpiricalTailDependence(p, k, grid_size=4)
+    else:
+        assert EmpiricalTailDependence(p, k, grid_size=4).c1 * k == pytest.approx(counts, abs=1e-9)
     for j in range(m):
         if counts[j] == 0:
             with pytest.raises(NoExceedanceError):
