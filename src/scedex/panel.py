@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -99,10 +101,9 @@ class PanelSample:
 
         values = values.copy()
         values[mask] = np.nan
-        observed = values[~mask]
-        if not np.all(np.isfinite(observed)):
+        if not np.all(np.isfinite(values) | mask):
             raise DomainError("non-missing values must be finite")
-        if observed.size and observed.min() < 0:
+        if np.any(values < 0):  # NaN compares False
             raise DomainError("non-missing values must be >= 0")
 
         values.setflags(write=False)
@@ -160,6 +161,21 @@ class PanelSample:
         return j
 
 
+# The one date grammar: Python's ``date.fromisoformat`` also reads
+# ``20000101`` and ``2000-W01-2`` from 3.11 on, and numpy's cast reads
+# ``2000-01``, so both parsers check the spelling first.
+_DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+# One line with its ending, as iterating a file opened with newline="" gives
+# it (an io.StringIO copy of the text would take four bytes a character).
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+# A missing cell ("", "nan" or "na" in any case, padded with blanks) with the
+# delimiter before it.  A missing cell never starts with a digit or a dot, so
+# the look-ahead rejects most numeric cells at their first character.
+_MISSING_CELL = re.compile(
+    r"([,\n])(?![0-9.])[ \t]*(?:nan|na)?[ \t]*(?=[,\n]|\Z)", re.IGNORECASE | re.ASCII
+)
+
+
 def load_panel(
     path: str | Path,
     date_column: str = "date",
@@ -167,91 +183,176 @@ def load_panel(
 ) -> PanelSample:
     """Read a panel from CSV.
 
-    Expected layout: a header row; one column of ISO dates (``date_column``)
-    and one column per station.  Empty cells mark missing observations.
-    Errors carry the physical line number of the offending row.
-    """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError("file is empty") from None
-        header = [h.strip() for h in header]
-        if date_column not in header:
-            raise PanelFormatError(
-                f"missing required date column {date_column!r} in header {header}", line=1
-            )
-        date_pos = header.index(date_column)
-        if station_columns is None:
-            stations = [h for i, h in enumerate(header) if i != date_pos]
-        else:
-            stations = list(station_columns)
-            missing_cols = [s for s in stations if s not in header]
-            if missing_cols:
-                raise PanelFormatError(f"station column(s) not in header: {missing_cols}", line=1)
-        if not stations:
-            raise PanelFormatError("no station columns found", line=1)
-        col_pos = [header.index(s) for s in stations]
+    Expected layout: UTF-8 text with one header row of unique names; one
+    column of ``YYYY-MM-DD`` dates (``date_column``) and one column per
+    station.  Empty cells, ``nan`` and ``na`` (any case, surrounding blanks
+    allowed) mark missing observations.  Errors carry the physical line
+    number of the offending row.
 
-        dates: list[dt.date] = []
-        rows: list[list[float]] = []
-        mask_rows: list[list[bool]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue  # tolerate blank lines
-            if len(row) != len(header):
-                raise PanelFormatError(
-                    f"expected {len(header)} fields, got {len(row)}", line=line_no
-                )
-            raw_date = row[date_pos].strip()
+    A vectorised parser reads files it can prove valid; anything else
+    (quoted fields, blank rows, a bad cell, ...) goes through the row
+    parser, which raises every error.
+    """
+    text = _read_text(Path(path))
+    reader = csv.reader(m.group() for m in _LINE.finditer(text))
+    header = next(reader, None)
+    if header is None:
+        raise PanelFormatError("file is empty")
+    header, date_pos, stations, col_pos = _columns(header, date_column, station_columns)
+    parsed = _parse_fast(text, len(header), date_pos, col_pos)
+    if parsed is None:
+        parsed = _parse_rows(reader, len(header), date_pos, stations, col_pos)
+    values, labels, mask = parsed
+    del text, reader  # free the text before PanelSample copies the arrays
+    return PanelSample(
+        values=values, day_labels=labels, station_ids=tuple(stations), missing_mask=mask
+    )
+
+
+def _read_text(path: Path) -> str:
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(
+            f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8",
+            line=data.count(b"\n", 0, exc.start) + 1,
+        ) from None
+
+
+def _columns(header: list[str], date_column: str, station_columns: Sequence[str] | None):
+    """Header names, the date column's position, the station ids and their
+    column positions; every header error is reported on line 1."""
+    header = [h.strip() for h in header]
+    repeated = sorted(h for h, c in Counter(header).items() if c > 1)
+    if repeated:
+        raise PanelFormatError(f"duplicate column name(s) in header: {repeated}", line=1)
+    if date_column not in header:
+        raise PanelFormatError(
+            f"missing required date column {date_column!r} in header {header}", line=1
+        )
+    date_pos = header.index(date_column)
+    if station_columns is None:
+        stations = [h for i, h in enumerate(header) if i != date_pos]
+    else:
+        stations = list(station_columns)
+        missing_cols = [s for s in stations if s not in header]
+        if missing_cols:
+            raise PanelFormatError(f"station column(s) not in header: {missing_cols}", line=1)
+        repeated = sorted(s for s, c in Counter(stations).items() if c > 1)
+        if repeated:
+            raise PanelFormatError(f"station column(s) requested twice: {repeated}")
+    if not stations:
+        raise PanelFormatError("no station columns found", line=1)
+    return header, date_pos, stations, [header.index(s) for s in stations]
+
+
+def _parse_fast(text: str, n_fields: int, date_pos: int, col_pos: list[int]):
+    """``(values, day_labels, missing_mask)`` parsed with numpy, or None.
+
+    None means the file holds something this parser does not prove valid:
+    a quote in a data row, a lone carriage return, a blank row, a row with
+    the wrong field count, a date outside the grammar or out of order, a NaN
+    not spelled as missing (``-nan``), an infinite or negative amount, or a
+    cell numpy cannot read.  On every file it accepts, the row parser
+    returns the same arrays.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    # The rows, led by the header's newline, which delimits the first cell.
+    # A quoted header that spans lines leaves its closing quote in them.
+    rows = text[text.find("\n"):].rstrip("\n")
+    if not rows.startswith("\n") or '"' in rows:
+        return None
+    rows, n_missing = _MISSING_CELL.subn(r"\1nan", rows)
+    lines = rows.split("\n")[1:]
+    del rows  # each copy of the text adds to the peak memory of a load
+    if any(line.count(",") != n_fields - 1 for line in lines):
+        return None
+    dates = [line.split(",", date_pos + 1)[date_pos] for line in lines]
+    if not all(map(_DATE.fullmatch, dates)):
+        return None
+    # Every column but the date is read, so that the NaN count below covers
+    # every substituted cell; the station columns come first, in order.
+    usecols = col_pos + [i for i in range(n_fields) if i != date_pos and i not in col_pos]
+    try:
+        labels = np.array(dates, dtype="datetime64[D]")
+        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    missing = np.isnan(values)
+    if np.count_nonzero(missing) != n_missing:  # e.g. a literal -nan
+        return None
+    values, missing = values[:, : len(col_pos)], missing[:, : len(col_pos)]
+    if (
+        labels[0] < np.datetime64("0001-01-01")  # date.fromisoformat has no year 0
+        or np.any(labels[1:] <= labels[:-1])
+        or np.any(np.isinf(values))
+        or np.any(values < 0)
+    ):
+        return None
+    return values, labels, missing
+
+
+def _parse_rows(reader, n_fields: int, date_pos: int, stations: list[str], col_pos: list[int]):
+    """``(values, day_labels, missing_mask)`` parsed row by row; raises the
+    error of the first bad row, with its line number."""
+    dates: list[dt.date] = []
+    rows: list[list[float]] = []
+    mask_rows: list[list[bool]] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue  # tolerate blank lines
+        if len(row) != n_fields:
+            raise PanelFormatError(f"expected {n_fields} fields, got {len(row)}", line=line_no)
+        raw_date = row[date_pos].strip()
+        try:
+            if not _DATE.fullmatch(raw_date):
+                raise ValueError(raw_date)
+            date = dt.date.fromisoformat(raw_date)
+        except ValueError:
+            raise PanelFormatError(
+                f"cannot parse date {raw_date!r} (expected YYYY-MM-DD)", line=line_no
+            ) from None
+        if dates and date <= dates[-1]:
+            raise DateOrderError(
+                f"line {line_no}: dates must be strictly increasing "
+                f"({date.isoformat()} after {dates[-1].isoformat()})"
+            )
+        vals: list[float] = []
+        miss: list[bool] = []
+        for s, pos in zip(stations, col_pos):
+            cell = row[pos].strip()
+            if cell == "" or cell.lower() in {"nan", "na"}:
+                vals.append(np.nan)
+                miss.append(True)
+                continue
             try:
-                date = dt.date.fromisoformat(raw_date)
+                x = float(cell)
             except ValueError:
                 raise PanelFormatError(
-                    f"cannot parse date {raw_date!r} (expected YYYY-MM-DD)", line=line_no
+                    f"cannot parse value {cell!r} for station {s!r}", line=line_no
                 ) from None
-            if dates and date <= dates[-1]:
-                raise DateOrderError(
-                    f"line {line_no}: dates must be strictly increasing "
-                    f"({date.isoformat()} after {dates[-1].isoformat()})"
+            if not np.isfinite(x):
+                raise PanelFormatError(
+                    f"non-finite value {cell!r} for station {s!r}", line=line_no
                 )
-            vals: list[float] = []
-            miss: list[bool] = []
-            for s, pos in zip(stations, col_pos):
-                cell = row[pos].strip()
-                if cell == "" or cell.lower() in {"nan", "na"}:
-                    vals.append(np.nan)
-                    miss.append(True)
-                    continue
-                try:
-                    x = float(cell)
-                except ValueError:
-                    raise PanelFormatError(
-                        f"cannot parse value {cell!r} for station {s!r}", line=line_no
-                    ) from None
-                if not np.isfinite(x):
-                    raise PanelFormatError(
-                        f"non-finite value {cell!r} for station {s!r}", line=line_no
-                    )
-                if x < 0:
-                    raise DomainError(
-                        f"line {line_no}: negative amount {x} for station {s!r}"
-                    )
-                vals.append(x)
-                miss.append(False)
-            dates.append(date)
-            rows.append(vals)
-            mask_rows.append(miss)
+            if x < 0:
+                raise DomainError(f"line {line_no}: negative amount {x} for station {s!r}")
+            vals.append(x)
+            miss.append(False)
+        dates.append(date)
+        rows.append(vals)
+        mask_rows.append(miss)
 
     if not rows:
         raise PanelFormatError("no data rows")
-    return PanelSample(
-        values=np.array(rows, dtype=float),
-        day_labels=np.array(dates, dtype="datetime64[D]"),
-        station_ids=tuple(stations),
-        missing_mask=np.array(mask_rows, dtype=bool),
+    return (
+        np.array(rows, dtype=float),
+        np.array(dates, dtype="datetime64[D]"),
+        np.array(mask_rows, dtype=bool),
     )
 
 

@@ -422,6 +422,17 @@ def test_runtime_error_renders_structured_report(runner, panel_csv):
     assert report["hint"]
 
 
+def test_non_utf8_input_renders_structured_report(runner, tmp_path):
+    f = tmp_path / "latin.csv"
+    f.write_bytes(b"date,A\n2000-01-01,1\n2000-01-02,\xff\n")
+    result = runner.invoke(main, ["ingest-check", "--input", str(f)])
+    assert result.exit_code == 1
+    report = json.loads(_stderr(result) or result.output)
+    assert report["error"] == "PanelFormatError"
+    assert report["command"] == "ingest-check"
+    assert report["message"] == "line 3: cannot decode byte 0xff as UTF-8"
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo command
 # ---------------------------------------------------------------------------

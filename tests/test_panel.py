@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,13 @@ from scedex import (
     EmptySeasonError,
     PanelFormatError,
     PanelSample,
+    ScedexError,
     SeasonDefinition,
     decluster,
     load_panel,
     split_season,
 )
+from scedex import panel as panel_module
 from scedex.panel import SUMMER_MONTHS, WINTER_MONTHS
 
 from conftest import make_panel
@@ -130,6 +134,153 @@ def test_load_panel_station_subset(tmp_path):
     p = load_panel(f, station_columns=["C", "A"])
     assert p.station_ids == ("C", "A")
     assert p.values[0].tolist() == [3.0, 1.0]
+
+
+def test_load_panel_rejects_duplicate_headers(tmp_path):
+    f = _write(tmp_path, "date,A,A\n2000-01-01,1,2\n2000-01-02,3,4\n")
+    duplicate = r"line 1: duplicate column name\(s\) in header: \['A'\]"
+    with pytest.raises(PanelFormatError, match=duplicate):
+        load_panel(f)
+    f2 = _write(tmp_path, "date,A,B\n2000-01-01,1,2\n", name="b.csv")
+    with pytest.raises(PanelFormatError, match=r"requested twice: \['A'\]"):
+        load_panel(f2, station_columns=["A", "B", "A"])
+
+
+def test_load_panel_non_utf8_byte_reports_its_line(tmp_path):
+    f = tmp_path / "latin.csv"
+    f.write_bytes(b"date,A\n2000-01-01,1\n2000-01-02,\xff\n")
+    with pytest.raises(PanelFormatError, match="line 3: cannot decode byte 0xff as UTF-8"):
+        load_panel(f)
+
+
+@pytest.mark.parametrize("spelling", ["20000101", "2000-W01-2", "2000-01", "2000-01-01T00"])
+def test_load_panel_accepts_only_yyyy_mm_dd(tmp_path, spelling):
+    # date.fromisoformat reads 20000101 and 2000-W01-2 on Python >= 3.11;
+    # numpy's datetime64 cast reads 20000101 (as a year), 2000-01 and
+    # 2000-01-01T00.  None is the documented grammar.
+    f = _write(tmp_path, f"date,A\n1999-12-31,1\n{spelling},2\n")
+    with pytest.raises(PanelFormatError, match=f"line 3: cannot parse date '{spelling}'"):
+        load_panel(f)
+
+
+def test_load_panel_rejects_year_zero(tmp_path):
+    f = _write(tmp_path, "date,A\n0000-01-01,1\n")
+    with pytest.raises(PanelFormatError, match="line 2: cannot parse date"):
+        load_panel(f)
+
+
+def _row_parser_only():
+    return mock.patch.object(panel_module, "_parse_fast", lambda *args: None)
+
+
+def test_clean_panel_skips_the_row_parser(tmp_path):
+    # written like the benchmark's panels: %.6g values, "", "nan" and "na" holes
+    rng = np.random.default_rng(5)
+    values = rng.pareto(3.0, size=(300, 6)) * 10
+    holes = rng.random(values.shape) < 0.05
+    spelling = rng.integers(0, 3, size=values.shape)
+    days = np.datetime_as_string(np.datetime64("1990-01-01") + np.arange(300))
+    lines = ["date," + ",".join(f"S{j:02d}" for j in range(6))]
+    for i in range(300):
+        cells = [("", "nan", "na")[spelling[i, j]] if holes[i, j] else "%.6g" % values[i, j]
+                 for j in range(6)]
+        lines.append(f"{days[i]}," + ",".join(cells))
+    f = _write(tmp_path, "\n".join(lines) + "\n")
+
+    def refuse(*args):
+        raise AssertionError("the row parser ran on a clean panel")
+
+    with mock.patch.object(panel_module, "_parse_rows", refuse):
+        fast = load_panel(f)
+    with _row_parser_only():
+        rows = load_panel(f)
+    assert fast.values.tobytes() == rows.values.tobytes()
+    assert np.array_equal(fast.missing_mask, holes)
+    assert np.array_equal(fast.day_labels, rows.day_labels)
+    assert fast.station_ids == rows.station_ids
+
+
+_SPELLINGS = ("", "nan", "na", "NaN", "NA", "nA", "Nan", "NAN")
+_PADS = ("", " ", "\t", " \t")
+_ODD_NUMBERS = ("-0", "+1", "1E3", " 2.5 ", "\t7", ".5")
+_BAD_CELLS = ("inf", "-nan", "1_0", "-1.5", "x")
+_FAULTS = ("crlf", "blank line", "quote", "bad cell", "field count", "repeated date")
+
+
+@st.composite
+def _csv_panels(draw):
+    """Small panel CSV text (padded and mixed-case missing cells, the date
+    column anywhere, at most two faults) and a ``station_columns`` choice."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 5))
+    names = [f"S{j}" for j in range(m)]
+    date_pos = draw(st.integers(0, m))
+    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=2))
+    steps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
+    dates = [str(d) for d in np.datetime64("1999-12-30") + np.cumsum(steps)]
+    if "repeated date" in faults and n > 1:
+        i = draw(st.integers(1, n - 1))
+        dates[i] = dates[i - 1]
+    rows = []
+    for date in dates:
+        cells = []
+        for _ in range(m):
+            kind = draw(st.sampled_from(("number", "number", "missing", "odd")))
+            if kind == "number":
+                x = draw(st.floats(0, 1e4, allow_nan=False))
+                cells.append(draw(st.sampled_from(("%.6g", "%r", "%.2f"))) % x)
+            elif kind == "missing":
+                cells.append(draw(st.sampled_from(_PADS)) + draw(st.sampled_from(_SPELLINGS))
+                             + draw(st.sampled_from(_PADS)))
+            else:
+                cells.append(draw(st.sampled_from(_ODD_NUMBERS)))
+        cells.insert(date_pos, date)
+        rows.append(cells)
+    if "bad cell" in faults:
+        i = draw(st.integers(0, n - 1))
+        j = draw(st.sampled_from([p for p in range(m + 1) if p != date_pos]))
+        rows[i][j] = draw(st.sampled_from(_BAD_CELLS))
+    if "quote" in faults:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m))
+        rows[i][j] = f'"{rows[i][j]}"'
+    if "field count" in faults:
+        i = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            rows[i].append("1")
+        else:
+            rows[i].pop()
+    lines = [",".join(names[:date_pos] + ["date"] + names[date_pos:])]
+    lines += [",".join(r) for r in rows]
+    if "blank line" in faults:
+        blank = draw(st.sampled_from(("", "  ", ", " * m)))
+        lines.insert(draw(st.integers(1, len(lines))), blank)
+    eol = "\r\n" if "crlf" in faults else "\n"
+    order = draw(st.permutations(names))
+    stations = draw(st.none() | st.integers(1, m).map(lambda k: order[:k]))
+    return eol.join(lines) + eol, stations
+
+
+def _load_outcome(path, stations):
+    try:
+        p = load_panel(path, station_columns=stations)
+    except ScedexError as exc:
+        return type(exc), str(exc)
+    return (p.values.shape, p.values.tobytes(), p.missing_mask.tobytes(),
+            p.day_labels.tobytes(), p.station_ids)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_panels())
+def test_fast_parser_agrees_with_row_parser(tmp_path_factory, case):
+    """Same arrays (NaN-aware, to the bit), or the same error class and
+    message, whichever parser reads the file."""
+    text, stations = case
+    f = tmp_path_factory.mktemp("diff") / "panel.csv"
+    f.write_bytes(text.encode())
+    got = _load_outcome(f, stations)
+    with _row_parser_only():
+        want = _load_outcome(f, stations)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
