@@ -5,11 +5,18 @@ emits machine-readable CSV/JSON.  Analysis commands are deterministic:
 identical input and flags produce byte-identical output (floats are written
 with 12 significant digits).  Exit codes: 0 ok, 1 runtime error, 2 usage
 error.
+
+Every command runs through one runner.  ``_command`` registers a body,
+emits what it returns (a dict as JSON, ``(header, rows)`` as CSV) and turns
+a ``ScedexError`` into the structured report on stderr.  ``_panel_command``
+adds the shared ``--input/--season/--gap/--output/--dry-run`` stack, checks
+that the input exists and validates the flags before anything is read,
+prints the dry-run report, and loads and selects the panel its body gets.
 """
 
 from __future__ import annotations
 
-import functools
+import dataclasses
 import json
 import os
 import sys
@@ -37,10 +44,6 @@ _ERROR_MODULE = {
     err.FitConvergenceError: ("gp_mle", "try a different k; the optimizer hit a parameter boundary"),
     err.SimSpecError: ("mc", "fix the simulation specification"),
 }
-
-
-def _fmt(x) -> str:
-    return _FLOAT_FMT % float(x)
 
 
 def _jsonable(obj):
@@ -81,21 +84,29 @@ def _emit(text: str, output: str | None) -> None:
         raise
 
 
-def _emit_json(payload: dict, output: str | None) -> None:
-    _emit(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n", output)
-
-
-def _emit_csv(header: list, rows: list, output: str | None) -> None:
+def _render(out) -> str:
+    """A dict payload as JSON, a ``(header, rows)`` table as CSV."""
+    if isinstance(out, dict):
+        return json.dumps(_jsonable(out), sort_keys=True, indent=2) + "\n"
+    header, rows = out
     lines = [",".join(header)]
     for row in rows:
         cells = []
         for cell in row:
-            if isinstance(cell, (float, np.floating)):
-                cells.append(_fmt(cell) if np.isfinite(cell) else repr(float(cell)))
+            if cell is None:
+                cells.append("")
+            elif isinstance(cell, (float, np.floating)):
+                cells.append(_FLOAT_FMT % float(cell) if np.isfinite(cell) else repr(float(cell)))
             else:
                 cells.append(str(cell))
         lines.append(",".join(cells))
-    _emit("\n".join(lines) + "\n", output)
+    return "\n".join(lines) + "\n"
+
+
+def _csv_table(records: list) -> tuple:
+    """``(header, rows)`` of dataclass records, one column per field."""
+    return ([f.name for f in dataclasses.fields(records[0])],
+            [dataclasses.astuple(r) for r in records])
 
 
 def _structured_failure(exc: err.ScedexError, command: str, params: dict) -> None:
@@ -116,49 +127,14 @@ def _structured_failure(exc: err.ScedexError, command: str, params: dict) -> Non
     sys.exit(1)
 
 
-def _analysis_command(fn):
-    """Catch domain errors and render the structured report (exit 1)."""
-
-    name = fn.__name__
-    if name.endswith("_cmd"):
-        name = name[: -len("_cmd")]
-    name = name.replace("_", "-")
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except err.ScedexError as exc:
-            _structured_failure(exc, name, kwargs)
-
-    return wrapper
-
-
-def _load(input, season, gap):
-    return _select(panel.load_panel(input), season, gap)
-
-
-def _select(p, season, gap, min_days=150):
-    """Apply the season split and declustering to a loaded panel."""
-    if season != "all":
-        definition = (panel.SeasonDefinition.winter() if season == "winter"
-                      else panel.SeasonDefinition.summer())
-        definition = panel.SeasonDefinition(definition.included_months, min_days)
-        p = panel.split_season(p, definition)
-    if gap > 0:
-        p = panel.decluster(p, gap_days=gap)
-    return p
-
-
-def _dry_run_report(command: str, **params) -> None:
+def _dry_run_report(command: str, params: dict) -> None:
+    """One JSON line: the command and its flags' values, without where and
+    how the output would go and without unset flags."""
     payload = {"dry_run": True, "command": command,
-               "params": {k: v for k, v in params.items() if v is not None}}
+               "params": {k: v for k, v in params.items()
+                          if k not in ("output", "fmt", "dry_run")
+                          and v is not None and v != ()}}
     click.echo(json.dumps(_jsonable(payload), sort_keys=True))
-
-
-def _check_input_exists(path: str) -> None:
-    if not os.path.isfile(path):
-        raise click.UsageError(f"input file not found: {path}")
 
 
 _input_opt = click.option("--input", "input", required=True, type=str,
@@ -174,6 +150,12 @@ _format_opt = click.option("--format", "fmt", type=click.Choice(["csv", "json"])
                            default="csv", show_default=True)
 _dry_opt = click.option("--dry-run", is_flag=True,
                         help="Validate the configuration and exit without writing.")
+_k_opt = click.option("--k", type=int, required=True)
+_k_range_opts = (
+    click.option("--k-min", type=click.IntRange(min=1), required=True),
+    click.option("--k-max", type=int, required=True),
+    click.option("--k-step", type=click.IntRange(min=1), default=50, show_default=True),
+)
 
 
 @click.group()
@@ -183,21 +165,79 @@ def main():
     space/time heterogeneity tests, and pooled generalized Pareto fits."""
 
 
-@main.command("ingest-check")
-@_input_opt
-@_season_opt
-@_gap_opt
-@_output_opt
-@_dry_opt
-@_analysis_command
-def ingest_check(input, season, gap, output, dry_run):
+def _command(name: str, *options):
+    """Register ``body(**params)`` as command ``name`` with ``options``.
+
+    The body returns its payload (a dict, emitted as JSON), a CSV table
+    ``(header, rows)``, or None when it has printed what it has to say.  A
+    ``ScedexError`` becomes the structured report on stderr (exit 1).
+    """
+
+    def register(body):
+        def run(**params):
+            try:
+                out = body(**params)
+            except err.ScedexError as exc:
+                _structured_failure(exc, name, params)  # exits
+            if out is not None:
+                _emit(_render(out), params["output"])
+
+        run.__doc__ = body.__doc__
+        for option in reversed(options):
+            run = option(run)
+        return main.command(name)(run)
+
+    return register
+
+
+def _panel_command(name: str, *options, check=None):
+    """Register ``body(p, raw=..., **params)`` as a command on a station panel.
+
+    Before anything is read the runner checks that ``--input`` exists and
+    calls ``check(**params)``, which raises ``click.UsageError`` on bad
+    flags; ``--dry-run`` stops there.  Otherwise it loads the panel (the
+    body gets it as ``raw``) and hands the body ``p``, the panel after the
+    season split and declustering.
+    """
+
+    def register(body):
+        def run(**params):
+            if not os.path.isfile(params["input"]):
+                raise click.UsageError(f"input file not found: {params['input']}")
+            if check is not None:
+                check(**params)
+            if params["dry_run"]:
+                return _dry_run_report(name, params)
+            raw = p = panel.load_panel(params["input"])
+            if params["season"] != "all":
+                season = (panel.SeasonDefinition.winter() if params["season"] == "winter"
+                          else panel.SeasonDefinition.summer())
+                p = panel.split_season(p, season)
+            if params["gap"] > 0:
+                p = panel.decluster(p, gap_days=params["gap"])
+            return body(p, raw=raw, **params)
+
+        run.__doc__ = body.__doc__
+        return _command(name, _input_opt, _season_opt, _gap_opt, *options,
+                        _output_opt, _dry_opt)(run)
+
+    return register
+
+
+def _check_k_range(k_min, k_max, **_):
+    if k_min > k_max:
+        raise click.UsageError("need 0 < --k-min <= --k-max and --k-step >= 1")
+
+
+def _station_index(p, station: str) -> int:
+    """A ``--station`` value: a station name or a column index."""
+    return p.station_index(int(station) if station.isdigit() else station)
+
+
+@_panel_command("ingest-check")
+def _ingest_check(p, raw, input, season, gap, **_):
     """Validate a panel file and report its shape, date span, and missing data."""
-    _check_input_exists(input)
-    if dry_run:
-        return _dry_run_report("ingest-check", input=input, season=season, gap=gap)
-    raw = panel.load_panel(input)
-    p = _select(raw, season, gap)
-    payload = {
+    return {
         "input": input,
         "stations": list(raw.station_ids),
         "rows_raw": raw.n,
@@ -212,103 +252,60 @@ def ingest_check(input, season, gap, output, dry_run):
             for j, sid in enumerate(raw.station_ids)
         },
     }
-    _emit_json(payload, output)
 
 
-@main.command("scedasis")
-@_input_opt
-@_season_opt
-@_gap_opt
-@click.option("--k", type=int, required=True, help="Number of pooled top order statistics.")
-@click.option("--renormalize", is_flag=True,
-              help="Divide by the realised exceedance count instead of k.")
-@click.option("--grid", type=int, default=100, show_default=True,
-              help="Evaluate each curve at t = i/grid.")
-@_format_opt
-@_output_opt
-@_dry_opt
-@_analysis_command
-def scedasis_cmd(input, season, gap, k, renormalize, grid, fmt, output, dry_run):
+@_panel_command(
+    "scedasis",
+    click.option("--k", type=int, required=True, help="Number of pooled top order statistics."),
+    click.option("--renormalize", is_flag=True,
+                 help="Divide by the realised exceedance count instead of k."),
+    click.option("--grid", type=click.IntRange(min=1), default=100, show_default=True,
+                 help="Evaluate each curve at t = i/grid."),
+    _format_opt,
+)
+def _scedasis(p, k, renormalize, grid, fmt, **_):
     """Integrated relative-frequency curves C_hat_j(t) for every station."""
-    _check_input_exists(input)
-    if grid < 1:
-        raise click.UsageError("--grid must be at least 1")
-    if dry_run:
-        return _dry_run_report("scedasis", input=input, season=season, gap=gap,
-                               k=k, renormalize=renormalize, grid=grid)
-    p = _load(input, season, gap)
     curves = scedasis.scedasis_all(p, k, renormalize=renormalize)
     ts = np.arange(grid + 1) / grid
     if fmt == "csv":
-        rows = []
-        for curve in curves:
-            sid = p.station_ids[curve.station]
-            for t in ts:
-                rows.append((sid, float(t), curve.value(float(t))))
-        _emit_csv(["station", "t", "c_hat"], rows, output)
-    else:
-        payload = {
-            "k": k,
-            "renormalize": renormalize,
-            "t": ts,
-            "stations": list(p.station_ids),
-            "curves": {p.station_ids[c.station]: [c.value(float(t)) for t in ts]
-                       for c in curves},
-            "c1": {p.station_ids[c.station]: c.c1 for c in curves},
-        }
-        _emit_json(payload, output)
+        return ["station", "t", "c_hat"], [
+            (p.station_ids[curve.station], float(t), curve.value(float(t)))
+            for curve in curves for t in ts
+        ]
+    return {
+        "k": k,
+        "renormalize": renormalize,
+        "t": ts,
+        "stations": list(p.station_ids),
+        "curves": {p.station_ids[c.station]: [c.value(float(t)) for t in ts]
+                   for c in curves},
+        "c1": {p.station_ids[c.station]: c.c1 for c in curves},
+    }
 
 
-@main.command("sigma1")
-@_input_opt
-@_season_opt
-@_gap_opt
-@click.option("--k", type=int, required=True)
-@click.option("--renormalize", is_flag=True)
-@_format_opt
-@_output_opt
-@_dry_opt
-@_analysis_command
-def sigma1(input, season, gap, k, renormalize, fmt, output, dry_run):
+@_panel_command("sigma1", _k_opt, click.option("--renormalize", is_flag=True), _format_opt)
+def _sigma1(p, k, renormalize, fmt, **_):
     """Empirical pairwise tail-dependence matrix at the pooled threshold."""
-    _check_input_exists(input)
-    if dry_run:
-        return _dry_run_report("sigma1", input=input, season=season, gap=gap,
-                               k=k, renormalize=renormalize)
-    p = _load(input, season, gap)
     dep = dependence.sigma1_matrix(p, k, renormalize=renormalize)
     if fmt == "csv":
-        rows = []
-        for i, si in enumerate(p.station_ids):
-            for j, sj in enumerate(p.station_ids):
-                rows.append((si, sj, float(dep.entries[i, j])))
-        _emit_csv(["station_i", "station_j", "sigma1"], rows, output)
-    else:
-        _emit_json({
-            "k": k,
-            "renormalize": renormalize,
-            "stations": list(p.station_ids),
-            "matrix": dep.entries,
-            "tie_count": dep.tie_count,
-        }, output)
+        return ["station_i", "station_j", "sigma1"], [
+            (si, sj, float(dep.entries[i, j]))
+            for i, si in enumerate(p.station_ids) for j, sj in enumerate(p.station_ids)
+        ]
+    return {
+        "k": k,
+        "renormalize": renormalize,
+        "stations": list(p.station_ids),
+        "matrix": dep.entries,
+        "tie_count": dep.tie_count,
+    }
 
 
-@main.command("test-space")
-@_input_opt
-@_season_opt
-@_gap_opt
-@click.option("--k", type=int, required=True)
-@_output_opt
-@_dry_opt
-@_analysis_command
-def test_space(input, season, gap, k, output, dry_run):
+@_panel_command("test-space", _k_opt)
+def _test_space(p, k, **_):
     """Chi-square test of equal integrated frequencies across stations."""
-    _check_input_exists(input)
-    if dry_run:
-        return _dry_run_report("test-space", input=input, season=season, gap=gap, k=k)
-    p = _load(input, season, gap)
     res = trend_tests.space_test(p, k)
-    _emit_json({
+    return {
         "statistic": res.statistic,
         "df": res.df,
         "p_value": res.p_value,
@@ -316,37 +313,25 @@ def test_space(input, season, gap, k, output, dry_run):
         "k": res.k,
         "m": p.m,
         "extras": res.extras,
-    }, output)
+    }
 
 
-@main.command("test-time")
-@_input_opt
-@_season_opt
-@_gap_opt
-@click.option("--k", type=int, required=True)
-@click.option("--station", "stations", multiple=True,
-              help="Station name or index; repeatable. Default: all stations.")
-@click.option("--alpha", type=float, default=0.05, show_default=True,
-              help="Family-wise level for the Bonferroni correction.")
-@_output_opt
-@_dry_opt
-@_analysis_command
-def test_time(input, season, gap, k, stations, alpha, output, dry_run):
+@_panel_command(
+    "test-time",
+    _k_opt,
+    click.option("--station", multiple=True,
+                 help="Station name or index; repeatable. Default: all stations."),
+    click.option("--alpha", type=float, default=0.05, show_default=True,
+                 help="Family-wise level for the Bonferroni correction."),
+)
+def _test_time(p, k, station, alpha, **_):
     """Kolmogorov-Smirnov test of constant frequency over time, per station."""
-    _check_input_exists(input)
-    if dry_run:
-        return _dry_run_report("test-time", input=input, season=season, gap=gap,
-                               k=k, station=list(stations) or None, alpha=alpha)
-    p = _load(input, season, gap)
-    if stations:
-        idx = [p.station_index(int(s) if s.isdigit() else s) for s in stations]
-    else:
-        idx = list(range(p.m))
+    # a station named twice (by name and by index, say) is tested once
+    idx = list(dict.fromkeys(_station_index(p, s) for s in station)) or list(range(p.m))
     pooled = tail.pool(p)
     results = [trend_tests.time_test(p, k, j, pooled=pooled) for j in idx]
-    pvals = np.array([r.p_value for r in results])
-    corr = trend_tests.bonferroni(pvals, alpha=alpha)
-    _emit_json({
+    corr = trend_tests.bonferroni(np.array([r.p_value for r in results]), alpha=alpha)
+    return {
         "k": k,
         "alpha": alpha,
         "bonferroni_level": corr.corrected_level,
@@ -359,76 +344,45 @@ def test_time(input, season, gap, k, stations, alpha, output, dry_run):
             }
             for j, r, flag in zip(idx, results, corr.reject)
         },
-    }, output)
+    }
 
 
-@main.command("sweep")
-@_input_opt
-@_season_opt
-@_gap_opt
-@click.option("--which", type=click.Choice(["space", "time"]), default="space",
-              show_default=True)
-@click.option("--k-min", type=int, required=True)
-@click.option("--k-max", type=int, required=True)
-@click.option("--k-step", type=int, default=50, show_default=True)
-@click.option("--station", default=None, help="Station for --which time.")
-@_format_opt
-@_output_opt
-@_dry_opt
-@_analysis_command
-def sweep(input, season, gap, which, k_min, k_max, k_step, station, fmt, output, dry_run):
-    """Test statistic and p-value as a function of k."""
-    _check_input_exists(input)
-    if not (0 < k_min <= k_max) or k_step < 1:
-        raise click.UsageError("need 0 < --k-min <= --k-max and --k-step >= 1")
+def _check_sweep(which, station, **params):
+    _check_k_range(**params)
     if which == "time" and station is None:
         raise click.UsageError("--which time requires --station")
-    if dry_run:
-        return _dry_run_report("sweep", input=input, season=season, gap=gap,
-                               which=which, k_min=k_min, k_max=k_max,
-                               k_step=k_step, station=station)
-    p = _load(input, season, gap)
-    j = None
-    if station is not None:
-        j = p.station_index(int(station) if station.isdigit() else station)
-    ks = list(range(k_min, k_max + 1, k_step))
-    rows_out = trend_tests.k_sweep(p, ks, which, station=j)
+
+
+@_panel_command(
+    "sweep",
+    click.option("--which", type=click.Choice(["space", "time"]), default="space",
+                 show_default=True),
+    *_k_range_opts,
+    click.option("--station", default=None, help="Station for --which time."),
+    _format_opt,
+    check=_check_sweep,
+)
+def _sweep(p, which, k_min, k_max, k_step, station, fmt, **_):
+    """Test statistic and p-value as a function of k."""
+    j = None if station is None else _station_index(p, station)
+    rows = trend_tests.k_sweep(p, list(range(k_min, k_max + 1, k_step)), which, station=j)
     if fmt == "csv":
-        rows = [(r.k,
-                 r.statistic if r.statistic is not None else "",
-                 r.p_value if r.p_value is not None else "",
-                 r.error or "")
-                for r in rows_out]
-        _emit_csv(["k", "statistic", "p_value", "error"], rows, output)
-    else:
-        _emit_json({
-            "which": which,
-            "station": None if j is None else p.station_ids[j],
-            "rows": [
-                {"k": r.k, "statistic": r.statistic, "p_value": r.p_value,
-                 "error": r.error}
-                for r in rows_out
-            ],
-        }, output)
+        return _csv_table(rows)
+    return {
+        "which": which,
+        "station": None if j is None else p.station_ids[j],
+        "rows": [dataclasses.asdict(r) for r in rows],
+    }
 
 
-@main.command("fit-gp")
-@_input_opt
-@_season_opt
-@_gap_opt
-@click.option("--k", type=int, required=True)
-@click.option("--with-cov", is_flag=True,
-              help="Also estimate dependence-aware standard errors (slower).")
-@_output_opt
-@_dry_opt
-@_analysis_command
-def fit_gp(input, season, gap, k, with_cov, output, dry_run):
+@_panel_command(
+    "fit-gp",
+    _k_opt,
+    click.option("--with-cov", is_flag=True,
+                 help="Also estimate dependence-aware standard errors (slower)."),
+)
+def _fit_gp(p, k, with_cov, **_):
     """Pooled generalized Pareto fit to the top-k excesses."""
-    _check_input_exists(input)
-    if dry_run:
-        return _dry_run_report("fit-gp", input=input, season=season, gap=gap,
-                               k=k, with_cov=with_cov)
-    p = _load(input, season, gap)
     pooled = tail.pool(p)
     fit = gp_mle.fit_gp_pml(p, k, pooled=pooled)
     payload = {
@@ -447,48 +401,16 @@ def fit_gp(input, season, gap, k, with_cov, output, dry_run):
         payload["se_scale_rel"] = cov.se_scale_rel
         # the covariance is closed-form; the key stays for payload readers
         payload["quadrature_error"] = 0.0
-    _emit_json(payload, output)
+    return payload
 
 
-@main.command("gamma-path")
-@_input_opt
-@_season_opt
-@_gap_opt
-@click.option("--k-min", type=int, required=True)
-@click.option("--k-max", type=int, required=True)
-@click.option("--k-step", type=int, default=50, show_default=True)
-@_format_opt
-@_output_opt
-@_dry_opt
-@_analysis_command
-def gamma_path(input, season, gap, k_min, k_max, k_step, fmt, output, dry_run):
+@_panel_command("gamma-path", *_k_range_opts, _format_opt, check=_check_k_range)
+def _gamma_path(p, k_min, k_max, k_step, fmt, **_):
     """Shape estimate as a function of k, with reference standard errors."""
-    _check_input_exists(input)
-    if not (0 < k_min <= k_max) or k_step < 1:
-        raise click.UsageError("need 0 < --k-min <= --k-max and --k-step >= 1")
-    if dry_run:
-        return _dry_run_report("gamma-path", input=input, season=season, gap=gap,
-                               k_min=k_min, k_max=k_max, k_step=k_step)
-    p = _load(input, season, gap)
-    ks = list(range(k_min, k_max + 1, k_step))
-    path = gp_mle.gamma_path(p, ks)
+    path = gp_mle.gamma_path(p, list(range(k_min, k_max + 1, k_step)))
     if fmt == "csv":
-        rows = [(r.k,
-                 r.gamma if r.gamma is not None else "",
-                 r.scale if r.scale is not None else "",
-                 r.se if r.se is not None else "",
-                 r.converged,
-                 r.error or "")
-                for r in path]
-        _emit_csv(["k", "gamma", "scale", "se", "converged", "error"], rows, output)
-    else:
-        _emit_json({
-            "rows": [
-                {"k": r.k, "gamma": r.gamma, "scale": r.scale, "se": r.se,
-                 "converged": r.converged, "error": r.error}
-                for r in path
-            ],
-        }, output)
+        return _csv_table(path)
+    return {"rows": [dataclasses.asdict(r) for r in path]}
 
 
 def _parse_scedasis_spec(text: str | None, m: int):
@@ -528,44 +450,42 @@ def _parse_pair(text: str):
         ) from None
 
 
-@main.command("mc")
-@click.option("--harness", type=click.Choice(["size", "cov", "mle"]), required=True)
-@click.option("--n", type=int, default=5000, show_default=True)
-@click.option("--m", type=int, default=2, show_default=True)
-@click.option("--gamma", type=float, default=0.25, show_default=True)
-@click.option("--dependence", type=click.Choice(["independent", "logistic", "comonotone"]),
-              default="independent", show_default=True)
-@click.option("--alpha", type=float, default=None, help="Logistic dependence parameter.")
-@click.option("--scedasis", "scedasis_json", default=None,
-              help='JSON list of per-station descriptors, e.g. '
-                   '\'[{"kind":"linear","start":0.5,"end":1.5}]\'.')
-@click.option("--k", type=int, required=True)
-@click.option("--reps", type=int, default=500, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--which", type=click.Choice(["space", "time"]), default="space",
-              show_default=True, help="Test for --harness size.")
-@click.option("--station", type=int, default=0, show_default=True,
-              help="Station for the time test.")
-@click.option("--level", type=float, default=0.05, show_default=True)
-@click.option("--pair", "pair_texts", multiple=True,
-              help="Coordinate pair 'j1,s1,t1:j2,s2,t2' for --harness cov; repeatable.")
-@click.option("--threads", type=int, default=None,
-              help="Worker threads (default: SCEDEX_THREADS or 1).")
-@_output_opt
-@_dry_opt
-@_analysis_command
-def mc_cmd(harness, n, m, gamma, dependence, alpha, scedasis_json, k, reps, seed,
-           which, station, level, pair_texts, threads, output, dry_run):
+@_command(
+    "mc",
+    click.option("--harness", type=click.Choice(["size", "cov", "mle"]), required=True),
+    click.option("--n", type=int, default=5000, show_default=True),
+    click.option("--m", type=int, default=2, show_default=True),
+    click.option("--gamma", type=float, default=0.25, show_default=True),
+    click.option("--dependence", type=click.Choice(["independent", "logistic", "comonotone"]),
+                 default="independent", show_default=True),
+    click.option("--alpha", type=float, default=None, help="Logistic dependence parameter."),
+    click.option("--scedasis", "scedasis_json", default=None,
+                 help='JSON list of per-station descriptors, e.g. '
+                      '\'[{"kind":"linear","start":0.5,"end":1.5}]\'.'),
+    _k_opt,
+    click.option("--reps", type=int, default=500, show_default=True),
+    click.option("--seed", type=int, default=0, show_default=True),
+    click.option("--which", type=click.Choice(["space", "time"]), default="space",
+                 show_default=True, help="Test for --harness size."),
+    click.option("--station", type=int, default=0, show_default=True,
+                 help="Station for the time test."),
+    click.option("--level", type=float, default=0.05, show_default=True),
+    click.option("--pair", "pair_texts", multiple=True,
+                 help="Coordinate pair 'j1,s1,t1:j2,s2,t2' for --harness cov; repeatable."),
+    click.option("--threads", type=int, default=None,
+                 help="Worker threads (default: SCEDEX_THREADS or 1)."),
+    _output_opt,
+    _dry_opt,
+)
+def _mc(harness, n, m, gamma, dependence, alpha, scedasis_json, k, reps, seed,
+        which, station, level, pair_texts, threads, output, dry_run):
     """Monte Carlo harnesses on synthetic panels with known tail behaviour."""
-    funcs = _parse_scedasis_spec(scedasis_json, m)
+    spec = mc.SimSpec(n=n, m=m, gamma=gamma, dependence=dependence, alpha=alpha,
+                      scedasis=_parse_scedasis_spec(scedasis_json, m), seed=seed)
     if dry_run:
-        spec = mc.SimSpec(n=n, m=m, gamma=gamma, dependence=dependence,
-                          alpha=alpha, scedasis=funcs, seed=seed)
-        return _dry_run_report("mc", harness=harness, n=n, m=m, gamma=gamma,
-                               dependence=dependence, alpha=alpha, k=k,
-                               reps=reps, seed=seed)
-    spec = mc.SimSpec(n=n, m=m, gamma=gamma, dependence=dependence,
-                      alpha=alpha, scedasis=funcs, seed=seed)
+        return _dry_run_report("mc", dict(harness=harness, n=n, m=m, gamma=gamma,
+                                          dependence=dependence, alpha=alpha, k=k,
+                                          reps=reps, seed=seed))
     if harness == "size":
         report = mc.mc_test_size(spec, k, which=which, reps=reps, level=level,
                                  station=station, threads=threads)
@@ -579,7 +499,7 @@ def mc_cmd(harness, n, m, gamma, dependence, alpha, scedasis_json, k, reps, seed
         report = mc.mc_covariance_check(spec, k, pairs, reps=reps, threads=threads)
     else:
         report = mc.mc_mle_variance(spec, k, reps=reps, threads=threads)
-    _emit_json({
+    return {
         "harness": harness,
         "replications": report.replications,
         "skipped": report.skipped,
@@ -589,8 +509,8 @@ def mc_cmd(harness, n, m, gamma, dependence, alpha, scedasis_json, k, reps, seed
         "details": [
             {**d, "pair": [list(map(float, c)) for c in d["pair"]]}
             for d in report.details
-        ] if report.details else [],
-    }, output)
+        ],
+    }
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import RangeError, ScedexError, SimSpecError
+from .errors import InsufficientDataError, RangeError, ScedexError, SimSpecError
 from .gp_mle import fit_gp_pml, sigma_gamma0, fisher_info_inverse
 from .panel import PanelSample
 from . import trend_tests
@@ -362,6 +362,8 @@ def mc_test_size(
         raise RangeError(f"which must be 'space' or 'time', got {which!r}")
     if not 0 < level < 1:
         raise RangeError(f"level must lie in (0, 1), got {level}")
+    if which == "time" and not 0 <= station < spec.m:
+        raise RangeError(f"station index {station} out of range for m={spec.m}")
 
     def one(rep: int) -> float:
         panel = simulate_panel(spec, rep)
@@ -472,6 +474,8 @@ def mc_mle_variance(
     prediction computed from the spec's exact tail-copula surfaces (their
     aggregate edge sampled at 4000 geometric nodes from 1e-6 to 1; on a
     logistic surface that moves the prediction by about 4e-7 relative)."""
+    if k < 10:
+        raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {k}")
     N = spec.n * spec.m
     if k / N > TAIL_MASS:
         raise RangeError(

@@ -302,7 +302,10 @@ def _parse_rows(reader, n_fields: int, date_pos: int, stations: list[str], col_p
     dates: list[dt.date] = []
     rows: list[list[float]] = []
     mask_rows: list[list[bool]] = []
-    for line_no, row in enumerate(reader, start=2):
+    end = reader.line_num  # the header's last physical line
+    for row in reader:
+        # a quoted cell may span lines: the row starts after the last one ended
+        line_no, end = end + 1, reader.line_num
         if not row or all(not c.strip() for c in row):
             continue  # tolerate blank lines
         if len(row) != n_fields:

@@ -250,6 +250,15 @@ def test_time_command_station_by_name_and_index(runner, panel_csv):
     assert payload["bonferroni_level"] == pytest.approx(0.05, rel=1e-10)
 
 
+def test_time_command_tests_a_repeated_station_once(runner, panel_csv):
+    result = _ok(runner.invoke(
+        main, ["test-time", "--input", str(panel_csv), "--gap", "0", "--k", "60",
+               "--station", "stn_b", "--station", "1"]))
+    payload = json.loads(result.output)
+    assert list(payload["stations"]) == ["stn_b"]
+    assert payload["bonferroni_level"] == payload["alpha"] == 0.05
+
+
 def test_sweep_csv_rows(runner, panel_csv):
     result = _ok(runner.invoke(
         main, ["sweep", "--input", str(panel_csv), "--gap", "0",
@@ -394,30 +403,91 @@ def test_commands_load_and_pool_once(runner, panel_csv, monkeypatch):
     assert calls == {"load_panel": 1}
 
 
-def test_dry_run_validates_without_writing(runner, panel_csv, tmp_path):
-    target = tmp_path / "never.csv"
+PANEL_COMMANDS = [c for c in COMMANDS if c != "mc"]
+_SHARED_OPTIONS = ["--input", "--season", "--gap", "--output", "--dry-run"]
+
+# Each panel command's own flags and the values its dry run must report.
+_DRY_RUNS = {
+    "ingest-check": ([], {}),
+    "scedasis": (["--k", "60", "--format", "json"],
+                 {"k": 60, "renormalize": False, "grid": 100}),
+    "sigma1": (["--k", "60", "--renormalize"], {"k": 60, "renormalize": True}),
+    "test-space": (["--k", "60"], {"k": 60}),
+    "test-time": (["--k", "60", "--station", "stn_b", "--station", "0"],
+                  {"k": 60, "station": ["stn_b", "0"], "alpha": 0.05}),
+    "sweep": ([*_SWEEP_KS, "--format", "json"],
+              {"which": "space", "k_min": 40, "k_max": 140, "k_step": 50}),
+    "fit-gp": (["--k", "80", "--with-cov"], {"k": 80, "with_cov": True}),
+    "gamma-path": (_SWEEP_KS, {"k_min": 40, "k_max": 140, "k_step": 50}),
+}
+
+
+@pytest.mark.parametrize("command", PANEL_COMMANDS)
+def test_dry_run_validates_without_writing(runner, panel_csv, tmp_path, command):
+    args, own = _DRY_RUNS[command]
+    target = tmp_path / "never.out"
     result = _ok(runner.invoke(
-        main, ["scedasis", "--input", str(panel_csv), "--k", "60",
-               "--dry-run", "--output", str(target)]))
+        main, [command, "--input", str(panel_csv), "--season", "winter", "--gap", "3",
+               *args, "--dry-run", "--output", str(target)]))
     assert not target.exists()
     lines = result.output.splitlines()
     assert len(lines) == 1
-    payload = json.loads(lines[0])
-    assert payload["dry_run"] is True
-    assert payload["command"] == "scedasis"
-    assert payload["params"]["k"] == 60
-    assert payload["params"]["renormalize"] is False
+    assert json.loads(lines[0]) == {
+        "dry_run": True,
+        "command": command,
+        "params": {"input": str(panel_csv), "season": "winter", "gap": 3, **own},
+    }
 
 
-def test_runtime_error_renders_structured_report(runner, panel_csv):
-    result = runner.invoke(
-        main, ["test-space", "--input", str(panel_csv), "--gap", "0",
-               "--k", "999999"])
+@pytest.mark.parametrize("command", PANEL_COMMANDS)
+def test_help_lists_the_shared_options(runner, command):
+    result = _ok(runner.invoke(main, [command, "--help"]))
+    for option in _SHARED_OPTIONS:
+        assert option in result.output
+
+
+@pytest.mark.parametrize("command", ["sweep", "gamma-path"])
+def test_bad_k_range_is_a_usage_error_even_in_a_dry_run(runner, panel_csv, command):
+    for ks in (["--k-min", "50", "--k-max", "20"],
+               ["--k-min", "0", "--k-max", "20"],
+               ["--k-min", "10", "--k-max", "20", "--k-step", "0"]):
+        result = runner.invoke(
+            main, [command, "--input", str(panel_csv), *ks, "--dry-run"])
+        assert result.exit_code == 2, ks
+        assert "--k-" in _stderr(result) + result.output
+
+
+# Each panel command's own flags for a run that passes the usage checks and
+# then fails, the error it fails with, and the params its report must carry.
+_FAILURES = {
+    "ingest-check": ([], "PanelFormatError", {}),
+    "scedasis": (["--k", "999999"], "RangeError", {"k": 999999}),
+    "sigma1": (["--k", "999999"], "RangeError", {"k": 999999}),
+    "test-space": (["--k", "999999"], "RangeError", {"k": 999999}),
+    "test-time": (["--k", "999999", "--station", "1"], "RangeError",
+                  {"k": 999999, "station": ["1"]}),
+    "sweep": (["--which", "time", "--station", "nope", *_SWEEP_KS], "DomainError",
+              {"which": "time", "station": "nope"}),
+    "fit-gp": (["--k", "5"], "InsufficientDataError", {"k": 5}),
+    "gamma-path": (_SWEEP_KS, "PanelFormatError", {"k_min": 40}),
+}
+
+
+@pytest.mark.parametrize("command", PANEL_COMMANDS)
+def test_runtime_error_renders_structured_report(runner, panel_csv, tmp_path, command):
+    args, error, params = _FAILURES[command]
+    source = panel_csv
+    if error == "PanelFormatError":
+        source = tmp_path / "bad.csv"
+        source.write_text("date,A\n2000-01-01,1\n2000-01-02,oops\n")
+    result = runner.invoke(main, [command, "--input", str(source), "--gap", "0", *args])
     assert result.exit_code == 1
     report = json.loads(_stderr(result) or result.output)
     assert set(report) == {"error", "module", "message", "hint", "command", "params"}
-    assert report["command"] == "test-space"
-    assert report["params"]["k"] == 999999
+    assert report["error"] == error
+    assert report["command"] == command
+    given = {"input": str(source), "season": "all", "gap": 0, "dry_run": False, **params}
+    assert given.items() <= report["params"].items()
     assert report["message"]
     assert report["hint"]
 

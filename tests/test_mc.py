@@ -13,6 +13,7 @@ import pytest
 from scipy.integrate import quad
 
 from scedex import (
+    InsufficientDataError,
     McReport,
     RangeError,
     SimSpec,
@@ -343,6 +344,8 @@ def test_mc_test_size_time_variant_and_validation():
         mc_test_size(spec, k=80, which="both", reps=5)
     with pytest.raises(RangeError):
         mc_test_size(spec, k=80, reps=5, level=1.5)
+    with pytest.raises(RangeError, match="station index 1"):
+        mc_test_size(spec, k=80, which="time", reps=5, station=1)  # m = 1
 
 
 def test_mc_test_size_threads_match_serial():
@@ -394,3 +397,5 @@ def test_mc_mle_variance_smoke():
     )
     with pytest.raises(RangeError):
         mc_mle_variance(spec, k=600, reps=3)  # k/N leaves the exact tail
+    with pytest.raises(InsufficientDataError):
+        mc_mle_variance(spec, k=9, reps=3)  # no GP fit below k = 10

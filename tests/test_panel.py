@@ -122,6 +122,11 @@ def test_load_panel_error_carries_line_number(tmp_path):
     with pytest.raises(PanelFormatError, match="date"):
         load_panel(f3)
 
+    # a quoted cell spanning two lines: the bad date is on physical line 4
+    f4 = _write(tmp_path, 'date,A\n2000-01-01,"1\n"\n2000-01-0x,3\n', name="q.csv")
+    with pytest.raises(PanelFormatError, match="line 4"):
+        load_panel(f4)
+
 
 def test_load_panel_negative_value(tmp_path):
     f = _write(tmp_path, "date,A\n2000-01-01,-3\n")
