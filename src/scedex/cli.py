@@ -27,22 +27,22 @@ import numpy as np
 
 from . import __version__
 from . import errors as err
-from . import dependence, gp_mle, mc, panel, scedasis, tail, trend_tests
+from . import dependence, gp_mle, mc, panel, scedasis, trend_tests
 
 _FLOAT_FMT = "%.12g"
 
-_ERROR_MODULE = {
-    err.PanelFormatError: ("panel", "check the CSV header, date column, and cell values"),
-    err.DateOrderError: ("panel", "sort rows by date before loading"),
-    err.DomainError: ("panel", "values must be finite and nonnegative"),
-    err.EmptySeasonError: ("panel", "pick a season actually present in the data"),
-    err.EmptyPoolError: ("tail", "the selected panel has no observed values"),
-    err.RangeError: ("tail", "choose k with 1 <= k < number of pooled observations"),
-    err.NoExceedanceError: ("trend_tests", "increase k or pick a different station"),
-    err.InsufficientDataError: ("gp_mle", "increase k; at least 10 positive excesses are needed"),
-    err.SingularCovarianceError: ("trend_tests", "drop near-duplicate stations or change k"),
-    err.FitConvergenceError: ("gp_mle", "try a different k; the optimizer hit a parameter boundary"),
-    err.SimSpecError: ("mc", "fix the simulation specification"),
+_HINTS = {
+    err.PanelFormatError: "check the CSV header, date column, and cell values",
+    err.DateOrderError: "sort rows by date before loading",
+    err.DomainError: "change the value the message names to one inside its domain",
+    err.EmptySeasonError: "pick a season actually present in the data",
+    err.EmptyPoolError: "the selected panel has no observed values",
+    err.RangeError: "change the value the message names to one inside its admissible range",
+    err.NoExceedanceError: "increase k or pick a different station",
+    err.InsufficientDataError: "increase k; at least 10 positive excesses are needed",
+    err.SingularCovarianceError: "drop near-duplicate stations or change k",
+    err.FitConvergenceError: "try a different k; the optimizer hit a parameter boundary",
+    err.SimSpecError: "fix the simulation specification",
 }
 
 
@@ -110,16 +110,14 @@ def _csv_table(records: list) -> tuple:
 
 
 def _structured_failure(exc: err.ScedexError, command: str, params: dict) -> None:
-    for klass, (module, hint) in _ERROR_MODULE.items():
-        if isinstance(exc, klass):
-            break
-    else:
-        module, hint = "scedex", "see the message"
+    tb = exc.__traceback__
+    while tb.tb_next is not None:  # the innermost frame is the module that raised
+        tb = tb.tb_next
     report = {
         "error": type(exc).__name__,
-        "module": module,
+        "module": tb.tb_frame.f_globals["__name__"].rpartition(".")[2],
         "message": str(exc),
-        "hint": hint,
+        "hint": next((h for c, h in _HINTS.items() if isinstance(exc, c)), "see the message"),
         "command": command,
         "params": {k: v for k, v in params.items() if v is not None},
     }
@@ -328,8 +326,7 @@ def _test_time(p, k, station, alpha, **_):
     """Kolmogorov-Smirnov test of constant frequency over time, per station."""
     # a station named twice (by name and by index, say) is tested once
     idx = list(dict.fromkeys(_station_index(p, s) for s in station)) or list(range(p.m))
-    pooled = tail.pool(p)
-    results = [trend_tests.time_test(p, k, j, pooled=pooled) for j in idx]
+    results = [trend_tests.time_test(p, k, j) for j in idx]
     corr = trend_tests.bonferroni(np.array([r.p_value for r in results]), alpha=alpha)
     return {
         "k": k,
@@ -383,8 +380,7 @@ def _sweep(p, which, k_min, k_max, k_step, station, fmt, **_):
 )
 def _fit_gp(p, k, with_cov, **_):
     """Pooled generalized Pareto fit to the top-k excesses."""
-    pooled = tail.pool(p)
-    fit = gp_mle.fit_gp_pml(p, k, pooled=pooled)
+    fit = gp_mle.fit_gp_pml(p, k)
     payload = {
         "gamma_hat": fit.gamma_hat,
         "scale_hat": fit.scale_hat,
@@ -396,7 +392,7 @@ def _fit_gp(p, k, with_cov, **_):
         "method": fit.method,
     }
     if with_cov:
-        cov = gp_mle.mle_asymptotic_cov(fit, p, pooled=pooled)
+        cov = gp_mle.mle_asymptotic_cov(fit, p)
         payload["se_gamma"] = cov.se_gamma
         payload["se_scale_rel"] = cov.se_scale_rel
         # the covariance is closed-form; the key stays for payload readers
@@ -463,7 +459,7 @@ def _parse_pair(text: str):
                  help='JSON list of per-station descriptors, e.g. '
                       '\'[{"kind":"linear","start":0.5,"end":1.5}]\'.'),
     _k_opt,
-    click.option("--reps", type=int, default=500, show_default=True),
+    click.option("--reps", type=click.IntRange(min=1), default=500, show_default=True),
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--which", type=click.Choice(["space", "time"]), default="space",
                  show_default=True, help="Test for --harness size."),

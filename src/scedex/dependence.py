@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import RangeError
 from .panel import PanelSample
-from .tail import PooledOrderStatistics, TailAtK, check_k, level_thresholds, pool
+from .tail import TailAtK, check_k, level_thresholds, pool
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,6 @@ def tail_copula_integral(
     s1: float = 1.0,
     s2: float = 1.0,
     t: float = 1.0,
-    pooled: PooledOrderStatistics | None = None,
 ) -> TailCopulaEstimate:
     """Joint exceedance frequency of stations ``j1`` and ``j2``.
 
@@ -72,7 +71,7 @@ def tail_copula_integral(
     the pooled order statistic at level ``floor(k s1)`` while ``j2`` exceeds
     the one at level ``floor(k s2)``, divided by ``k``.
     """
-    o = pooled if pooled is not None else pool(p)
+    o = pool(p)
     k = check_k(k, o.n_effective)
     for j in (j1, j2):
         if not 0 <= j < p.m:
@@ -87,25 +86,18 @@ def tail_copula_integral(
             )
 
     cut = int(np.floor(p.n * t + 1e-9))
-    col1 = np.where(p.missing_mask[:cut, j1], -np.inf, p.values[:cut, j1])
-    col2 = np.where(p.missing_mask[:cut, j2], -np.inf, p.values[:cut, j2])
-    count = int(np.count_nonzero((col1 > thr1) & (col2 > thr2)))
+    count = int(np.count_nonzero((p.values[:cut, j1] > thr1) & (p.values[:cut, j2] > thr2)))
     return TailCopulaEstimate(j1=j1, j2=j2, s1=s1, s2=s2, t=t, value=count / k)
 
 
-def sigma1_matrix(
-    p: PanelSample,
-    k: int,
-    renormalize: bool = False,
-    pooled: PooledOrderStatistics | None = None,
-) -> TailDependenceMatrix:
+def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDependenceMatrix:
     """All pairwise joint exceedance frequencies at the pooled threshold.
 
     With ``renormalize`` the realised exceedance count replaces ``k`` as the
     divisor, which restores the exact row-sum identity when the threshold is
     tied.
     """
-    tail = TailAtK(p, k, pooled)
+    tail = TailAtK(p, k)
     E = tail.exceed.astype(np.float64)
     divisor = tail.divisor(renormalize)
     return TailDependenceMatrix(entries=(E.T @ E) / divisor, k=tail.k, divisor=divisor,
@@ -149,9 +141,8 @@ class EmpiricalTailDependence:
     level (the surfaces vanish at s = 0 or t = 0).
     """
 
-    def __init__(self, p: PanelSample, k: int, grid_size: int = 64,
-                 pooled: PooledOrderStatistics | None = None):
-        tail = TailAtK(p, k, pooled)
+    def __init__(self, p: PanelSample, k: int, grid_size: int = 64):
+        tail = TailAtK(p, k)
         self.k = k = tail.k
         if k < 2:
             raise RangeError(f"a tail-copula level grid needs k >= 2, got k={k}")

@@ -29,7 +29,7 @@ from .errors import (
     RangeError,
 )
 from .panel import PanelSample
-from .tail import PooledOrderStatistics, TailAtK, pool
+from .tail import TailAtK
 
 GAMMA_MIN = -0.5 + 1e-6
 GAMMA_MAX = 10.0
@@ -271,15 +271,13 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
     )
 
 
-def fit_gp_pml(
-    p: PanelSample, k: int, pooled: PooledOrderStatistics | None = None
-) -> GpFit:
+def fit_gp_pml(p: PanelSample, k: int) -> GpFit:
     """Fit a GP to the ``k`` largest pooled excesses over the pooled threshold.
 
     Observations tied with the threshold contribute zero excess and are
     dropped (their count is recorded on the fit).
     """
-    tail = TailAtK(p, k, pooled)
+    tail = TailAtK(p, k)
     if tail.k < 10:
         raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {tail.k}")
     if tail.n_exceedances < 10:
@@ -414,25 +412,19 @@ class AsymptoticCov:
         return float(np.sqrt(self.matrix[1, 1] / self.k))
 
 
-def mle_asymptotic_cov(
-    fit: GpFit,
-    p: PanelSample,
-    pooled: PooledOrderStatistics | None = None,
-    grid_size: int = 64,
-    c1_values=None,
-    edge=None,
-) -> AsymptoticCov:
+def mle_asymptotic_cov(fit: GpFit, p: PanelSample, c1_values=None, edge=None) -> AsymptoticCov:
     """Sandwich covariance I^{-1} Sigma I^{-1} for a pooled GP fit.
 
     By default the tail shares and the edge X(v, 1) of the aggregate
-    cross-station surface are estimated from the panel at the fit's ``k``, on
-    a ``grid_size``-point geometric level grid; analytic inputs can be
-    supplied instead via ``c1_values``/``edge`` (see :func:`sigma_gamma0`).
+    cross-station surface are estimated from the panel at the fit's ``k``
+    (:class:`EmpiricalTailDependence` with its default level grid); analytic
+    inputs can be supplied instead via ``c1_values``/``edge`` (see
+    :func:`sigma_gamma0`).
     """
     if not fit.converged:
         raise FitConvergenceError("cannot form a covariance from a non-converged fit")
     if c1_values is None or (edge is None and p.m > 1):
-        dep = EmpiricalTailDependence(p, fit.k, grid_size=grid_size, pooled=pooled)
+        dep = EmpiricalTailDependence(p, fit.k)
         if c1_values is None:
             c1_values = dep.c1
         if edge is None and p.m > 1:
@@ -457,9 +449,7 @@ class GammaPathRow:
     error: str | None = None
 
 
-def gamma_path(
-    p: PanelSample, k_values, pooled: PooledOrderStatistics | None = None
-) -> list[GammaPathRow]:
+def gamma_path(p: PanelSample, k_values) -> list[GammaPathRow]:
     """Shape estimates across a range of threshold levels.
 
     Standard errors use the tail-independent-stations reference
@@ -469,11 +459,10 @@ def gamma_path(
     for the full version).  Failures at individual levels are recorded and
     the sweep continues.
     """
-    o = pooled if pooled is not None else pool(p)
     rows: list[GammaPathRow] = []
     for k in k_values:
         try:
-            fit = fit_gp_pml(p, int(k), pooled=o)
+            fit = fit_gp_pml(p, int(k))
             rows.append(
                 GammaPathRow(
                     k=int(k),

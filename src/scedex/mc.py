@@ -27,6 +27,7 @@ import numpy as np
 from .errors import InsufficientDataError, RangeError, ScedexError, SimSpecError
 from .gp_mle import fit_gp_pml, sigma_gamma0, fisher_info_inverse
 from .panel import PanelSample
+from .tail import check_k
 from . import trend_tests
 
 TAIL_MASS = 0.1  # marginal mass carried by the exact GP tail
@@ -364,6 +365,11 @@ def mc_test_size(
         raise RangeError(f"level must lie in (0, 1), got {level}")
     if which == "time" and not 0 <= station < spec.m:
         raise RangeError(f"station index {station} out of range for m={spec.m}")
+    if which == "space" and spec.m < 2:
+        raise RangeError("space test needs at least two stations")
+    if reps < 1:
+        raise RangeError(f"need reps >= 1, got {reps}")
+    check_k(k, spec.n * spec.m)  # a simulated panel has no missing cells
 
     def one(rep: int) -> float:
         panel = simulate_panel(spec, rep)
@@ -411,6 +417,10 @@ def mc_covariance_check(
     pairs = list(pairs)
     if not pairs:
         raise RangeError("need at least one coordinate pair")
+    if k < 1:
+        raise RangeError(f"need k >= 1, got {k}")
+    if reps < 3:
+        raise RangeError(f"need reps >= 3 for a covariance, got {reps}")
     n, m = spec.n, spec.m
     N = n * m
     coords = sorted({cc for pair in pairs for cc in pair})
@@ -419,6 +429,8 @@ def mc_covariance_check(
             raise RangeError(f"station index {j} out of range for m={m}")
         if not 0 < t <= 1:
             raise RangeError(f"time fraction must lie in (0, 1], got {t}")
+        if s <= 0:
+            raise RangeError(f"level must be positive, got {s}")
         if k * s / N > TAIL_MASS + 1e-12:
             raise RangeError(
                 f"level s={s} leaves the exact-tail region (k*s/N = {k * s / N:.4g} "
@@ -476,6 +488,8 @@ def mc_mle_variance(
     logistic surface that moves the prediction by about 4e-7 relative)."""
     if k < 10:
         raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {k}")
+    if reps < 3:
+        raise RangeError(f"need reps >= 3 for a variance, got {reps}")
     N = spec.n * spec.m
     if k / N > TAIL_MASS:
         raise RangeError(

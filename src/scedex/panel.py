@@ -8,6 +8,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -65,7 +66,8 @@ class PanelSample:
 
     ``values[i, j]`` is the amount on day ``i`` at station ``j`` (NaN where
     missing); ``missing_mask`` mirrors the NaN pattern.  Rows are strictly
-    calendar-ordered and arrays are frozen after construction.
+    calendar-ordered and arrays are frozen after construction, so the pooled
+    sample :attr:`sorted_values` is sorted once, on first use.
     """
 
     values: np.ndarray
@@ -127,6 +129,14 @@ class PanelSample:
     def m(self) -> int:
         """Number of stations (columns)."""
         return self.values.shape[1]
+
+    @cached_property
+    def sorted_values(self) -> np.ndarray:
+        """The non-missing values pooled over days and stations, sorted
+        ascending and read-only."""
+        out = np.sort(self.values[~self.missing_mask])
+        out.setflags(write=False)
+        return out
 
     def day_numbers(self) -> np.ndarray:
         """Day labels as integer days since epoch (for calendar arithmetic)."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RangeError
 from .panel import PanelSample
-from .tail import PooledOrderStatistics, TailAtK
+from .tail import TailAtK
 
 
 @dataclass(frozen=True)
@@ -78,26 +78,15 @@ def _curve(tail: TailAtK, j: int, renormalize: bool) -> ScedasisCurve:
     )
 
 
-def scedasis_curve(
-    p: PanelSample,
-    k: int,
-    j: int,
-    renormalize: bool = False,
-    pooled: PooledOrderStatistics | None = None,
-) -> ScedasisCurve:
+def scedasis_curve(p: PanelSample, k: int, j: int, renormalize: bool = False) -> ScedasisCurve:
     """Estimate station ``j``'s integrated scedasis curve at level ``k``."""
-    tail = TailAtK(p, k, pooled)
+    tail = TailAtK(p, k)
     if not 0 <= j < p.m:
         raise RangeError(f"station index {j} out of range for m={p.m}")
     return _curve(tail, j, renormalize)
 
 
-def scedasis_all(
-    p: PanelSample,
-    k: int,
-    renormalize: bool = False,
-    pooled: PooledOrderStatistics | None = None,
-) -> list[ScedasisCurve]:
+def scedasis_all(p: PanelSample, k: int, renormalize: bool = False) -> list[ScedasisCurve]:
     """Scedasis curves for every station (one level-k tail view for all)."""
-    tail = TailAtK(p, k, pooled)
+    tail = TailAtK(p, k)
     return [_curve(tail, j, renormalize) for j in range(p.m)]

@@ -2,7 +2,10 @@
 tail quantile processes.
 
 All stations are pooled into one sample of size ``n_effective``; thresholds
-are order statistics of the pool.  Exceedances are always strict (``>``).
+are order statistics of the pool.  The panel sorts that sample once
+(:attr:`PanelSample.sorted_values`) and :func:`pool` wraps it, so every
+estimator takes just the panel and ``k``.  Exceedances are always strict
+(``>``), and a missing cell holds NaN, which never exceeds a threshold.
 """
 
 from __future__ import annotations
@@ -23,8 +26,10 @@ class PooledOrderStatistics:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values).copy()
-        arr.setflags(write=False)
+        arr = np.asarray(self.values)
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
         if arr.ndim != 1 or arr.size == 0:
             raise EmptyPoolError("pooled sample is empty")
@@ -35,11 +40,11 @@ class PooledOrderStatistics:
 
 
 def pool(p: PanelSample) -> PooledOrderStatistics:
-    """Pool all non-missing observations of the panel and sort ascending."""
-    vals = p.values[~p.missing_mask]
-    if vals.size == 0:
+    """All non-missing observations of the panel, sorted ascending (the panel
+    sorts them once and every call shares that array)."""
+    if p.sorted_values.size == 0:
         raise EmptyPoolError("panel has no non-missing observations")
-    return PooledOrderStatistics(values=np.sort(vals))
+    return PooledOrderStatistics(values=p.sorted_values)
 
 
 def check_k(k: int, n_effective: int) -> int:
@@ -76,15 +81,14 @@ class TailAtK:
     """The pooled tail at level ``k``: what every estimator counts as extreme.
 
     ``threshold`` is the pooled order statistic X_{N-k:N}; an observation is
-    extreme when it strictly exceeds it, and a missing cell never does.
+    extreme when it strictly exceeds it, and a missing cell (NaN) never does.
     ``n_exceedances`` pooled observations do, so ``tie_count = k -
     n_exceedances`` of the top k are tied with the threshold.  ``exceed`` is
     the days x stations exceedance matrix, built on first use.
     """
 
-    def __init__(self, p: PanelSample, k: int, pooled: PooledOrderStatistics | None = None):
-        o = pooled if pooled is not None else pool(p)
-        self.pooled = o
+    def __init__(self, p: PanelSample, k: int):
+        self.pooled = o = pool(p)
         self.k = check_k(k, o.n_effective)
         self.threshold = global_threshold(o, self.k)
         self.n_exceedances = int(
@@ -98,8 +102,7 @@ class TailAtK:
 
     @cached_property
     def exceed(self) -> np.ndarray:
-        p = self.panel
-        return np.where(p.missing_mask, -np.inf, p.values) > self.threshold
+        return self.panel.values > self.threshold
 
 
 def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
@@ -111,21 +114,14 @@ def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
     return grid
 
 
-def tail_empirical_process(
-    p: PanelSample,
-    k: int,
-    j: int,
-    s_grid,
-    t_grid,
-    pooled: PooledOrderStatistics | None = None,
-) -> np.ndarray:
+def tail_empirical_process(p: PanelSample, k: int, j: int, s_grid, t_grid) -> np.ndarray:
     """Exceedance-frequency surface for station ``j``.
 
     Entry ``(a, b)`` counts days ``i <= floor(n * t_grid[b])`` on which
     station ``j`` strictly exceeds the pooled order statistic at level
     ``floor(k * s_grid[a])``, divided by ``k``.
     """
-    o = pooled if pooled is not None else pool(p)
+    o = pool(p)
     k = check_k(k, o.n_effective)
     if not 0 <= j < p.m:
         raise RangeError(f"station index {j} out of range for m={p.m}")
@@ -137,7 +133,7 @@ def tail_empirical_process(
         raise RangeError("t_grid must lie in [0, 1]")
 
     n = p.n
-    col = np.where(p.missing_mask[:, j], -np.inf, p.values[:, j])
+    col = p.values[:, j]
     # 1e-9 guards floor() against representation error at exact grid points.
     t_cut = np.floor(n * t_grid + 1e-9).astype(int)
 
@@ -155,19 +151,14 @@ def tail_empirical_process(
     return out
 
 
-def tail_quantile_process(
-    p: PanelSample,
-    k: int,
-    s_grid,
-    pooled: PooledOrderStatistics | None = None,
-) -> np.ndarray:
+def tail_quantile_process(p: PanelSample, k: int, s_grid) -> np.ndarray:
     """Pooled tail quantiles relative to the global threshold.
 
     Returns an array of rows ``(s, X_{N - floor(k s):N} - X_{N-k:N})`` for
     ``s`` in ``s_grid``; admissible levels are ``1/(2k) <= s < n_effective/k``
     (levels below one exceedance hit the pooled maximum).
     """
-    o = pooled if pooled is not None else pool(p)
+    o = pool(p)
     k = check_k(k, o.n_effective)
     s_grid = _validate_grid(s_grid, "s_grid")
     lo = 1.0 / (2 * k)

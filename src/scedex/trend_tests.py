@@ -18,7 +18,6 @@ from .dependence import sigma1_matrix
 from .errors import NoExceedanceError, RangeError, ScedexError, SingularCovarianceError
 from .panel import PanelSample
 from .scedasis import scedasis_curve
-from .tail import PooledOrderStatistics, pool
 
 # Condition-number ceiling for the studentising matrix; beyond this the
 # quadratic form is numerically meaningless (typically duplicated stations).
@@ -137,13 +136,11 @@ def space_test_from_estimates(c1_values, sigma1_entries, k: int) -> TestResult:
     )
 
 
-def space_test(
-    p: PanelSample, k: int, pooled: PooledOrderStatistics | None = None
-) -> TestResult:
+def space_test(p: PanelSample, k: int) -> TestResult:
     """Test equality of the stations' shares of the pooled tail."""
     if p.m < 2:
         raise RangeError("space test needs at least two stations")
-    dep = sigma1_matrix(p, k, renormalize=True, pooled=pooled)
+    dep = sigma1_matrix(p, k, renormalize=True)
     if dep.divisor == 0:
         raise NoExceedanceError("no strict exceedances of the pooled threshold")
     c1 = np.diag(dep.entries)
@@ -177,11 +174,9 @@ def ks_statistic_from_jumps(jump_times: np.ndarray) -> float:
     return float(np.sqrt(N) * max(d_plus, d_minus, 0.0))
 
 
-def time_test(
-    p: PanelSample, k: int, j: int, pooled: PooledOrderStatistics | None = None
-) -> TestResult:
+def time_test(p: PanelSample, k: int, j: int) -> TestResult:
     """Test uniformity in time of station ``j``'s exceedances of the pooled threshold."""
-    curve = scedasis_curve(p, k, j, renormalize=True, pooled=pooled)
+    curve = scedasis_curve(p, k, j, renormalize=True)
     if curve.n_exceedances == 0:
         raise NoExceedanceError(
             f"station {j} has no strict exceedances of the pooled threshold at k={curve.k}"
@@ -210,7 +205,6 @@ def k_sweep(
     k_values,
     which: str = "space",
     station: int | None = None,
-    pooled: PooledOrderStatistics | None = None,
 ) -> list[SweepRow]:
     """Run one test across a range of threshold levels.
 
@@ -221,14 +215,13 @@ def k_sweep(
         raise RangeError(f"which must be 'space' or 'time', got {which!r}")
     if which == "time" and station is None:
         raise RangeError("time sweep requires a station")
-    o = pooled if pooled is not None else pool(p)
     rows: list[SweepRow] = []
     for k in k_values:
         try:
             if which == "space":
-                res = space_test(p, int(k), pooled=o)
+                res = space_test(p, int(k))
             else:
-                res = time_test(p, int(k), station, pooled=o)
+                res = time_test(p, int(k), station)
             rows.append(SweepRow(k=int(k), statistic=res.statistic, p_value=res.p_value))
         except ScedexError as exc:
             rows.append(SweepRow(k=int(k), statistic=None, p_value=None, error=str(exc)))

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import scedex
-from scedex import panel, scedasis, tail, trend_tests
+from scedex import panel, scedasis, trend_tests
 from scedex.cli import main
 
 COMMANDS = ["ingest-check", "scedasis", "sigma1", "test-space", "test-time",
@@ -387,17 +387,23 @@ def test_reruns_are_byte_identical(runner, panel_csv, tmp_path, command):
 
 def test_commands_load_and_pool_once(runner, panel_csv, monkeypatch):
     calls = Counter()
-    for original in (tail.pool, panel.load_panel):
-        def counted(*args, _original=original, **kwargs):
-            calls[_original.__name__] += 1
-            return _original(*args, **kwargs)
-        for name, module in list(sys.modules.items()):
-            if name.partition(".")[0] == "scedex" and getattr(
-                    module, original.__name__, None) is original:
-                monkeypatch.setattr(module, original.__name__, counted)
+
+    def counting(fn, key):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "scedex" and getattr(
+                module, "load_panel", None) is panel.load_panel:
+            monkeypatch.setattr(module, "load_panel", counting(panel.load_panel, "load_panel"))
+    # every pool() of a panel reads the sample the panel sorted on first use
+    sorted_values = panel.PanelSample.sorted_values
+    monkeypatch.setattr(sorted_values, "func", counting(sorted_values.func, "sort"))
 
     _ok(runner.invoke(main, ["test-time", "--input", str(panel_csv), "--k", "60"]))
-    assert calls == {"load_panel": 1, "pool": 1}  # one pool for all three stations
+    assert calls == {"load_panel": 1, "sort": 1}  # one sort for all three stations
     calls.clear()
     _ok(runner.invoke(main, ["ingest-check", "--input", str(panel_csv)]))
     assert calls == {"load_panel": 1}
@@ -458,24 +464,25 @@ def test_bad_k_range_is_a_usage_error_even_in_a_dry_run(runner, panel_csv, comma
 
 
 # Each panel command's own flags for a run that passes the usage checks and
-# then fails, the error it fails with, and the params its report must carry.
+# then fails, the error it fails with, the module that raises it, and the
+# params its report must carry.
 _FAILURES = {
-    "ingest-check": ([], "PanelFormatError", {}),
-    "scedasis": (["--k", "999999"], "RangeError", {"k": 999999}),
-    "sigma1": (["--k", "999999"], "RangeError", {"k": 999999}),
-    "test-space": (["--k", "999999"], "RangeError", {"k": 999999}),
-    "test-time": (["--k", "999999", "--station", "1"], "RangeError",
+    "ingest-check": ([], "PanelFormatError", "panel", {}),
+    "scedasis": (["--k", "999999"], "RangeError", "tail", {"k": 999999}),
+    "sigma1": (["--k", "999999"], "RangeError", "tail", {"k": 999999}),
+    "test-space": (["--k", "999999"], "RangeError", "tail", {"k": 999999}),
+    "test-time": (["--k", "999999", "--station", "1"], "RangeError", "tail",
                   {"k": 999999, "station": ["1"]}),
-    "sweep": (["--which", "time", "--station", "nope", *_SWEEP_KS], "DomainError",
+    "sweep": (["--which", "time", "--station", "nope", *_SWEEP_KS], "DomainError", "panel",
               {"which": "time", "station": "nope"}),
-    "fit-gp": (["--k", "5"], "InsufficientDataError", {"k": 5}),
-    "gamma-path": (_SWEEP_KS, "PanelFormatError", {"k_min": 40}),
+    "fit-gp": (["--k", "5"], "InsufficientDataError", "gp_mle", {"k": 5}),
+    "gamma-path": (_SWEEP_KS, "PanelFormatError", "panel", {"k_min": 40}),
 }
 
 
 @pytest.mark.parametrize("command", PANEL_COMMANDS)
 def test_runtime_error_renders_structured_report(runner, panel_csv, tmp_path, command):
-    args, error, params = _FAILURES[command]
+    args, error, module, params = _FAILURES[command]
     source = panel_csv
     if error == "PanelFormatError":
         source = tmp_path / "bad.csv"
@@ -485,6 +492,7 @@ def test_runtime_error_renders_structured_report(runner, panel_csv, tmp_path, co
     report = json.loads(_stderr(result) or result.output)
     assert set(report) == {"error", "module", "message", "hint", "command", "params"}
     assert report["error"] == error
+    assert report["module"] == module
     assert report["command"] == command
     given = {"input": str(source), "season": "all", "gap": 0, "dry_run": False, **params}
     assert given.items() <= report["params"].items()
@@ -567,6 +575,26 @@ def test_mc_rejects_bad_scedasis_descriptors(runner, text):
 def test_mc_rejects_bad_pair_syntax(runner):
     result = runner.invoke(main, MC_BASE + ["--harness", "cov", "--pair", "0,1.0"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("args, params", [
+    (["--harness", "size", "--which", "time", "--station", "7"], {"station": 7}),
+    (["--harness", "cov", "--k", "0"], {"k": 0}),       # checked before simulating
+])
+def test_mc_runtime_error_names_the_mc_module(runner, args, params):
+    result = runner.invoke(main, MC_BASE + args)
+    assert result.exit_code == 1
+    report = json.loads(_stderr(result) or result.output)
+    assert report["error"] == "RangeError"
+    assert report["module"] == "mc"
+    assert report["command"] == "mc"
+    assert params.items() <= report["params"].items()
+
+
+def test_mc_reps_must_be_positive(runner):
+    result = runner.invoke(main, MC_BASE + ["--harness", "size", "--reps", "0"])
+    assert result.exit_code == 2
+    assert "--reps" in _stderr(result) + result.output
 
 
 def test_mc_dry_run_checks_the_simulation_spec(runner):

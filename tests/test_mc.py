@@ -346,6 +346,14 @@ def test_mc_test_size_time_variant_and_validation():
         mc_test_size(spec, k=80, reps=5, level=1.5)
     with pytest.raises(RangeError, match="station index 1"):
         mc_test_size(spec, k=80, which="time", reps=5, station=1)  # m = 1
+    with pytest.raises(RangeError, match="n_effective=1500"):
+        mc_test_size(spec, k=1500, which="time", reps=5)  # k must stay below n * m
+    with pytest.raises(RangeError, match="n_effective=1500"):
+        mc_test_size(spec, k=0, which="time", reps=5)
+    with pytest.raises(RangeError, match="reps"):
+        mc_test_size(spec, k=80, which="time", reps=0)
+    with pytest.raises(RangeError, match="two stations"):
+        mc_test_size(spec, k=80, which="space", reps=5)  # m = 1
 
 
 def test_mc_test_size_threads_match_serial():
@@ -382,6 +390,14 @@ def test_mc_covariance_check_validation():
     with pytest.raises(RangeError):
         # k*s/N beyond the exact-tail region
         mc_covariance_check(spec, k=500, pairs=[((0, 9.0, 1.0), (0, 9.0, 1.0))], reps=5)
+    with pytest.raises(RangeError, match="k >= 1"):
+        mc_covariance_check(spec, k=0, pairs=[((0, 1.0, 1.0), (1, 1.0, 1.0))], reps=5)
+    with pytest.raises(RangeError, match="level"):
+        mc_covariance_check(spec, k=50, pairs=[((0, 0.0, 1.0), (1, 1.0, 1.0))], reps=5)
+    with pytest.raises(RangeError, match="level"):
+        mc_covariance_check(spec, k=50, pairs=[((0, -1.0, 1.0), (1, 1.0, 1.0))], reps=5)
+    with pytest.raises(RangeError, match="reps"):
+        mc_covariance_check(spec, k=50, pairs=[((0, 1.0, 1.0), (1, 1.0, 1.0))], reps=2)
 
 
 def test_mc_mle_variance_smoke():
@@ -399,3 +415,5 @@ def test_mc_mle_variance_smoke():
         mc_mle_variance(spec, k=600, reps=3)  # k/N leaves the exact tail
     with pytest.raises(InsufficientDataError):
         mc_mle_variance(spec, k=9, reps=3)  # no GP fit below k = 10
+    with pytest.raises(RangeError, match="reps"):
+        mc_mle_variance(spec, k=200, reps=2)

@@ -18,12 +18,18 @@ from scedex import (
     FitConvergenceError,
     InsufficientDataError,
     NoExceedanceError,
+    PanelSample,
     RangeError,
+    SeasonDefinition,
+    decluster,
     fit_gp_pml,
+    gamma_path,
     global_threshold,
+    k_sweep,
     pool,
     scedasis_all,
     sigma1_matrix,
+    split_season,
     tail_empirical_process,
     tail_quantile_process,
     time_test,
@@ -63,6 +69,42 @@ def test_pool_empty_raises():
     p = make_panel([[1.0, 2.0]], missing=[[True, True]])
     with pytest.raises(EmptyPoolError):
         pool(p)
+
+
+def test_pool_shares_the_panels_one_read_only_array(small_panel):
+    assert pool(small_panel).values is pool(small_panel).values
+    assert not pool(small_panel).values.flags.writeable
+
+
+def test_derived_panels_pool_their_own_rows():
+    rng = np.random.default_rng(3)
+    vals = rng.pareto(2.0, (60, 3))  # 2001-01-01 on: January and February
+    missing = rng.random((60, 3)) < 0.1
+    p = make_panel(vals, missing=missing)
+    whole = pool(p).values  # sorted before the derived panels exist
+    for derived in (decluster(p, 1), split_season(p, SeasonDefinition({2}, 1))):
+        assert derived.n < p.n
+        assert np.array_equal(pool(derived).values,
+                              np.sort(derived.values[~derived.missing_mask]))
+        assert pool(derived).n_effective < whole.size
+
+
+def test_one_sort_per_panel(monkeypatch):
+    sorts = []
+    sort = PanelSample.sorted_values.func
+
+    def counted(panel):
+        sorts.append(panel)
+        return sort(panel)
+
+    monkeypatch.setattr(PanelSample.sorted_values, "func", counted)
+    rng = np.random.default_rng(11)
+    p = make_panel(rng.pareto(2.0, (400, 3)))
+    k_sweep(p, [40, 60, 80], which="space")
+    gamma_path(p, [40, 60, 80])
+    for j in range(p.m):
+        time_test(p, 60, j)
+    assert len(sorts) == 1 and sorts[0] is p
 
 
 def test_check_k_bounds():
