@@ -68,7 +68,8 @@ def _jsonable(obj):
 
 def _emit(text: str, output: str | None) -> None:
     """Print, or write atomically (temp file in the target directory, then
-    rename) so a crash never leaves a half-written artifact."""
+    rename) so a crash never leaves a half-written artifact.  The file gets
+    the mode a plain ``open`` would give it under the current umask."""
     if output is None:
         click.echo(text, nl=False)
         return
@@ -77,6 +78,9 @@ def _emit(text: str, output: str | None) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)  # the only way to read it
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, output)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -227,11 +231,6 @@ def _check_k_range(k_min, k_max, **_):
         raise click.UsageError("need 0 < --k-min <= --k-max and --k-step >= 1")
 
 
-def _station_index(p, station: str) -> int:
-    """A ``--station`` value: a station name or a column index."""
-    return p.station_index(int(station) if station.isdigit() else station)
-
-
 @_panel_command("ingest-check")
 def _ingest_check(p, raw, input, season, gap, **_):
     """Validate a panel file and report its shape, date span, and missing data."""
@@ -265,18 +264,17 @@ def _scedasis(p, k, renormalize, grid, fmt, **_):
     """Integrated relative-frequency curves C_hat_j(t) for every station."""
     curves = scedasis.scedasis_all(p, k, renormalize=renormalize)
     ts = np.arange(grid + 1) / grid
+    values = {p.station_ids[c.station]: c.value(ts) for c in curves}
     if fmt == "csv":
         return ["station", "t", "c_hat"], [
-            (p.station_ids[curve.station], float(t), curve.value(float(t)))
-            for curve in curves for t in ts
+            (sid, float(t), v) for sid, vs in values.items() for t, v in zip(ts, vs)
         ]
     return {
         "k": k,
         "renormalize": renormalize,
         "t": ts,
         "stations": list(p.station_ids),
-        "curves": {p.station_ids[c.station]: [c.value(float(t)) for t in ts]
-                   for c in curves},
+        "curves": values,
         "c1": {p.station_ids[c.station]: c.c1 for c in curves},
     }
 
@@ -325,7 +323,7 @@ def _test_space(p, k, **_):
 def _test_time(p, k, station, alpha, **_):
     """Kolmogorov-Smirnov test of constant frequency over time, per station."""
     # a station named twice (by name and by index, say) is tested once
-    idx = list(dict.fromkeys(_station_index(p, s) for s in station)) or list(range(p.m))
+    idx = list(dict.fromkeys(p.station_index(s) for s in station)) or list(range(p.m))
     results = [trend_tests.time_test(p, k, j) for j in idx]
     corr = trend_tests.bonferroni(np.array([r.p_value for r in results]), alpha=alpha)
     return {
@@ -361,7 +359,7 @@ def _check_sweep(which, station, **params):
 )
 def _sweep(p, which, k_min, k_max, k_step, station, fmt, **_):
     """Test statistic and p-value as a function of k."""
-    j = None if station is None else _station_index(p, station)
+    j = None if station is None else p.station_index(station)
     rows = trend_tests.k_sweep(p, list(range(k_min, k_max + 1, k_step)), which, station=j)
     if fmt == "csv":
         return _csv_table(rows)
@@ -418,19 +416,19 @@ def _parse_scedasis_spec(text: str | None, m: int):
         raise click.UsageError(f"--scedasis is not valid JSON: {exc}") from None
     if not isinstance(descriptors, list) or len(descriptors) != m:
         raise click.UsageError(f"--scedasis must be a JSON list of {m} descriptors")
+    usage = 'use {"kind": "constant", "level": v} or {"kind": "linear", "start": a, "end": b}'
     funcs = []
     for d in descriptors:
         kind = d.get("kind") if isinstance(d, dict) else None
-        if kind == "constant":
-            funcs.append(mc.constant_scedasis(float(d.get("level", 1.0))))
-        elif kind == "linear":
-            funcs.append(mc.linear_scedasis(float(d["start"]), float(d["end"])))
-        else:
+        if kind not in ("constant", "linear"):
+            raise click.UsageError(f"unknown scedasis descriptor {d!r}; {usage}")
+        try:
+            funcs.append(mc.constant_scedasis(float(d.get("level", 1.0))) if kind == "constant"
+                         else mc.linear_scedasis(float(d["start"]), float(d["end"])))
+        except (KeyError, TypeError, ValueError):
             raise click.UsageError(
-                f"unknown scedasis descriptor {d!r}; use "
-                '{"kind": "constant", "level": v} or '
-                '{"kind": "linear", "start": a, "end": b}'
-            )
+                f"missing or non-numeric values in scedasis descriptor {d!r}; {usage}"
+            ) from None
     return tuple(funcs)
 
 
@@ -468,8 +466,8 @@ def _parse_pair(text: str):
     click.option("--level", type=float, default=0.05, show_default=True),
     click.option("--pair", "pair_texts", multiple=True,
                  help="Coordinate pair 'j1,s1,t1:j2,s2,t2' for --harness cov; repeatable."),
-    click.option("--threads", type=int, default=None,
-                 help="Worker threads (default: SCEDEX_THREADS or 1)."),
+    click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+                 help="Worker threads."),
     _output_opt,
     _dry_opt,
 )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import RangeError
 from .panel import PanelSample
-from .tail import TailAtK, check_k, level_thresholds, pool
+from .tail import TailAtK
 
 
 @dataclass(frozen=True)
@@ -71,23 +71,21 @@ def tail_copula_integral(
     the pooled order statistic at level ``floor(k s1)`` while ``j2`` exceeds
     the one at level ``floor(k s2)``, divided by ``k``.
     """
-    o = pool(p)
-    k = check_k(k, o.n_effective)
+    tail = TailAtK(p, k)
+    n_eff = tail.pooled.n_effective
     for j in (j1, j2):
         if not 0 <= j < p.m:
             raise RangeError(f"station index {j} out of range for m={p.m}")
     if not 0 <= t <= 1:
         raise RangeError(f"t must lie in [0, 1], got {t}")
-    levels, (thr1, thr2) = level_thresholds(o, k, [s1, s2])
+    levels, (thr1, thr2) = tail.ladder([s1, s2])
     for s, ks in zip((s1, s2), levels):
-        if not 1 <= ks < o.n_effective:
-            raise RangeError(
-                f"s={s} gives floor(k*s)={int(ks)}, need 1 <= floor(k*s) < {o.n_effective}"
-            )
+        if not 1 <= ks < n_eff:
+            raise RangeError(f"s={s} gives floor(k*s)={int(ks)}, need 1 <= floor(k*s) < {n_eff}")
 
     cut = int(np.floor(p.n * t + 1e-9))
     count = int(np.count_nonzero((p.values[:cut, j1] > thr1) & (p.values[:cut, j2] > thr2)))
-    return TailCopulaEstimate(j1=j1, j2=j2, s1=s1, s2=s2, t=t, value=count / k)
+    return TailCopulaEstimate(j1=j1, j2=j2, s1=s1, s2=s2, t=t, value=count / tail.k)
 
 
 def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDependenceMatrix:
@@ -154,7 +152,7 @@ class EmpiricalTailDependence:
         s_nodes = np.geomspace(1.0 / k, 1.0, G)
         # Levels run from 1 to k < n_effective, so every threshold is defined;
         # they are non-increasing in the grid index.
-        _, thresholds = level_thresholds(tail.pooled, k, s_nodes)
+        _, thresholds = tail.ladder(s_nodes)
 
         # Observation i exceeds grid level a  <=>  value > thresholds[a].
         # With thresholds non-increasing, that set of levels is [e, G) where

@@ -51,29 +51,22 @@ def gp_loglik(gamma: float, sigma: float, x) -> float:
 
     For gamma != 0:  -log sigma - (1 + 1/gamma) log(1 + gamma x / sigma),
     for gamma == 0:  -log sigma - x / sigma, both on their natural support
-    (x >= 0, and x < -sigma/gamma when gamma < 0).
+    (x >= 0, and x < -sigma/gamma when gamma < 0).  This is the fit's own
+    likelihood (:func:`_loglik_terms`), which switches to a third-order
+    series in gamma for |gamma| < 1e-5.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if sigma <= 0:
         raise DomainError(f"scale must be positive, got {sigma}")
     if np.any(x < 0):
         raise DomainError("excesses must be >= 0")
-    z = x / sigma
-    if abs(gamma) < _SMALL_GAMMA and gamma == 0.0:
-        return float(np.sum(-math.log(sigma) - z))
-    w = 1.0 + gamma * z
-    if np.any(w <= 0):
+    terms = _loglik_terms(gamma, math.log(sigma), x)
+    if terms is None:
         raise DomainError(
             f"excess outside GP support: need 1 + gamma*x/sigma > 0 "
             f"(gamma={gamma}, sigma={sigma})"
         )
-    if abs(gamma) < _SMALL_GAMMA:
-        # third-order expansion around gamma = 0, stable under cancellation
-        ll = -math.log(sigma) - z - gamma * z * (2.0 - z) / 2.0 \
-            - gamma * gamma * z * z * (2.0 * z - 3.0) / 6.0 \
-            + gamma ** 3 * z ** 3 * (3.0 * z - 4.0) / 12.0
-        return float(np.sum(ll))
-    return float(np.sum(-math.log(sigma) - (1.0 + 1.0 / gamma) * np.log1p(gamma * z)))
+    return terms[0]
 
 
 def _loglik_terms(g: float, tau: float, x: np.ndarray):
@@ -197,20 +190,15 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
         g, tau = 0.1, float(np.log(np.mean(x)))
         terms = _loglik_terms(g, tau, x)
     ll, score, hess = terms
-    method = "newton"
-    it = 0
+    method = "profile"  # unless Newton converges
     for it in range(1, _MAX_ITER + 1):
         norm = float(np.linalg.norm(score))
         trace.append({"iter": it, "gamma": g, "log_scale": tau,
                       "loglik": ll, "score_norm": norm})
         eig = np.linalg.eigvalsh(hess)
         if norm < _SCORE_TOL and np.all(eig < 0):
-            return GpFit(
-                gamma_hat=g, scale_hat=math.exp(tau), k=k_label,
-                n_excesses=int(x.size), dropped_ties=int(dropped_ties),
-                loglik=ll, iterations=it, converged=True,
-                score_norm=norm, method=method,
-            )
+            method = "newton"
+            break
         if np.all(eig < 0):
             step = np.linalg.solve(hess, -score)
         else:
@@ -230,43 +218,43 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
             alpha /= 2.0
         if not accepted:
             break
+    iterations = it
 
-    # Newton stalled: profile-likelihood fallback on the shape alone.
-    from scipy.optimize import minimize_scalar
+    if method == "profile":
+        # Newton stalled: profile-likelihood fallback on the shape alone.
+        from scipy.optimize import minimize_scalar
 
-    method = "profile"
+        def neg_profile(gv: float) -> float:
+            tv = _profile_tau(gv, x)
+            t = _loglik_terms(gv, tv, x)
+            return math.inf if t is None else -t[0]
 
-    def neg_profile(gv: float) -> float:
-        tv = _profile_tau(gv, x)
-        t = _loglik_terms(gv, tv, x)
-        return math.inf if t is None else -t[0]
-
-    res = minimize_scalar(neg_profile, bounds=(GAMMA_MIN, GAMMA_MAX),
-                          method="bounded", options={"xatol": 1e-12})
-    g = float(res.x)
-    tau = _profile_tau(g, x)
-    ll, score, hess = _loglik_terms(g, tau, x)
-    norm = float(np.linalg.norm(score))
-    trace.append({"iter": it + 1, "gamma": g, "log_scale": tau,
-                  "loglik": ll, "score_norm": norm})
-    at_boundary = g <= GAMMA_MIN + 1e-4 or g >= GAMMA_MAX - 1e-4
-    if at_boundary:
-        raise FitConvergenceError(
-            f"likelihood is maximised at the shape boundary (gamma={g:.6g}); "
-            "the excess configuration is degenerate for a GP fit",
-            trace=trace,
-        )
-    eig = np.linalg.eigvalsh(hess)
-    if norm >= _SCORE_TOL or not np.all(eig < 0):
-        raise FitConvergenceError(
-            f"optimiser failed to converge after {it} Newton iterations and a "
-            f"profile pass (score norm {norm:.3g}, Hessian eigs {eig})",
-            trace=trace,
-        )
+        res = minimize_scalar(neg_profile, bounds=(GAMMA_MIN, GAMMA_MAX),
+                              method="bounded", options={"xatol": 1e-12})
+        g = float(res.x)
+        tau = _profile_tau(g, x)
+        ll, score, hess = _loglik_terms(g, tau, x)
+        norm = float(np.linalg.norm(score))
+        iterations = it + 1
+        trace.append({"iter": iterations, "gamma": g, "log_scale": tau,
+                      "loglik": ll, "score_norm": norm})
+        if g <= GAMMA_MIN + 1e-4 or g >= GAMMA_MAX - 1e-4:
+            raise FitConvergenceError(
+                f"likelihood is maximised at the shape boundary (gamma={g:.6g}); "
+                "the excess configuration is degenerate for a GP fit",
+                trace=trace,
+            )
+        eig = np.linalg.eigvalsh(hess)
+        if norm >= _SCORE_TOL or not np.all(eig < 0):
+            raise FitConvergenceError(
+                f"optimiser failed to converge after {it} Newton iterations and a "
+                f"profile pass (score norm {norm:.3g}, Hessian eigs {eig})",
+                trace=trace,
+            )
     return GpFit(
         gamma_hat=g, scale_hat=math.exp(tau), k=k_label,
         n_excesses=int(x.size), dropped_ties=int(dropped_ties),
-        loglik=ll, iterations=it + 1, converged=True,
+        loglik=ll, iterations=iterations, converged=True,
         score_norm=norm, method=method,
     )
 

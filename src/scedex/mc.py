@@ -17,7 +17,6 @@ estimation error.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -317,20 +316,16 @@ class McReport:
     details: list = field(default_factory=list)
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("SCEDEX_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        return 1
+def _replicate(fn: Callable, reps: int, threads: int, need: int):
+    """Evaluate fn(rep) for rep = 0..reps-1 on ``threads`` threads.
 
-
-def _run_replications(fn: Callable, reps: int, threads: int | None) -> list:
-    """Evaluate fn(rep) for rep = 0..reps-1; results indexed by rep so the
-    aggregation is independent of completion order.  Domain errors yield
-    None (counted as skipped)."""
+    A replication that raises a ``ScedexError`` is skipped.  Returns the
+    successes stacked in rep order, so the aggregation is independent of
+    completion order, and the number skipped; raises ``ScedexError`` when
+    fewer than ``need`` succeed.
+    """
+    if threads < 1:
+        raise RangeError(f"need threads >= 1, got {threads}")
 
     def guarded(rep: int):
         try:
@@ -338,11 +333,17 @@ def _run_replications(fn: Callable, reps: int, threads: int | None) -> list:
         except ScedexError:
             return None
 
-    workers = _thread_count(threads)
-    if workers == 1:
-        return [guarded(r) for r in range(reps)]
-    with ThreadPoolExecutor(max_workers=workers) as pool_:
-        return list(pool_.map(guarded, range(reps)))
+    if threads == 1:  # on the caller's thread, so a tracer nests each call in it
+        results = [guarded(r) for r in range(reps)]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool_:
+            results = list(pool_.map(guarded, range(reps)))
+    done = [r for r in results if r is not None]
+    if len(done) < need:
+        raise ScedexError(
+            f"{len(done)} of {reps} replications succeeded; need at least {need}"
+        )
+    return np.array(done), reps - len(done)
 
 
 def mc_test_size(
@@ -352,7 +353,7 @@ def mc_test_size(
     reps: int = 500,
     level: float = 0.05,
     station: int = 0,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> McReport:
     """Rejection rate of a trend test on simulated panels.
 
@@ -379,11 +380,7 @@ def mc_test_size(
             res = trend_tests.time_test(panel, k, station)
         return float(res.p_value < level)
 
-    results = _run_replications(one, reps, threads)
-    flags = np.array([r for r in results if r is not None])
-    skipped = reps - flags.size
-    if flags.size == 0:
-        raise ScedexError("every replication failed; nothing to report")
+    flags, skipped = _replicate(one, reps, threads, need=1)
     rate = float(flags.mean())
     se = math.sqrt(rate * (1.0 - rate) / flags.size)
     return McReport(
@@ -404,7 +401,7 @@ def mc_covariance_check(
     k: int,
     pairs: Sequence[tuple],
     reps: int = 500,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> McReport:
     """Empirical vs analytic covariance of tail exceedance counts.
 
@@ -446,11 +443,7 @@ def mc_covariance_check(
             out[a] = np.count_nonzero(panel.values[:cut, j] > thresholds[(j, s, t)]) / k
         return out
 
-    results = _run_replications(one, reps, threads)
-    vals = np.array([r for r in results if r is not None])
-    skipped = reps - vals.shape[0]
-    if vals.shape[0] < 3:
-        raise ScedexError("too few successful replications for a covariance")
+    vals, skipped = _replicate(one, reps, threads, need=3)
     centered = (vals - vals.mean(axis=0)) * math.sqrt(k)
 
     details = []
@@ -480,7 +473,7 @@ def mc_mle_variance(
     spec: SimSpec,
     k: int,
     reps: int = 300,
-    threads: int | None = None,
+    threads: int = 1,
 ) -> McReport:
     """Bias and scaled variance of the pooled GP fit against the sandwich
     prediction computed from the spec's exact tail-copula surfaces (their
@@ -503,11 +496,7 @@ def mc_mle_variance(
         fit = fit_gp_pml(panel, k)
         return np.array([fit.gamma_hat, fit.scale_hat])
 
-    results = _run_replications(one, reps, threads)
-    vals = np.array([r for r in results if r is not None])
-    skipped = reps - vals.shape[0]
-    if vals.shape[0] < 3:
-        raise ScedexError("too few successful replications to summarise")
+    vals, skipped = _replicate(one, reps, threads, need=3)
 
     gammas = vals[:, 0]
     rel_scales = vals[:, 1] / a0 - 1.0

@@ -3,9 +3,12 @@ tail quantile processes.
 
 All stations are pooled into one sample of size ``n_effective``; thresholds
 are order statistics of the pool.  The panel sorts that sample once
-(:attr:`PanelSample.sorted_values`) and :func:`pool` wraps it, so every
-estimator takes just the panel and ``k``.  Exceedances are always strict
-(``>``), and a missing cell holds NaN, which never exceeds a threshold.
+(:attr:`PanelSample.sorted_values`) and :func:`pool` wraps it.  Every
+estimator takes just the panel and ``k`` and reads the level-k tail from one
+:class:`TailAtK`: the threshold X_{N-k:N}, the ties at it, and the ladder of
+deeper levels ``floor(k s)`` that the tail processes and tail copulas walk.
+Exceedances are always strict (``>``), and a missing cell holds NaN, which
+never exceeds a threshold.
 """
 
 from __future__ import annotations
@@ -55,28 +58,6 @@ def check_k(k: int, n_effective: int) -> int:
     return k
 
 
-def global_threshold(o: PooledOrderStatistics, k: int) -> float:
-    """The pooled threshold: the (n_effective - k)-th smallest pooled value."""
-    k = check_k(k, o.n_effective)
-    return float(o.values[o.n_effective - k - 1])
-
-
-def level_thresholds(o: PooledOrderStatistics, k: int, s):
-    """Levels ``floor(k * s)`` of the tail fractions ``s`` and the pooled order
-    statistics ``X_{N - floor(k s):N}`` at those levels.
-
-    Level 0 maps to the pooled maximum.  Levels come back as integral floats
-    and are not range-checked here: each caller rejects the ones it does not
-    admit before using them (a level outside [0, n_effective) reads the
-    nearest order statistic).
-    """
-    n = o.n_effective
-    s = np.asarray(s, dtype=float)
-    # 1e-9 guards floor() against representation error at exact grid points.
-    levels = np.floor(k * s + 1e-9)
-    return levels, o.values[(n - 1 - np.clip(levels, 0, n - 1)).astype(int)]
-
-
 class TailAtK:
     """The pooled tail at level ``k``: what every estimator counts as extreme.
 
@@ -90,11 +71,27 @@ class TailAtK:
     def __init__(self, p: PanelSample, k: int):
         self.pooled = o = pool(p)
         self.k = check_k(k, o.n_effective)
-        self.threshold = global_threshold(o, self.k)
+        self.threshold = float(o.values[o.n_effective - self.k - 1])
         self.n_exceedances = int(
             o.n_effective - np.searchsorted(o.values, self.threshold, side="right"))
         self.tie_count = self.k - self.n_exceedances
         self.panel = p
+
+    def ladder(self, s):
+        """Levels ``floor(k * s)`` of the tail fractions ``s`` and the pooled
+        order statistics ``X_{N - floor(k s):N}`` at those levels.
+
+        Level 0 maps to the pooled maximum.  Levels come back as integral
+        floats and are not range-checked here: each caller rejects the ones it
+        does not admit before using them (a level outside [0, n_effective)
+        reads the nearest order statistic).
+        """
+        o = self.pooled
+        n = o.n_effective
+        s = np.asarray(s, dtype=float)
+        # 1e-9 guards floor() against representation error at exact grid points.
+        levels = np.floor(self.k * s + 1e-9)
+        return levels, o.values[(n - 1 - np.clip(levels, 0, n - 1)).astype(int)]
 
     def divisor(self, renormalize: bool) -> int:
         """``k``, or with ``renormalize`` the realised exceedance count."""
@@ -121,8 +118,8 @@ def tail_empirical_process(p: PanelSample, k: int, j: int, s_grid, t_grid) -> np
     station ``j`` strictly exceeds the pooled order statistic at level
     ``floor(k * s_grid[a])``, divided by ``k``.
     """
-    o = pool(p)
-    k = check_k(k, o.n_effective)
+    tail = TailAtK(p, k)
+    n_eff = tail.pooled.n_effective
     if not 0 <= j < p.m:
         raise RangeError(f"station index {j} out of range for m={p.m}")
     s_grid = _validate_grid(s_grid, "s_grid")
@@ -137,17 +134,15 @@ def tail_empirical_process(p: PanelSample, k: int, j: int, s_grid, t_grid) -> np
     # 1e-9 guards floor() against representation error at exact grid points.
     t_cut = np.floor(n * t_grid + 1e-9).astype(int)
 
-    ks, thresholds = level_thresholds(o, k, s_grid)
-    too_deep = np.flatnonzero(ks >= o.n_effective)
+    ks, thresholds = tail.ladder(s_grid)
+    too_deep = np.flatnonzero(ks >= n_eff)
     if too_deep.size:
         a = too_deep[0]
-        raise RangeError(
-            f"s={s_grid[a]} gives floor(k*s)={int(ks[a])} >= n_effective={o.n_effective}"
-        )
+        raise RangeError(f"s={s_grid[a]} gives floor(k*s)={int(ks[a])} >= n_effective={n_eff}")
     out = np.empty((s_grid.size, t_grid.size), dtype=float)
     for a, thr in enumerate(thresholds):
         cum = np.concatenate(([0], np.cumsum(col > thr)))
-        out[a] = cum[t_cut] / k
+        out[a] = cum[t_cut] / tail.k
     return out
 
 
@@ -158,14 +153,13 @@ def tail_quantile_process(p: PanelSample, k: int, s_grid) -> np.ndarray:
     ``s`` in ``s_grid``; admissible levels are ``1/(2k) <= s < n_effective/k``
     (levels below one exceedance hit the pooled maximum).
     """
-    o = pool(p)
-    k = check_k(k, o.n_effective)
+    tail = TailAtK(p, k)
     s_grid = _validate_grid(s_grid, "s_grid")
-    lo = 1.0 / (2 * k)
-    hi = o.n_effective / k
+    lo = 1.0 / (2 * tail.k)
+    hi = tail.pooled.n_effective / tail.k
     if s_grid[0] < lo - 1e-12 or s_grid[-1] >= hi:
         raise RangeError(
             f"s_grid must lie in [{lo}, {hi}) = [1/(2k), n_effective/k)"
         )
-    _, thresholds = level_thresholds(o, k, s_grid)
-    return np.column_stack((s_grid, thresholds - global_threshold(o, k)))
+    _, thresholds = tail.ladder(s_grid)
+    return np.column_stack((s_grid, thresholds - tail.threshold))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 from collections import Counter
 import subprocess
 import sys
@@ -259,6 +260,38 @@ def test_time_command_tests_a_repeated_station_once(runner, panel_csv):
     assert payload["bonferroni_level"] == payload["alpha"] == 0.05
 
 
+@pytest.fixture(scope="module")
+def digit_named_csv(tmp_path_factory):
+    """A panel whose stations are named "1" and "2"."""
+    rng = np.random.default_rng(8)
+    values = 10.0 * rng.pareto(2.5, size=(400, 2))
+    days = np.datetime64("2000-01-01") + np.arange(400)
+    f = tmp_path_factory.mktemp("digits") / "panel.csv"
+    f.write_text("date,1,2\n" + "".join(
+        f"{d},{a!r},{b!r}\n" for d, (a, b) in zip(days, values.tolist())))
+    return f
+
+
+def test_digit_station_names_match_by_name_first(runner, digit_named_csv):
+    p = panel.load_panel(digit_named_csv)
+    assert p.station_index("1") == 0
+    base = ["--input", str(digit_named_csv), "--gap", "0"]
+    result = _ok(runner.invoke(main, ["test-time", *base, "--k", "60", "--station", "1"]))
+    stations = json.loads(result.output)["stations"]
+    assert list(stations) == ["1"]
+    assert stations["1"]["p_value"] == pytest.approx(trend_tests.time_test(p, 60, 0).p_value,
+                                                     rel=1e-10)
+
+    result = _ok(runner.invoke(main, ["sweep", *base, "--which", "time", "--station", "1",
+                                      "--k-min", "40", "--k-max", "60", "--k-step", "20",
+                                      "--format", "json"]))
+    payload = json.loads(result.output)
+    assert payload["station"] == "1"
+    want = trend_tests.k_sweep(p, [40, 60], "time", station=0)
+    assert [row["p_value"] for row in payload["rows"]] == pytest.approx(
+        [r.p_value for r in want], rel=1e-10)
+
+
 def test_sweep_csv_rows(runner, panel_csv):
     result = _ok(runner.invoke(
         main, ["sweep", "--input", str(panel_csv), "--gap", "0",
@@ -362,6 +395,18 @@ def test_output_file_matches_stdout_and_leaves_no_temp(runner, panel_csv, tmp_pa
     assert target.read_text() == streamed
     leftovers = [p.name for p in target.parent.iterdir() if p.name != "space.json"]
     assert leftovers == []
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_file_mode_follows_the_umask(runner, panel_csv, tmp_path, umask, mode):
+    target = tmp_path / "space.json"
+    previous = os.umask(umask)
+    try:
+        _ok(runner.invoke(main, ["test-space", "--input", str(panel_csv), "--gap", "0",
+                                 "--k", "60", "--output", str(target)]))
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 _SWEEP_KS = ["--k-min", "40", "--k-max", "140", "--k-step", "50"]
@@ -566,10 +611,14 @@ def test_mc_scedasis_descriptors(runner):
     "not json",
     '[{"kind": "constant"}]',                      # wrong count for m=2
     '[{"kind": "quadratic"}, {"kind": "constant"}]',
+    '[{"kind": "linear"}, {"kind": "constant"}]',  # no start and end
+    '[{"kind": "constant", "level": "high"}, {"kind": "constant"}]',
 ])
 def test_mc_rejects_bad_scedasis_descriptors(runner, text):
-    result = runner.invoke(main, MC_BASE + ["--harness", "size", "--scedasis", text])
-    assert result.exit_code == 2
+    for extra in ([], ["--dry-run"]):
+        result = runner.invoke(main, MC_BASE + ["--harness", "size", "--scedasis", text, *extra])
+        assert result.exit_code == 2, result.exception
+        assert "scedasis" in _stderr(result) + result.output
 
 
 def test_mc_rejects_bad_pair_syntax(runner):
@@ -595,6 +644,12 @@ def test_mc_reps_must_be_positive(runner):
     result = runner.invoke(main, MC_BASE + ["--harness", "size", "--reps", "0"])
     assert result.exit_code == 2
     assert "--reps" in _stderr(result) + result.output
+
+
+def test_mc_threads_must_be_positive(runner):
+    result = runner.invoke(main, MC_BASE + ["--harness", "size", "--threads", "0"])
+    assert result.exit_code == 2
+    assert "--threads" in _stderr(result) + result.output
 
 
 def test_mc_dry_run_checks_the_simulation_spec(runner):

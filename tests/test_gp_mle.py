@@ -31,6 +31,7 @@ from scedex import (
     mle_asymptotic_cov,
     sigma_gamma0,
 )
+from scedex import gp_mle as gp_mle_module
 from scedex.dependence import EmpiricalTailDependence
 from scedex.gp_mle import _edge_moment, _loglik_terms, _score_covariance
 from scedex.mc import SimSpec, logistic_tail_copula, simulate_panel
@@ -175,6 +176,25 @@ def test_fit_scale_equivariance():
     b = fit_gp_excesses(lam * x)
     assert b.gamma_hat == pytest.approx(a.gamma_hat, abs=1e-9)
     assert b.scale_hat == pytest.approx(lam * a.scale_hat, rel=1e-9)
+
+
+def test_profile_fallback_reaches_the_newton_fit(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = stats.genpareto.rvs(c=0.25, scale=1.0, size=2000, random_state=rng)
+    newton = fit_gp_excesses(x)
+    assert newton.method == "newton" and newton.iterations > 1
+    # One Newton iteration leaves the start unconverged.  The bounded profile
+    # search locates the shape to about 1e-8, which leaves a score norm near
+    # 1e-5 at n = 2000, so the test accepts that.
+    monkeypatch.setattr(gp_mle_module, "_MAX_ITER", 1)
+    monkeypatch.setattr(gp_mle_module, "_SCORE_TOL", 1e-3)
+    profile = fit_gp_excesses(x)
+    assert profile.method == "profile"
+    assert profile.iterations == 2  # one Newton iteration, then the profile pass
+    assert profile.converged and profile.score_norm < 1e-3
+    assert profile.gamma_hat == pytest.approx(newton.gamma_hat, abs=1e-7)
+    assert profile.scale_hat == pytest.approx(newton.scale_hat, rel=1e-7)
+    assert profile.loglik == pytest.approx(newton.loglik, rel=1e-12)
 
 
 def test_fit_boundary_shape_raises_with_trace():

@@ -16,6 +16,7 @@ from scedex import (
     InsufficientDataError,
     McReport,
     RangeError,
+    ScedexError,
     SimSpec,
     SimSpecError,
     analytic_cross_surface,
@@ -29,7 +30,8 @@ from scedex import (
     mc_test_size,
     simulate_panel,
 )
-from scedex.mc import TAIL_MASS, _draw_uniforms, _positive_stable, _thread_count
+from scedex import mc as mc_module
+from scedex.mc import TAIL_MASS, _draw_uniforms, _positive_stable, _replicate
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +315,33 @@ def test_analytic_sigma_logistic_pair():
 # ---------------------------------------------------------------------------
 
 
-def test_thread_count_resolution(monkeypatch):
-    assert _thread_count(4) == 4
-    assert _thread_count(0) == 1
-    monkeypatch.delenv("SCEDEX_THREADS", raising=False)
-    assert _thread_count(None) == 1
-    monkeypatch.setenv("SCEDEX_THREADS", "3")
-    assert _thread_count(None) == 3
-    monkeypatch.setenv("SCEDEX_THREADS", "not-a-number")
-    assert _thread_count(None) == 1
+def test_harnesses_need_at_least_one_thread(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the thread count was checked")
+
+    monkeypatch.setattr(mc_module, "simulate_panel", refuse)
+    spec = SimSpec(n=400, m=2, gamma=0.25, seed=1)
+    pair = [((0, 1.0, 1.0), (1, 1.0, 1.0))]
+    with pytest.raises(RangeError, match="threads >= 1, got 0"):
+        mc_test_size(spec, k=30, reps=5, threads=0)
+    with pytest.raises(RangeError, match="threads >= 1, got 0"):
+        mc_covariance_check(spec, k=30, pairs=pair, reps=5, threads=0)
+    with pytest.raises(RangeError, match="threads >= 1, got -2"):
+        mc_mle_variance(spec, k=30, reps=5, threads=-2)
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_replicate_stacks_successes_in_rep_order(threads):
+    def one(rep):
+        if rep % 2:
+            raise RangeError("odd replication")
+        return np.array([rep, -rep])
+
+    vals, skipped = _replicate(one, 6, threads, need=3)
+    assert vals.tolist() == [[0, 0], [2, -2], [4, -4]]
+    assert skipped == 3
+    with pytest.raises(ScedexError, match="3 of 6 replications succeeded; need at least 4"):
+        _replicate(one, 6, threads, need=4)
 
 
 def test_mc_test_size_smoke():

@@ -205,6 +205,26 @@ def test_clean_panel_skips_the_row_parser(tmp_path):
     assert fast.station_ids == rows.station_ids
 
 
+def test_unselected_text_column_keeps_the_fast_path(tmp_path):
+    f = _write(tmp_path, "date,A,flag\n2000-01-01,1.5,ok\n2000-01-02,,na\n2000-01-03,2,x\n")
+
+    def refuse(*args):
+        raise AssertionError("the row parser ran on a valid panel")
+
+    with mock.patch.object(panel_module, "_parse_rows", refuse):
+        p = load_panel(f, station_columns=["A"])
+    assert p.station_ids == ("A",)
+    assert np.array_equal(p.values, [[1.5], [np.nan], [2.0]], equal_nan=True)
+    assert p.missing_mask.tolist() == [[False], [True], [False]]
+
+
+@pytest.mark.parametrize("cell", ["-nan", "+NaN", " -nan "])
+def test_signed_nan_in_a_selected_column_names_its_line(tmp_path, cell):
+    f = _write(tmp_path, f"date,A,B\n2000-01-01,1,2\n2000-01-02,3,{cell}\n")
+    with pytest.raises(PanelFormatError, match="line 3: non-finite value"):
+        load_panel(f)
+
+
 _SPELLINGS = ("", "nan", "na", "NaN", "NA", "nA", "Nan", "NAN")
 _PADS = ("", " ", "\t", " \t")
 _ODD_NUMBERS = ("-0", "+1", "1E3", " 2.5 ", "\t7", ".5")

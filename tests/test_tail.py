@@ -24,7 +24,6 @@ from scedex import (
     decluster,
     fit_gp_pml,
     gamma_path,
-    global_threshold,
     k_sweep,
     pool,
     scedasis_all,
@@ -34,7 +33,7 @@ from scedex import (
     tail_quantile_process,
     time_test,
 )
-from scedex.tail import check_k
+from scedex.tail import TailAtK, check_k
 
 from conftest import make_panel
 
@@ -118,11 +117,15 @@ def test_check_k_bounds():
 def test_global_threshold_is_k_plus_first_largest(small_panel):
     o = pool(small_panel)
     # exactly k = 4 pooled values (6, 7, 8, 9) exceed the threshold
-    thr = global_threshold(o, 4)
+    tail = TailAtK(small_panel, 4)
+    thr = tail.threshold
     assert thr == 5.0
     assert int((o.values > thr).sum()) == 4
-    assert global_threshold(o, 1) == 8.0
-    assert global_threshold(o, 15) == 0.1
+    assert TailAtK(small_panel, 1).threshold == 8.0
+    assert TailAtK(small_panel, 15).threshold == 0.1
+    # the ladder's top rung s = 1 is level k itself, at the threshold
+    levels, thresholds = tail.ladder(1.0)
+    assert (levels, thresholds) == (4.0, 5.0)
 
 
 def test_tail_empirical_process_hand_values(small_panel):
