@@ -39,6 +39,8 @@ GAMMA_MAX = 10.0
 _SMALL_GAMMA = 1e-5
 _SCORE_TOL = 1e-8
 _MAX_ITER = 80
+_POLISH_ITER = 10       # Newton steps from the profile maximum
+_PROFILE_GRID = 200     # scan points of Grimshaw's profile
 
 
 # ---------------------------------------------------------------------------
@@ -134,71 +136,25 @@ def _start_values(x: np.ndarray) -> tuple[float, float]:
     return g0, float(np.log(np.mean(x)))
 
 
-def _profile_tau(g: float, x: np.ndarray) -> float:
-    """Root of the scale score at fixed shape (unique: the score is strictly
-    decreasing in log sigma)."""
-    n = x.size
+def _newton(g: float, tau: float, x: np.ndarray, first: int, last: int, trace: list):
+    """Damped Newton ascent in (gamma, log sigma) from ``(g, tau)``, logging
+    iterations ``first``..``last`` to ``trace``.
 
-    def psi(tau: float) -> float:
-        sigma = math.exp(tau)
-        z = x / sigma
-        w = 1.0 + g * z
-        if np.any(w <= 0):
-            return math.inf
-        return float(-n + (1.0 + g) * np.sum(z / w))
-
-    tau_hi = math.log(np.mean(x)) + 1.0
-    while psi(tau_hi) > 0:
-        tau_hi += 1.0
-    tau_lo = tau_hi - 2.0
-    if g < 0:
-        # support requires sigma > -g * max(x)
-        tau_support = math.log(-g * float(np.max(x)))
-        tau_lo = max(tau_lo, tau_support + 1e-9)
-        while psi(tau_lo) <= 0 and tau_lo > tau_support + 1e-12:
-            tau_lo = tau_support + (tau_lo - tau_support) / 4.0
-    else:
-        while psi(tau_lo) <= 0:
-            tau_lo -= 1.0
-    from scipy.optimize import brentq
-
-    return float(brentq(psi, tau_lo, tau_hi, xtol=1e-13, maxiter=200))
-
-
-def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> GpFit:
-    """GP pseudo-ML fit of positive excesses via damped Newton in
-    (gamma, log sigma), with a profile-likelihood fallback.
-
-    The shape is constrained to (-0.5, 10]; convergence requires the score
-    norm below 1e-8 at an interior point with negative-definite Hessian.
+    Returns (gamma, log sigma, loglik, score norm, last iteration, converged);
+    converged means a score norm below ``_SCORE_TOL`` at a negative-definite
+    Hessian.
     """
-    x = np.asarray(excesses, dtype=float)
-    if x.ndim != 1:
-        raise RangeError("excesses must be 1-D")
-    if np.any(x <= 0):
-        raise DomainError("excesses must be strictly positive")
-    if x.size < 10:
-        raise InsufficientDataError(
-            f"need at least 10 positive excesses, got {x.size}"
-        )
-    k_label = int(k) if k is not None else int(x.size)
-
-    trace: list[dict] = []
-    g, tau = _start_values(x)
     terms = _loglik_terms(g, tau, x)
-    if terms is None:  # start inside support by construction, but be safe
-        g, tau = 0.1, float(np.log(np.mean(x)))
-        terms = _loglik_terms(g, tau, x)
+    if terms is None:
+        return g, tau, -math.inf, math.inf, first - 1, False
     ll, score, hess = terms
-    method = "profile"  # unless Newton converges
-    for it in range(1, _MAX_ITER + 1):
+    for it in range(first, last + 1):
         norm = float(np.linalg.norm(score))
         trace.append({"iter": it, "gamma": g, "log_scale": tau,
                       "loglik": ll, "score_norm": norm})
         eig = np.linalg.eigvalsh(hess)
         if norm < _SCORE_TOL and np.all(eig < 0):
-            method = "newton"
-            break
+            return g, tau, ll, norm, it, True
         if np.all(eig < 0):
             step = np.linalg.solve(hess, -score)
         else:
@@ -218,43 +174,121 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
             alpha /= 2.0
         if not accepted:
             break
-    iterations = it
+    return g, tau, ll, norm, it, False
 
-    if method == "profile":
-        # Newton stalled: profile-likelihood fallback on the shape alone.
-        from scipy.optimize import minimize_scalar
 
-        def neg_profile(gv: float) -> float:
-            tv = _profile_tau(gv, x)
-            t = _loglik_terms(gv, tv, x)
-            return math.inf if t is None else -t[0]
+def _profile_maximum(x: np.ndarray) -> tuple[float, float]:
+    """Shape and log-scale of the likelihood maximum over the admissible
+    shapes, by Grimshaw's reduction (Technometrics 1993).
 
-        res = minimize_scalar(neg_profile, bounds=(GAMMA_MIN, GAMMA_MAX),
-                              method="bounded", options={"xatol": 1e-12})
-        g = float(res.x)
-        tau = _profile_tau(g, x)
-        ll, score, hess = _loglik_terms(g, tau, x)
-        norm = float(np.linalg.norm(score))
-        iterations = it + 1
-        trace.append({"iter": iterations, "gamma": g, "log_scale": tau,
-                      "loglik": ll, "score_norm": norm})
+    With theta = gamma / sigma the likelihood is maximised over the shape in
+    closed form, gamma(theta) = mean log(1 + theta x), which leaves a profile
+    in theta alone, -n (1 + log sigma(theta) + gamma(theta)) with
+    sigma(theta) = gamma(theta) / theta.  Its slope has the sign of
+    h(theta) = (1 + gamma(theta)) mean 1 / (1 + theta x) - 1, whose root at
+    theta = 0 is double and changes no sign.  theta is carried as
+    e = theta max(x) in (-1, inf); gamma(theta) increases with it, so the
+    admissible shapes are one interval of e.  A scan of log(1 + e) over that
+    interval picks the best grid point, and a safeguarded Newton/bisection
+    root of h between its neighbours refines it.
+    """
+    x_max = float(np.max(x))
+    r = x / x_max
+
+    def shape(e: float) -> float:
+        return float(np.mean(np.log1p(e * r)))
+
+    def log_scale(e: float, g: float) -> float:
+        return math.log(g * x_max / e) if e != 0.0 else math.log(float(np.mean(x)))
+
+    def h(e: float) -> tuple[float, float]:
+        """h and its derivative in e."""
+        q = 1.0 / (1.0 + e * r)
+        g, v, rq = shape(e), float(np.mean(q)), r * q
+        return (1.0 + g) * v - 1.0, float(np.mean(rq)) * v - (1.0 + g) * float(np.mean(rq * q))
+
+    def crossing(lo: float, hi: float, target: float) -> float:
+        """Smallest log(1 + e) in [lo, hi] whose shape reaches ``target``
+        (``hi`` if none does)."""
+        while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if shape(math.expm1(mid)) < target else (lo, mid)
+        return hi
+
+    # log(1 + e) stops at log(eps): e any closer to -1 rounds to -1
+    phi_hi = 1.0
+    while shape(math.expm1(phi_hi)) < GAMMA_MAX and phi_hi < 512.0:
+        phi_hi *= 2.0
+    grid = np.expm1(np.linspace(crossing(-36.0, 0.0, GAMMA_MIN),
+                                crossing(0.0, phi_hi, GAMMA_MAX), _PROFILE_GRID))
+    shapes = [shape(e) for e in grid]
+    j = int(np.argmax([-(g + log_scale(e, g)) for e, g in zip(grid, shapes)]))
+    e = float(grid[j])
+    if 0 < j < grid.size - 1 and h(grid[j - 1])[0] > 0.0 > h(grid[j + 1])[0]:
+        a, b = float(grid[j - 1]), float(grid[j + 1])
+        for _ in range(100):
+            val, slope = h(e)
+            if val == 0.0:
+                break
+            a, b = (e, b) if val > 0.0 else (a, e)
+            step = e - val / slope if slope != 0.0 else math.nan
+            nxt = step if a < step < b else 0.5 * (a + b)
+            done = abs(nxt - e) <= 4e-16 * abs(e)
+            e = nxt
+            if done:
+                break
+    g = shape(e)
+    return g, log_scale(e, g)
+
+
+def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> GpFit:
+    """GP pseudo-ML fit of positive excesses via damped Newton in
+    (gamma, log sigma), with a profile-likelihood fallback.
+
+    The shape is constrained to (-0.5, 10]; convergence requires the score
+    norm below 1e-8 at an interior point with negative-definite Hessian.
+    When Newton stalls, the maximum is located on Grimshaw's one-dimensional
+    profile (:func:`_profile_maximum`) and polished by Newton from there.
+    """
+    x = np.asarray(excesses, dtype=float)
+    if x.ndim != 1:
+        raise RangeError("excesses must be 1-D")
+    if np.any(x <= 0):
+        raise DomainError("excesses must be strictly positive")
+    if x.size < 10:
+        raise InsufficientDataError(
+            f"need at least 10 positive excesses, got {x.size}"
+        )
+    k_label = int(k) if k is not None else int(x.size)
+
+    trace: list[dict] = []
+    g, tau = _start_values(x)
+    if _loglik_terms(g, tau, x) is None:  # start inside support by construction, but be safe
+        g, tau = 0.1, float(np.log(np.mean(x)))
+    g, tau, ll, norm, it, converged = _newton(g, tau, x, 1, _MAX_ITER, trace)
+    method = "newton"
+    if not converged:
+        # Newton stalled: the profile pass is the first entry of the polish
+        method = "profile"
+        newton_iterations = it
+        g, tau, ll, norm, it, converged = _newton(
+            *_profile_maximum(x), x, it + 1, it + _POLISH_ITER, trace)
         if g <= GAMMA_MIN + 1e-4 or g >= GAMMA_MAX - 1e-4:
             raise FitConvergenceError(
                 f"likelihood is maximised at the shape boundary (gamma={g:.6g}); "
                 "the excess configuration is degenerate for a GP fit",
                 trace=trace,
             )
-        eig = np.linalg.eigvalsh(hess)
-        if norm >= _SCORE_TOL or not np.all(eig < 0):
+        if not converged:
             raise FitConvergenceError(
-                f"optimiser failed to converge after {it} Newton iterations and a "
-                f"profile pass (score norm {norm:.3g}, Hessian eigs {eig})",
+                f"optimiser failed to converge after {newton_iterations} Newton "
+                f"iterations, a profile pass and a Newton polish (score norm {norm:.3g})",
                 trace=trace,
             )
     return GpFit(
         gamma_hat=g, scale_hat=math.exp(tau), k=k_label,
         n_excesses=int(x.size), dropped_ties=int(dropped_ties),
-        loglik=ll, iterations=iterations, converged=True,
+        loglik=ll, iterations=it, converged=True,
         score_norm=norm, method=method,
     )
 

@@ -117,24 +117,28 @@ class SimSpec:
         funcs = self.scedasis
         if funcs is None:
             funcs = tuple(constant_scedasis(1.0) for _ in range(self.m))
-            integrals = np.ones(self.m)  # constant 1 integrates to 1 exactly
         else:
             funcs = tuple(funcs)
             if len(funcs) != self.m:
                 raise SimSpecError(
                     f"expected {self.m} frequency functions, got {len(funcs)}"
                 )
+        # checked before the integrals, which would only turn NaN into a warning
+        grid = np.linspace(0.0, 1.0, 2001)
+        raw = np.array([np.asarray(f(grid), dtype=float) for f in funcs])
+        if not np.all((raw > 0) & np.isfinite(raw)):
+            raise SimSpecError("frequency functions must be finite and strictly "
+                               "positive on [0, 1]")
+        if self.scedasis is None:
+            integrals = np.ones(self.m)  # constant 1 integrates to 1 exactly
+        else:
             from scipy.integrate import quad
 
             integrals = np.array([quad(f, 0.0, 1.0, limit=200)[0] for f in funcs])
-        if np.any(integrals <= 0):
-            raise SimSpecError("every frequency function must have positive mass")
+        if not np.all((integrals > 0) & np.isfinite(integrals)):
+            raise SimSpecError("every frequency function must have finite positive mass")
         rho = self.m / integrals.sum()
-
-        grid = np.linspace(0.0, 1.0, 2001)
-        levels = np.array([rho * np.asarray(f(grid), dtype=float) for f in funcs])
-        if np.any(levels <= 0):
-            raise SimSpecError("frequency functions must be strictly positive on [0, 1]")
+        levels = rho * raw
         if levels.max() * TAIL_MASS > 1.0:
             raise SimSpecError(
                 f"frequency level {levels.max():.3g} too extreme: the exact-tail "

@@ -95,6 +95,62 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+# Every command with the arguments that exercise its analysis path.  Only two
+# mc variants still reach scipy (scipy.integrate.quad): --scedasis, for the
+# frequency integrals, and --harness cov, for the analytic covariance.
+_SCIPY_FREE_RUNS = {
+    "ingest-check": [[]],
+    "scedasis": [["--k", "60"]],
+    "sigma1": [["--k", "60"]],
+    "test-space": [["--k", "60"]],
+    "test-time": [["--k", "60"]],
+    "sweep": [["--k-min", "40", "--k-max", "80", "--k-step", "20"],
+              ["--which", "time", "--station", "0",
+               "--k-min", "40", "--k-max", "80", "--k-step", "20"]],
+    "gamma-path": [["--k-min", "40", "--k-max", "80", "--k-step", "20"]],
+    "fit-gp": [["--k", "60"], ["--k", "60", "--with-cov"]],
+    "mc": [["--harness", "size", "--n", "400", "--m", "2", "--k", "30", "--reps", "3"],
+           ["--harness", "size", "--which", "time", "--n", "400", "--m", "2",
+            "--k", "30", "--reps", "3"],
+           ["--harness", "mle", "--n", "400", "--m", "2", "--k", "40", "--reps", "3"]],
+}
+
+
+def test_analysis_commands_load_no_scipy(panel_csv, tmp_path):
+    """Run every command in one fresh interpreter and list the scipy modules
+    loaded after each: the analysis path needs none."""
+    assert set(_SCIPY_FREE_RUNS) == set(main.commands)
+    runs = [[name, *args, *([] if name == "mc" else ["--input", str(panel_csv)]),
+             "--output", str(tmp_path / f"{name}-{i}.out")]
+            for name, arg_lists in _SCIPY_FREE_RUNS.items()
+            for i, args in enumerate(arg_lists)]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import json, sys\n"
+        "from scedex.cli import main\n"
+        "report = []\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    try:\n"
+        "        main.main(args, standalone_mode=False)\n"
+        "        code = 0\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "    report.append([' '.join(args[:3]), code,\n"
+        "                   sorted({'.'.join(m.split('.')[:2]) for m in sys.modules\n"
+        "                           if m.split('.')[0] == 'scipy'})])\n"
+        "print(json.dumps(report))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    report = json.loads(out.stdout.splitlines()[-1])
+    assert len(report) == len(runs)
+    for label, code, loaded in report:
+        assert code == 0, f"{label}: exit {code}\n{out.stderr}"
+        assert loaded == [], f"{label} loaded {loaded}"
+
+
 def test_missing_input_is_a_usage_error(runner, tmp_path):
     result = runner.invoke(
         main, ["test-space", "--input", str(tmp_path / "nope.csv"), "--k", "10"])
@@ -650,6 +706,16 @@ def test_mc_threads_must_be_positive(runner):
     result = runner.invoke(main, MC_BASE + ["--harness", "size", "--threads", "0"])
     assert result.exit_code == 2
     assert "--threads" in _stderr(result) + result.output
+
+
+def test_mc_nan_frequency_level_is_a_spec_error(runner):
+    text = '[{"kind": "constant", "level": "nan"}, {"kind": "constant"}]'
+    result = runner.invoke(main, MC_BASE + ["--harness", "size", "--scedasis", text])
+    assert result.exit_code == 1
+    report = json.loads(_stderr(result) or result.output)
+    assert report["error"] == "SimSpecError"
+    assert report["module"] == "mc"
+    assert "replications" not in report["message"]
 
 
 def test_mc_dry_run_checks_the_simulation_spec(runner):

@@ -121,6 +121,21 @@ def test_spec_validation():
         SimSpec(n=10, m=1, gamma=0.2, scedasis=(spike,))
 
 
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_spec_rejects_nan_frequencies_before_simulating():
+    # NaN fails every comparison, so "<= 0" checks let it through
+    with pytest.raises(SimSpecError, match="finite and strictly positive"):
+        SimSpec(n=10, m=2, gamma=0.2,
+                scedasis=(constant_scedasis(math.nan), constant_scedasis(1.0)))
+    # NaN wherever the integrator looks, finite on the level grid
+    blind = lambda u: np.ones_like(u) if np.ndim(u) else math.nan
+    with pytest.raises(SimSpecError, match="finite positive mass"):
+        SimSpec(n=10, m=2, gamma=0.2, scedasis=(blind, constant_scedasis(1.0)))
+    with pytest.raises(SimSpecError, match="finite and strictly positive"):
+        SimSpec(n=10, m=2, gamma=0.2,
+                scedasis=(constant_scedasis(math.inf), constant_scedasis(1.0)))
+
+
 def test_spec_quantile_functions():
     spec = SimSpec(n=10, m=1, gamma=0.25)
     q = 0.02

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
 from scedex import (
     NoExceedanceError,
     RangeError,
     SingularCovarianceError,
     bonferroni,
+    chi2_pvalue,
     k_sweep,
     kolmogorov_pvalue,
     space_test,
@@ -46,13 +47,46 @@ def test_kolmogorov_pvalue_near_critical_value():
     assert kolmogorov_pvalue(1.3581) == pytest.approx(0.05, abs=1e-4)
 
 
+def test_kolmogorov_pvalue_matches_scipy():
+    # both branches: the alternating series from d = 1, the theta form below
+    for d in np.linspace(0.01, 6.0, 1199):
+        assert kolmogorov_pvalue(float(d)) == pytest.approx(
+            float(special.kolmogorov(d)), rel=1e-12, abs=0.0)
+
+
 def test_kolmogorov_pvalue_edges():
     assert kolmogorov_pvalue(0.0) == 1.0
+    assert kolmogorov_pvalue(math.inf) == 0.0
     # first term only: the next one, exp(-800), underflows
     assert kolmogorov_pvalue(10.0) == pytest.approx(2.0 * math.exp(-200.0), rel=1e-12)
     assert 0.0 <= kolmogorov_pvalue(0.02) <= 1.0  # tiny d: near-certain p
     with pytest.raises(RangeError):
         kolmogorov_pvalue(-0.1)
+    with pytest.raises(RangeError):
+        kolmogorov_pvalue(math.nan)
+
+
+@pytest.mark.parametrize("df", [*range(1, 40), 63, 127, 255])
+def test_chi2_pvalue_matches_scipy(df):
+    # at df = 255 the far end is near 1e-143: the terms are formed in log space
+    for x in np.linspace(0.0, 5.0 * df + 50.0, 201):
+        assert chi2_pvalue(float(x), df) == pytest.approx(
+            float(special.chdtrc(df, x)), rel=1e-12, abs=0.0)
+
+
+def test_chi2_pvalue_edges():
+    for df in (1, 2, 255):
+        assert chi2_pvalue(0.0, df) == 1.0
+        assert chi2_pvalue(math.inf, df) == 0.0
+        with pytest.raises(RangeError):
+            chi2_pvalue(math.nan, df)
+        with pytest.raises(RangeError):
+            chi2_pvalue(-1.0, df)
+    assert chi2_pvalue(2.0, 2) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    with pytest.raises(RangeError):
+        chi2_pvalue(1.0, 0)
+    with pytest.raises(RangeError):
+        chi2_pvalue(1.0, 1.5)
 
 
 # ---------------------------------------------------------------------------
