@@ -26,19 +26,9 @@ from .panel import (
     load_panel,
     split_season,
 )
-from .tail import (
-    PooledOrderStatistics,
-    pool,
-    tail_empirical_process,
-    tail_quantile_process,
-)
+from .tail import PooledOrderStatistics, pool
 from .scedasis import ScedasisCurve, scedasis_all, scedasis_curve
-from .dependence import (
-    EmpiricalTailDependence,
-    TailDependenceMatrix,
-    sigma1_matrix,
-    tail_copula_integral,
-)
+from .dependence import EmpiricalTailDependence, TailDependenceMatrix, sigma1_matrix
 from .trend_tests import (
     BonferroniResult,
     SweepRow,
@@ -48,7 +38,6 @@ from .trend_tests import (
     k_sweep,
     kolmogorov_pvalue,
     space_test,
-    space_test_from_estimates,
     time_test,
 )
 from .gp_mle import (
@@ -60,7 +49,6 @@ from .gp_mle import (
     fit_gp_excesses,
     fit_gp_pml,
     gamma_path,
-    gp_loglik,
     mle_asymptotic_cov,
     sigma_gamma0,
 )
@@ -120,7 +108,6 @@ __all__ = [
     "fit_gp_excesses",
     "fit_gp_pml",
     "gamma_path",
-    "gp_loglik",
     "k_sweep",
     "kolmogorov_pvalue",
     "linear_scedasis",
@@ -136,10 +123,6 @@ __all__ = [
     "sigma1_matrix",
     "simulate_panel",
     "space_test",
-    "space_test_from_estimates",
     "split_season",
-    "tail_copula_integral",
-    "tail_empirical_process",
-    "tail_quantile_process",
     "time_test",
 ]

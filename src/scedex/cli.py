@@ -393,7 +393,7 @@ def _fit_gp(p, k, with_cov, **_):
         cov = gp_mle.mle_asymptotic_cov(fit, p)
         payload["se_gamma"] = cov.se_gamma
         payload["se_scale_rel"] = cov.se_scale_rel
-        # the covariance is closed-form; the key stays for payload readers
+        # closed-form covariance; bench/workloads.py:298 reads the key (ROADMAP item 3)
         payload["quadrature_error"] = 0.0
     return payload
 

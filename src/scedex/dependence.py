@@ -1,4 +1,4 @@
-"""Cross-station tail dependence: empirical tail-copula integrals.
+"""Cross-station tail dependence: joint exceedance counts at pooled thresholds.
 
 The central object is the matrix of joint exceedance frequencies at the
 pooled threshold, which doubles as the covariance estimate used to
@@ -18,18 +18,6 @@ import numpy as np
 from .errors import RangeError
 from .panel import PanelSample
 from .tail import TailAtK
-
-
-@dataclass(frozen=True)
-class TailCopulaEstimate:
-    """One joint exceedance frequency at levels (s1, s2) up to time t."""
-
-    j1: int
-    j2: int
-    s1: float
-    s2: float
-    t: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -56,38 +44,6 @@ class TailDependenceMatrix:
         return int(self.entries.shape[0])
 
 
-def tail_copula_integral(
-    p: PanelSample,
-    k: int,
-    j1: int,
-    j2: int,
-    s1: float = 1.0,
-    s2: float = 1.0,
-    t: float = 1.0,
-) -> TailCopulaEstimate:
-    """Joint exceedance frequency of stations ``j1`` and ``j2``.
-
-    Counts days ``i <= floor(n t)`` on which station ``j1`` strictly exceeds
-    the pooled order statistic at level ``floor(k s1)`` while ``j2`` exceeds
-    the one at level ``floor(k s2)``, divided by ``k``.
-    """
-    tail = TailAtK(p, k)
-    n_eff = tail.pooled.n_effective
-    for j in (j1, j2):
-        if not 0 <= j < p.m:
-            raise RangeError(f"station index {j} out of range for m={p.m}")
-    if not 0 <= t <= 1:
-        raise RangeError(f"t must lie in [0, 1], got {t}")
-    levels, (thr1, thr2) = tail.ladder([s1, s2])
-    for s, ks in zip((s1, s2), levels):
-        if not 1 <= ks < n_eff:
-            raise RangeError(f"s={s} gives floor(k*s)={int(ks)}, need 1 <= floor(k*s) < {n_eff}")
-
-    cut = int(np.floor(p.n * t + 1e-9))
-    count = int(np.count_nonzero((p.values[:cut, j1] > thr1) & (p.values[:cut, j2] > thr2)))
-    return TailCopulaEstimate(j1=j1, j2=j2, s1=s1, s2=s2, t=t, value=count / tail.k)
-
-
 def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDependenceMatrix:
     """All pairwise joint exceedance frequencies at the pooled threshold.
 
@@ -107,6 +63,7 @@ def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDepe
 # ---------------------------------------------------------------------------
 
 
+# _cell and _bilinear serve only r, which bench/spans.py:161 wraps (ROADMAP item 3)
 def _cell(nodes: np.ndarray, x: np.ndarray):
     """Index of the grid cell holding each ``x`` and the fractional position
     inside it; the first and last cells extend beyond the grid."""
@@ -159,6 +116,7 @@ class EmpiricalTailDependence:
         # e = G - #{thresholds < value}.
         thr_asc = thresholds[::-1]
         filled = np.where(p.missing_mask, -np.inf, p.values)
+        # kept only for r, which bench/spans.py:161 wraps (ROADMAP item 3)
         self._first_level = G - np.searchsorted(thr_asc, filled, side="left")
         # Grids gain a leading zero row and column at level 0, where every
         # surface vanishes.
@@ -177,6 +135,7 @@ class EmpiricalTailDependence:
 
         self.c1 = tail.exceed.sum(axis=0) / k
 
+    # bench/spans.py:161 wraps r; no pipeline calls it (ROADMAP item 3)
     def r(self, i: int, j: int, s, t):
         """Interpolated tail-copula surface value(s) r_{ij}(s, t)."""
         G = self.grid_size

@@ -48,33 +48,12 @@ _PROFILE_GRID = 200     # scan points of Grimshaw's profile
 # ---------------------------------------------------------------------------
 
 
-def gp_loglik(gamma: float, sigma: float, x) -> float:
-    """GP log-density summed over the excess(es) ``x``.
-
-    For gamma != 0:  -log sigma - (1 + 1/gamma) log(1 + gamma x / sigma),
-    for gamma == 0:  -log sigma - x / sigma, both on their natural support
-    (x >= 0, and x < -sigma/gamma when gamma < 0).  This is the fit's own
-    likelihood (:func:`_loglik_terms`), which switches to a third-order
-    series in gamma for |gamma| < 1e-5.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if sigma <= 0:
-        raise DomainError(f"scale must be positive, got {sigma}")
-    if np.any(x < 0):
-        raise DomainError("excesses must be >= 0")
-    terms = _loglik_terms(gamma, math.log(sigma), x)
-    if terms is None:
-        raise DomainError(
-            f"excess outside GP support: need 1 + gamma*x/sigma > 0 "
-            f"(gamma={gamma}, sigma={sigma})"
-        )
-    return terms[0]
-
-
 def _loglik_terms(g: float, tau: float, x: np.ndarray):
     """Summed log-likelihood, score and Hessian in (gamma, log sigma).
 
-    Returns None when ``(g, tau)`` is outside the admissible region.
+    The log-density is -log sigma - (1 + 1/g) log(1 + g x / sigma), and its
+    third-order series in g for |g| < 1e-5.  Returns None when an excess lies
+    outside the support, 1 + g x / sigma <= 0.
     """
     sigma = math.exp(tau)
     z = x / sigma
@@ -406,6 +385,7 @@ def sigma_gamma0(gamma: float, c1_values, *, edge=None) -> tuple[np.ndarray, flo
                              "with one value per node")
         moment += _edge_moment(nodes, values)
         corner += float(values[-1])
+    # bench/spans.py:91 reads the 0.0 as result[1] (ROADMAP item 3)
     return _score_covariance(gamma, moment, corner), 0.0
 
 

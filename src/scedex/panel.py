@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     DateOrderError,
     DomainError,
+    EmptyPoolError,
     EmptySeasonError,
     PanelFormatError,
 )
@@ -408,7 +409,7 @@ def decluster(p: PanelSample, gap_days: int = 2) -> PanelSample:
 
     ``gap_days=0`` keeps everything.  Days on which every station is missing
     carry no usable maximum and are dropped (with a warning reporting the
-    count).
+    count); a panel with no observed value raises :class:`EmptyPoolError`.
     """
     if gap_days < 0:
         raise DomainError(f"gap_days must be >= 0, got {gap_days}")
@@ -416,6 +417,8 @@ def decluster(p: PanelSample, gap_days: int = 2) -> PanelSample:
     filled = np.where(p.missing_mask, -np.inf, p.values)
     row_max = filled.max(axis=1)
     usable = np.isfinite(row_max)
+    if not usable.any():
+        raise EmptyPoolError("panel has no non-missing observations to decluster")
     n_all_missing = int((~usable).sum())
     if n_all_missing:
         warnings.warn(

@@ -1,14 +1,14 @@
-"""Pooled order statistics, the level-k tail view, and the tail empirical /
-tail quantile processes.
+"""Pooled order statistics and the level-k tail view.
 
 All stations are pooled into one sample of size ``n_effective``; thresholds
 are order statistics of the pool.  The panel sorts that sample once
 (:attr:`PanelSample.sorted_values`) and :func:`pool` wraps it.  Every
 estimator takes just the panel and ``k`` and reads the level-k tail from one
 :class:`TailAtK`: the threshold X_{N-k:N}, the ties at it, and the ladder of
-deeper levels ``floor(k s)`` that the tail processes and tail copulas walk.
-Exceedances are always strict (``>``), and a missing cell holds NaN, which
-never exceeds a threshold.
+deeper levels ``floor(k s)`` that the tail-copula level grid of
+:class:`~scedex.dependence.EmpiricalTailDependence` walks.  Exceedances are
+always strict (``>``), and a missing cell holds NaN, which never exceeds a
+threshold.
 """
 
 from __future__ import annotations
@@ -18,10 +18,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyPoolError, RangeError
+from .errors import EmptyPoolError, NoExceedanceError, RangeError
 from .panel import PanelSample
 
 
+# bench/spans.py:84 reads n_effective off pool's result (ROADMAP item 3)
 @dataclass(frozen=True)
 class PooledOrderStatistics:
     """The non-missing observations of a panel, pooled and sorted ascending."""
@@ -42,6 +43,7 @@ class PooledOrderStatistics:
         return int(self.values.size)
 
 
+# bench/tests/test_bench.py:246 counts the calls to pool (ROADMAP item 3)
 def pool(p: PanelSample) -> PooledOrderStatistics:
     """All non-missing observations of the panel, sorted ascending (the panel
     sorts them once and every call shares that array)."""
@@ -81,10 +83,10 @@ class TailAtK:
         """Levels ``floor(k * s)`` of the tail fractions ``s`` and the pooled
         order statistics ``X_{N - floor(k s):N}`` at those levels.
 
-        Level 0 maps to the pooled maximum.  Levels come back as integral
-        floats and are not range-checked here: each caller rejects the ones it
-        does not admit before using them (a level outside [0, n_effective)
-        reads the nearest order statistic).
+        Levels come back as integral floats; s in [1/k, 1] gives levels 1 to
+        k, the range of the tail-copula level grid, and the thresholds do not
+        increase with s.  Levels are not range-checked: level 0 maps to the
+        pooled maximum, and a level past n_effective - 1 to the minimum.
         """
         o = self.pooled
         n = o.n_effective
@@ -94,72 +96,14 @@ class TailAtK:
         return levels, o.values[(n - 1 - np.clip(levels, 0, n - 1)).astype(int)]
 
     def divisor(self, renormalize: bool) -> int:
-        """``k``, or with ``renormalize`` the realised exceedance count."""
-        return self.n_exceedances if renormalize else self.k
+        """``k``, or with ``renormalize`` the realised exceedance count, which
+        must not be 0 (every top-k value tied with the threshold)."""
+        if not renormalize:
+            return self.k
+        if self.n_exceedances == 0:
+            raise NoExceedanceError("no strict exceedances of the pooled threshold")
+        return self.n_exceedances
 
     @cached_property
     def exceed(self) -> np.ndarray:
         return self.panel.values > self.threshold
-
-
-def _validate_grid(grid: np.ndarray, name: str) -> np.ndarray:
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise RangeError(f"{name} must be a non-empty, finite 1-D grid")
-    if np.any(np.diff(grid) < 0):
-        raise RangeError(f"{name} must be sorted ascending")
-    return grid
-
-
-def tail_empirical_process(p: PanelSample, k: int, j: int, s_grid, t_grid) -> np.ndarray:
-    """Exceedance-frequency surface for station ``j``.
-
-    Entry ``(a, b)`` counts days ``i <= floor(n * t_grid[b])`` on which
-    station ``j`` strictly exceeds the pooled order statistic at level
-    ``floor(k * s_grid[a])``, divided by ``k``.
-    """
-    tail = TailAtK(p, k)
-    n_eff = tail.pooled.n_effective
-    if not 0 <= j < p.m:
-        raise RangeError(f"station index {j} out of range for m={p.m}")
-    s_grid = _validate_grid(s_grid, "s_grid")
-    t_grid = _validate_grid(t_grid, "t_grid")
-    if s_grid[0] <= 0:
-        raise RangeError("s_grid must be strictly positive")
-    if t_grid[0] < 0 or t_grid[-1] > 1:
-        raise RangeError("t_grid must lie in [0, 1]")
-
-    n = p.n
-    col = p.values[:, j]
-    # 1e-9 guards floor() against representation error at exact grid points.
-    t_cut = np.floor(n * t_grid + 1e-9).astype(int)
-
-    ks, thresholds = tail.ladder(s_grid)
-    too_deep = np.flatnonzero(ks >= n_eff)
-    if too_deep.size:
-        a = too_deep[0]
-        raise RangeError(f"s={s_grid[a]} gives floor(k*s)={int(ks[a])} >= n_effective={n_eff}")
-    out = np.empty((s_grid.size, t_grid.size), dtype=float)
-    for a, thr in enumerate(thresholds):
-        cum = np.concatenate(([0], np.cumsum(col > thr)))
-        out[a] = cum[t_cut] / tail.k
-    return out
-
-
-def tail_quantile_process(p: PanelSample, k: int, s_grid) -> np.ndarray:
-    """Pooled tail quantiles relative to the global threshold.
-
-    Returns an array of rows ``(s, X_{N - floor(k s):N} - X_{N-k:N})`` for
-    ``s`` in ``s_grid``; admissible levels are ``1/(2k) <= s < n_effective/k``
-    (levels below one exceedance hit the pooled maximum).
-    """
-    tail = TailAtK(p, k)
-    s_grid = _validate_grid(s_grid, "s_grid")
-    lo = 1.0 / (2 * tail.k)
-    hi = tail.pooled.n_effective / tail.k
-    if s_grid[0] < lo - 1e-12 or s_grid[-1] >= hi:
-        raise RangeError(
-            f"s_grid must lie in [{lo}, {hi}) = [1/(2k), n_effective/k)"
-        )
-    _, thresholds = tail.ladder(s_grid)
-    return np.column_stack((s_grid, thresholds - tail.threshold))

@@ -146,32 +146,31 @@ def _near_duplicate_pairs(sigma: np.ndarray, tol: float = 1e-9) -> list[tuple[in
     return out
 
 
-def space_test_from_estimates(c1_values, sigma1_entries, k: int) -> TestResult:
-    """Spatial homogeneity statistic from precomputed shares and joint matrix.
+def space_test(p: PanelSample, k: int) -> TestResult:
+    """Test equality of the stations' shares of the pooled tail.
 
-    D = sqrt(k) (C_hat_j(1) - 1/m) is projected onto the centred subspace
-    (the shares sum to one, so D has one linear constraint); the first m-1
+    The shares C_hat_j(1) and the joint exceedance matrix Sigma are both
+    renormalised by the realised exceedance count N, so the shares sum to
+    one.  D = sqrt(N) (C_hat_j(1) - 1/m) is projected onto the centred
+    subspace (that sum gives D one linear constraint); the first m-1
     components are studentised by the matching block of M Sigma M' with
     M = I - (1/m) 1 1'.  The statistic is asymptotically chi-square with
     m - 1 degrees of freedom.
     """
-    c1 = np.asarray(c1_values, dtype=float)
-    sigma = np.asarray(sigma1_entries, dtype=float)
-    m = c1.size
+    m = p.m
     if m < 2:
         raise RangeError("space test needs at least two stations")
-    if sigma.shape != (m, m):
-        raise RangeError(f"sigma matrix must be {m}x{m}, got {sigma.shape}")
-
-    D = np.sqrt(k) * (c1 - 1.0 / m)
+    dep = sigma1_matrix(p, k, renormalize=True)
+    sigma = dep.entries
+    D = np.sqrt(dep.divisor) * (np.diag(sigma) - 1.0 / m)
     M = np.eye(m) - np.ones((m, m)) / m
     V = M @ sigma @ M.T
     A = V[: m - 1, : m - 1]
 
-    zero_var = [j for j in range(m) if sigma[j, j] == 0.0]
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         suspects = _near_duplicate_pairs(sigma)
+        zero_var = [j for j in range(m) if sigma[j, j] == 0.0]
         parts = []
         if suspects:
             parts.append(
@@ -193,30 +192,9 @@ def space_test_from_estimates(c1_values, sigma1_entries, k: int) -> TestResult:
         statistic=stat,
         law="chi-square",
         p_value=chi2_pvalue(stat, m - 1),
-        k=k,
-        df=m - 1,
-        extras={"condition_number": float(cond)},
-    )
-
-
-def space_test(p: PanelSample, k: int) -> TestResult:
-    """Test equality of the stations' shares of the pooled tail."""
-    if p.m < 2:
-        raise RangeError("space test needs at least two stations")
-    dep = sigma1_matrix(p, k, renormalize=True)
-    if dep.divisor == 0:
-        raise NoExceedanceError("no strict exceedances of the pooled threshold")
-    c1 = np.diag(dep.entries)
-    result = space_test_from_estimates(c1, dep.entries, dep.divisor)
-    extras = dict(result.extras)
-    extras["tie_count"] = dep.tie_count
-    return TestResult(
-        statistic=result.statistic,
-        law=result.law,
-        p_value=result.p_value,
         k=dep.k,
-        df=result.df,
-        extras=extras,
+        df=m - 1,
+        extras={"condition_number": float(cond), "tie_count": dep.tie_count},
     )
 
 

@@ -51,7 +51,8 @@ def test_exact_identities():
     dep = dependence.sigma1_matrix(p, k)
     diag_exact = all(dep.entries[j, j] == curves[j].c1 for j in range(p.m))
 
-    quantile_at_one = float(tail.tail_quantile_process(p, k, [1.0])[0, 1])
+    level_k = tail.TailAtK(p, k)
+    rung_at_one = float(level_k.ladder(1.0)[1])
 
     fisher_defect = max(
         float(np.max(np.abs(
@@ -61,10 +62,11 @@ def test_exact_identities():
     )
 
     ok = (abs(share_sum - 1.0) < 1e-12 and diag_exact
-          and quantile_at_one == 0.0 and fisher_defect < 1e-12)
+          and rung_at_one == level_k.threshold and fisher_defect < 1e-12)
     _gate("exact identities", ok,
           f"sum shares={share_sum!r}, sigma1 diag exact={diag_exact}, "
-          f"quantile(1)={quantile_at_one!r}, fisher identity defect={fisher_defect:.2e}")
+          f"ladder(1)={rung_at_one!r} vs threshold={level_k.threshold!r}, "
+          f"fisher identity defect={fisher_defect:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +75,13 @@ def test_exact_identities():
 
 
 def test_worked_space_statistic():
-    res = trend_tests.space_test_from_estimates([0.6, 0.4], 0.5 * np.eye(2), 25)
+    # k = 25: station 0 alone exceeds on days 0-14 and station 1 on days
+    # 15-24, with no ties, so Sigma = diag(.6, .4), D = (.5, -.5), the
+    # centred covariance block is [[.25]] and T = 1
+    values = np.arange(100.0).reshape(50, 2) / 100.0
+    values[:15, 0] = 10.0 + np.arange(15)
+    values[15:25, 1] = 10.0 + np.arange(15, 25)
+    res = trend_tests.space_test(_panel(values), 25)
     _gate("worked space statistic", abs(res.statistic - 1.0) < 1e-12,
           f"T={res.statistic!r} (target 1.0), df={res.df}")
 

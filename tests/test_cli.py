@@ -601,6 +601,43 @@ def test_runtime_error_renders_structured_report(runner, panel_csv, tmp_path, co
     assert report["hint"]
 
 
+@pytest.mark.parametrize("command,args", [("ingest-check", []), ("test-space", ["--k", "1"])])
+def test_panel_with_no_observed_value_renders_structured_report(runner, tmp_path,
+                                                                 command, args):
+    f = tmp_path / "empty.csv"
+    f.write_text("date,A,B\n2000-01-01,,\n2000-01-02,na,\n")
+    result = runner.invoke(main, [command, "--input", str(f), *args])
+    assert result.exit_code == 1
+    report = json.loads(_stderr(result) or result.output)
+    assert (report["error"], report["module"]) == ("EmptyPoolError", "panel")
+    assert report["params"]["gap"] == 2
+
+
+@pytest.fixture(scope="module")
+def tied_csv(tmp_path_factory):
+    """30 days x 2 stations, every value 1.0: at any k the whole top k ties
+    with the threshold and nothing exceeds it."""
+    f = tmp_path_factory.mktemp("cli") / "tied.csv"
+    _write_panel(f, np.ones((30, 2)))
+    return f
+
+
+@pytest.mark.parametrize("command,args", [
+    ("scedasis", ["--renormalize", "--format", "json"]),
+    ("scedasis", ["--renormalize"]),
+    ("sigma1", ["--renormalize"]),
+    ("test-space", []),
+    ("test-time", []),
+])
+def test_no_exceedance_renders_structured_report(runner, tied_csv, command, args):
+    result = runner.invoke(main, [command, "--input", str(tied_csv), "--k", "5", *args])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    report = json.loads(_stderr(result))
+    assert report["error"] == "NoExceedanceError"
+    assert report["message"] == "no strict exceedances of the pooled threshold"
+
+
 def test_non_utf8_input_renders_structured_report(runner, tmp_path):
     f = tmp_path / "latin.csv"
     f.write_bytes(b"date,A\n2000-01-01,1\n2000-01-02,\xff\n")

@@ -10,7 +10,6 @@ from scedex import (
     RangeError,
     scedasis_all,
     sigma1_matrix,
-    tail_copula_integral,
 )
 from scedex.tail import pool
 
@@ -40,6 +39,7 @@ def test_sigma1_hand_disjoint(small_panel):
 
 
 def test_sigma1_hand_joint_days():
+    # two joint days of k = 4 exceedances: the off-diagonal is 2/4
     dep = sigma1_matrix(make_panel(JOINT_PANEL), k=4)
     assert dep.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
@@ -58,29 +58,6 @@ def test_sigma1_renormalised_with_ties():
     ren = sigma1_matrix(p, k=4, renormalize=True)
     assert ren.entries.tolist() == [[0.5, 0.5], [0.5, 0.5]]
     assert ren.divisor == 2
-
-
-def test_tail_copula_integral_hand():
-    p = make_panel(JOINT_PANEL)
-    est = tail_copula_integral(p, k=4, j1=0, j2=1)
-    assert (est.s1, est.s2, est.t) == (1.0, 1.0, 1.0)
-    assert est.value == 0.5
-    # first two days only: one joint exceedance remains
-    assert tail_copula_integral(p, 4, 0, 1, t=0.25).value == 0.25
-    # deeper level on station 0 (threshold 2.0) does not add joint days
-    assert tail_copula_integral(p, 4, 0, 1, s1=2.0).value == 0.5
-    assert tail_copula_integral(p, 4, 0, 1, t=0.0).value == 0.0
-
-
-def test_tail_copula_integral_validation(small_panel):
-    with pytest.raises(RangeError):
-        tail_copula_integral(small_panel, 4, 0, 2)
-    with pytest.raises(RangeError):
-        tail_copula_integral(small_panel, 4, 0, 1, t=1.5)
-    with pytest.raises(RangeError):
-        tail_copula_integral(small_panel, 4, 0, 1, s1=0.1)  # floor(k s) = 0
-    with pytest.raises(RangeError):
-        tail_copula_integral(small_panel, 4, 0, 1, s2=4.0)  # floor(k s) = N
 
 
 @settings(max_examples=40, deadline=None)

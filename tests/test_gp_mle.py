@@ -27,7 +27,6 @@ from scedex import (
     fit_gp_excesses,
     fit_gp_pml,
     gamma_path,
-    gp_loglik,
     mle_asymptotic_cov,
     sigma_gamma0,
 )
@@ -46,6 +45,10 @@ GAMMA_GRID = [-0.45, -0.43, -0.31, -0.13, -0.02, 0.0, 0.17, 0.25, 1.0, 2.0]
 # ---------------------------------------------------------------------------
 
 
+def _loglik(gamma, sigma, x):
+    return _loglik_terms(gamma, math.log(sigma), x)[0]
+
+
 def _support_sample(gamma, sigma, n=40):
     if gamma < 0:
         hi = -sigma / gamma * 0.95
@@ -59,30 +62,27 @@ def _support_sample(gamma, sigma, n=40):
 def test_loglik_matches_scipy(gamma, sigma):
     x = _support_sample(gamma, sigma)
     want = stats.genpareto.logpdf(x, c=gamma, scale=sigma).sum()
-    assert gp_loglik(gamma, sigma, x) == pytest.approx(want, rel=1e-12)
+    assert _loglik(gamma, sigma, x) == pytest.approx(want, rel=1e-12)
 
 
 def test_loglik_gamma_exactly_zero():
     x = np.array([0.1, 1.0, 2.5])
     sigma = 1.7
     want = np.sum(-np.log(sigma) - x / sigma)
-    assert gp_loglik(0.0, sigma, x) == pytest.approx(want, rel=1e-15)
+    assert _loglik(0.0, sigma, x) == pytest.approx(want, rel=1e-15)
 
 
 def test_loglik_tiny_gamma_uses_stable_branch():
     x = _support_sample(0.0, 1.0)
     for g in (1e-7, -1e-7, 4e-9):
         want = stats.genpareto.logpdf(x, c=g, scale=1.0).sum()
-        assert gp_loglik(g, 1.0, x) == pytest.approx(want, rel=1e-9)
+        assert _loglik(g, 1.0, x) == pytest.approx(want, rel=1e-9)
 
 
-def test_loglik_domain_errors():
-    with pytest.raises(DomainError):
-        gp_loglik(0.2, -1.0, [1.0])
-    with pytest.raises(DomainError):
-        gp_loglik(0.2, 1.0, [-0.5])
-    with pytest.raises(DomainError):
-        gp_loglik(-0.4, 1.0, [3.0])  # past the upper endpoint 1/0.4
+def test_loglik_is_none_outside_support():
+    # the upper endpoint of shape -0.4 at unit scale is 1/0.4 = 2.5
+    assert _loglik_terms(-0.4, 0.0, np.array([1.0, 3.0])) is None
+    assert _loglik_terms(-0.4, 0.0, np.array([1.0, 2.4])) is not None
 
 
 @settings(max_examples=25, deadline=None)
@@ -102,7 +102,7 @@ def test_loglik_matches_scipy_random(gamma, sigma, seed):
         want = -x.size * math.log(sigma) - x.sum() / sigma
     else:
         want = stats.genpareto.logpdf(x, c=gamma, scale=sigma).sum()
-    assert gp_loglik(gamma, sigma, x) == pytest.approx(want, rel=1e-9)
+    assert _loglik(gamma, sigma, x) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("gamma", [-0.35, -0.05, 0.3, 1.2])
@@ -113,7 +113,7 @@ def test_score_and_hessian_match_numerical_derivatives(gamma):
     tau = 0.3
 
     def ll(g, t):
-        return gp_loglik(g, math.exp(t), x)
+        return _loglik_terms(g, t, x)[0]
 
     _, score, hess = _loglik_terms(gamma, tau, x)
     h = 1e-6

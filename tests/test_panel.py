@@ -9,6 +9,7 @@ import scedex
 from scedex import (
     DateOrderError,
     DomainError,
+    EmptyPoolError,
     EmptySeasonError,
     PanelFormatError,
     PanelSample,
@@ -397,6 +398,13 @@ def test_decluster_drops_all_missing_days():
     with pytest.warns(UserWarning, match="all stations missing"):
         out = decluster(make_panel(vals, missing=missing), gap_days=0)
     assert out.n == 2
+
+
+@pytest.mark.parametrize("gap", [0, 2])
+def test_decluster_panel_with_no_observed_value(gap):
+    p = make_panel(np.zeros((2, 2)), missing=np.ones((2, 2), dtype=bool))
+    with pytest.raises(EmptyPoolError, match="no non-missing observations"):
+        decluster(p, gap_days=gap)
 
 
 def test_decluster_respects_calendar_gaps():

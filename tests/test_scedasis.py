@@ -25,6 +25,7 @@ def test_hand_curve_station1(small_panel):
     c = scedasis_curve(small_panel, k=4, j=1)
     assert c.jump_times.tolist() == [0.25, 0.875]
     assert c.c1 == 0.5
+    assert c.value([0.5, 1.0]).tolist() == [0.25, 0.5]
 
 
 def test_step_curve_evaluation(small_panel):

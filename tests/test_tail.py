@@ -1,8 +1,8 @@
-"""Pooled order statistics, the level-k tail and the two tail processes.
+"""Pooled order statistics and the level-k tail.
 
 The small 8x2 fixture pools to N=16 tie-free values; with k=4 the global
-threshold is the 5th largest pooled value (5.0) and every entry of the
-exceedance surfaces below is checked by hand.  A property test recounts the
+threshold is the 5th largest pooled value (5.0) and every rung of the level
+ladder below is checked by hand.  A property test recounts the
 level-k tail of tied panels with missing cells and checks that every
 estimator sees the same exceedances and ties.
 """
@@ -29,8 +29,6 @@ from scedex import (
     scedasis_all,
     sigma1_matrix,
     split_season,
-    tail_empirical_process,
-    tail_quantile_process,
     time_test,
 )
 from scedex.tail import TailAtK, check_k
@@ -114,6 +112,19 @@ def test_check_k_bounds():
             check_k(bad, 16)
 
 
+def test_renormalising_without_exceedances_raises():
+    # the top k = 5 all tie with the threshold 1.0: nothing exceeds it
+    p = make_panel(np.ones((30, 2)))
+    tail = TailAtK(p, 5)
+    assert (tail.n_exceedances, tail.tie_count, tail.divisor(False)) == (0, 5, 5)
+    for compute in (lambda: tail.divisor(True),
+                    lambda: scedasis_all(p, 5, renormalize=True),
+                    lambda: sigma1_matrix(p, 5, renormalize=True),
+                    lambda: time_test(p, 5, 0)):
+        with pytest.raises(NoExceedanceError, match="no strict exceedances of the pooled"):
+            compute()
+
+
 def test_global_threshold_is_k_plus_first_largest(small_panel):
     o = pool(small_panel)
     # exactly k = 4 pooled values (6, 7, 8, 9) exceed the threshold
@@ -126,60 +137,11 @@ def test_global_threshold_is_k_plus_first_largest(small_panel):
     # the ladder's top rung s = 1 is level k itself, at the threshold
     levels, thresholds = tail.ladder(1.0)
     assert (levels, thresholds) == (4.0, 5.0)
-
-
-def test_tail_empirical_process_hand_values(small_panel):
-    s = [0.5, 1.0]
-    t = [0.5, 1.0]
-    # station 0: thresholds 7.0 (s=.5) and 5.0 (s=1); exceedances on days 3, 5
-    e0 = tail_empirical_process(small_panel, k=4, j=0, s_grid=s, t_grid=t)
-    assert e0.tolist() == [[0.25, 0.25], [0.25, 0.5]]
-    # station 1: exceedances on days 1 (7.0) and 6 (8.0)
-    e1 = tail_empirical_process(small_panel, k=4, j=1, s_grid=s, t_grid=t)
-    assert e1.tolist() == [[0.0, 0.25], [0.25, 0.5]]
-    # tie-free pool: station shares at (s=1, t=1) add up to one
-    assert e0[1, 1] + e1[1, 1] == 1.0
-
-
-def test_tail_empirical_process_t_zero_is_zero(small_panel):
-    e = tail_empirical_process(small_panel, k=4, j=0, s_grid=[1.0], t_grid=[0.0])
-    assert e.shape == (1, 1)
-    assert e[0, 0] == 0.0
-
-
-def test_tail_empirical_process_validation(small_panel):
-    with pytest.raises(RangeError):
-        tail_empirical_process(small_panel, k=4, j=2, s_grid=[1.0], t_grid=[1.0])
-    with pytest.raises(RangeError):
-        tail_empirical_process(small_panel, k=4, j=0, s_grid=[0.0, 1.0], t_grid=[1.0])
-    with pytest.raises(RangeError):
-        tail_empirical_process(small_panel, k=4, j=0, s_grid=[1.0], t_grid=[0.5, 1.5])
-    with pytest.raises(RangeError):
-        # floor(k*s) = 16 >= n_effective
-        tail_empirical_process(small_panel, k=4, j=0, s_grid=[4.0], t_grid=[1.0])
-    with pytest.raises(RangeError):
-        tail_empirical_process(small_panel, k=0, j=0, s_grid=[1.0], t_grid=[1.0])
-
-
-def test_tail_quantile_process_endpoints(small_panel):
-    k = 4
-    q = tail_quantile_process(small_panel, k, s_grid=[1.0 / (2 * k), 1.0, 2.0])
-    assert q[:, 0].tolist() == [1.0 / (2 * k), 1.0, 2.0]
-    # floor(k s) = 0: pooled maximum relative to the threshold
-    assert q[0, 1] == 9.0 - 5.0
-    # s = 1 reproduces the threshold itself
-    assert q[1, 1] == 0.0
-    # s = 2: exactly 8 pooled values (2, 3, ..., 9) exceed 1.0
-    assert q[2, 1] == 1.0 - 5.0
-
-
-def test_tail_quantile_process_range(small_panel):
-    with pytest.raises(RangeError):
-        tail_quantile_process(small_panel, 4, s_grid=[0.01, 1.0])
-    with pytest.raises(RangeError):
-        tail_quantile_process(small_panel, 4, s_grid=[1.0, 4.0])  # s >= N/k
-    with pytest.raises(RangeError):
-        tail_quantile_process(small_panel, 4, s_grid=[1.0, 0.5])  # not sorted
+    # floor(k s) = 0 reads the pooled maximum; at s = 2 exactly 8 pooled
+    # values (2, 3, ..., 9) exceed the rung 1.0
+    levels, thresholds = tail.ladder([1.0 / 8, 1.0, 2.0])
+    assert levels.tolist() == [0.0, 4.0, 8.0]
+    assert thresholds.tolist() == [9.0, 5.0, 1.0]
 
 
 @settings(max_examples=40, deadline=None)
@@ -189,15 +151,16 @@ def test_tail_quantile_process_range(small_panel):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 def test_quantile_process_nonincreasing(n, m, seed):
-    """Deeper levels s can only move the threshold down, never up."""
+    """Deeper levels s can only move the ladder's threshold down, never up."""
     rng = np.random.default_rng(seed)
     vals = rng.permutation(n * m).reshape(n, m) + 1.0
     p = make_panel(vals)
     k = max(1, (n * m) // 4)
     s = np.linspace(1.0 / (2 * k), (n * m) / k - 1e-6, 9)
-    q = tail_quantile_process(p, k, s)
-    assert np.all(np.diff(q[:, 1]) <= 0)
-    assert q[np.searchsorted(s, 1.0), 1] <= 0.0 or 1.0 not in s
+    tail = TailAtK(p, k)
+    _, thresholds = tail.ladder(s)
+    assert np.all(np.diff(thresholds) <= 0)
+    assert tail.ladder(1.0)[1] == tail.threshold
 
 
 @settings(max_examples=40, deadline=None)
@@ -211,9 +174,7 @@ def test_station_shares_sum_to_one_without_ties(n, m, seed):
     vals = rng.permutation(n * m).reshape(n, m) + 1.0
     p = make_panel(vals)
     k = max(1, (n * m) // 3)
-    total = 0.0
-    for j in range(m):
-        total += tail_empirical_process(p, k, j, s_grid=[1.0], t_grid=[1.0])[0, 0]
+    total = sum(c.c1 for c in scedasis_all(p, k))
     assert total == pytest.approx(1.0, abs=1e-12)
 
 

@@ -16,8 +16,8 @@ from scedex import (
     chi2_pvalue,
     k_sweep,
     kolmogorov_pvalue,
+    sigma1_matrix,
     space_test,
-    space_test_from_estimates,
     time_test,
 )
 from scedex.trend_tests import ks_statistic_from_jumps
@@ -94,18 +94,33 @@ def test_chi2_pvalue_edges():
 # ---------------------------------------------------------------------------
 
 
+def _share_panel(counts, n=60):
+    """Station j alone exceeds on ``counts[j]`` days of its own, and no two
+    values tie; at k = sum(counts) the joint matrix is diag(counts) / k."""
+    m = len(counts)
+    vals = np.arange(n * m, dtype=float).reshape(n, m) / (n * m)
+    day = 0
+    for j, c in enumerate(counts):
+        vals[day:day + c, j] = 10.0 + np.arange(day, day + c)
+        day += c
+    return make_panel(vals)
+
+
 def test_space_statistic_hand_value():
-    # shares (.6, .4) with diagonal joint matrix .5 I and k = 25:
+    # shares (.6, .4) with joint matrix diag(.6, .4) and k = 25:
     # D = (.5, -.5), centred covariance block [[.25]], statistic exactly 1
-    res = space_test_from_estimates([0.6, 0.4], np.eye(2) * 0.5, k=25)
+    p = _share_panel([15, 10])
+    assert sigma1_matrix(p, 25, renormalize=True).entries.tolist() == [[0.6, 0.0], [0.0, 0.4]]
+    res = space_test(p, k=25)
     assert res.statistic == pytest.approx(1.0, abs=1e-12)
     assert res.df == 1
     assert res.p_value == pytest.approx(float(stats.chi2.sf(1.0, 1)), abs=1e-12)
+    assert res.extras["tie_count"] == 0
 
 
 def test_space_statistic_three_stations():
     # equal shares: statistic is identically zero whatever the covariance
-    res = space_test_from_estimates([1 / 3] * 3, np.eye(3) / 3, k=99)
+    res = space_test(_share_panel([10, 10, 10]), k=30)
     assert res.statistic == pytest.approx(0.0, abs=1e-12)
     assert res.df == 2
 
