@@ -215,7 +215,8 @@ def _panel_command(name: str, *options, check=None):
                 season = (panel.SeasonDefinition.winter() if params["season"] == "winter"
                           else panel.SeasonDefinition.summer())
                 p = panel.split_season(p, season)
-            if params["gap"] > 0:
+            # nothing observed, nothing to decluster; the estimators raise on the pool
+            if params["gap"] > 0 and not p.missing_mask.all():
                 p = panel.decluster(p, gap_days=params["gap"])
             return body(p, raw=raw, **params)
 
@@ -238,7 +239,7 @@ def _ingest_check(p, raw, input, season, gap, **_):
         "input": input,
         "stations": list(raw.station_ids),
         "rows_raw": raw.n,
-        "rows_after_selection": p.n,
+        "rows_after_selection": 0 if p.missing_mask.all() else p.n,
         "season": season,
         "gap_days": gap,
         "date_min": str(raw.day_labels[0]),

@@ -16,6 +16,7 @@ estimation error.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -60,13 +61,15 @@ def logistic_tail_copula(alpha: float) -> Callable:
     return R
 
 
-def _pair_tail_copula(dependence: str, alpha: float | None) -> Callable:
-    if dependence == "independent":
-        return lambda x, y: np.zeros(np.broadcast(np.asarray(x), np.asarray(y)).shape) \
-            if np.ndim(x) or np.ndim(y) else 0.0
-    if dependence == "comonotone":
-        return lambda x, y: np.minimum(x, y)
-    return logistic_tail_copula(alpha)
+@functools.cache
+def _nodes() -> tuple:
+    """The 200-node Gauss-Legendre rule on [0, 1], read-only (nodes, weights):
+    every integral in this module uses it.  Built on first use."""
+    x, w = np.polynomial.legendre.leggauss(200)
+    rule = ((x + 1.0) / 2.0, w / 2.0)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +126,6 @@ class SimSpec:
                 raise SimSpecError(
                     f"expected {self.m} frequency functions, got {len(funcs)}"
                 )
-        # checked before the integrals, which would only turn NaN into a warning
         grid = np.linspace(0.0, 1.0, 2001)
         raw = np.array([np.asarray(f(grid), dtype=float) for f in funcs])
         if not np.all((raw > 0) & np.isfinite(raw)):
@@ -132,9 +134,8 @@ class SimSpec:
         if self.scedasis is None:
             integrals = np.ones(self.m)  # constant 1 integrates to 1 exactly
         else:
-            from scipy.integrate import quad
-
-            integrals = np.array([quad(f, 0.0, 1.0, limit=200)[0] for f in funcs])
+            u, w = _nodes()
+            integrals = np.array([math.fsum(np.asarray(f(u), dtype=float) * w) for f in funcs])
         if not np.all((integrals > 0) & np.isfinite(integrals)):
             raise SimSpecError("every frequency function must have finite positive mass")
         rho = self.m / integrals.sum()
@@ -149,7 +150,6 @@ class SimSpec:
         )
         object.__setattr__(self, "scedasis", normalized)
         object.__setattr__(self, "_c1", tuple(rho * integrals / self.m))
-        object.__setattr__(self, "_rho", float(rho))
 
     @property
     def c1(self) -> np.ndarray:
@@ -237,30 +237,39 @@ def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
     )
 
 
-def analytic_r_lookup(spec: SimSpec, n_nodes: int = 200) -> Callable:
+def _tail_integral(spec: SimSpec, i: int, j: int, s, t, upper: float = 1.0):
+    """(1/m) int_0^upper R_ij(s c_i(u), t c_j(u)) du by :func:`_nodes`.  R_ij is
+    min within one station and the spec's pair copula across stations; where
+    the arguments of min cross, the rule is not exact (the integrand kinks)."""
+    if not (0 <= i < spec.m and 0 <= j < spec.m):
+        raise RangeError(f"station indices ({i}, {j}) out of range for m={spec.m}")
+    s = np.asarray(s, dtype=float)
+    t = np.asarray(t, dtype=float)
+    if not (np.all(s >= 0) and np.all(t >= 0)):
+        raise RangeError("tail copula arguments must be >= 0")
+    if i == j or spec.dependence == "comonotone":
+        R = np.minimum
+    elif spec.dependence == "independent":
+        R = lambda x, y: 0.0 * np.minimum(x, y)
+    else:
+        R = logistic_tail_copula(spec.alpha)
+    u, w = _nodes()
+    vals = R(s[..., None] * spec.scedasis[i](upper * u),
+             t[..., None] * spec.scedasis[j](upper * u))
+    out = upper * (vals @ w) / spec.m
+    return float(out) if out.ndim == 0 else out
+
+
+def analytic_r_lookup(spec: SimSpec) -> Callable:
     """Exact pairwise tail-copula surfaces of a simulation spec.
 
     r(i, j; s, t) = (1/m) int_0^1 R(s c_i(u), t c_j(u)) du with the spec's
     closed-form pair copula (same-station pairs always use min).
     """
-    gl_x, gl_w = np.polynomial.legendre.leggauss(n_nodes)
-    u = (gl_x + 1.0) / 2.0
-    w = gl_w / 2.0
-    R_cross = _pair_tail_copula(spec.dependence, spec.alpha)
-    levels = [np.asarray(spec.scedasis[j](u), dtype=float) for j in range(spec.m)]
-
-    def r(i: int, j: int, s, t):
-        s = np.asarray(s, dtype=float)
-        t = np.asarray(t, dtype=float)
-        R = (lambda x, y: np.minimum(x, y)) if i == j else R_cross
-        vals = R(s[..., None] * levels[i], t[..., None] * levels[j])
-        out = vals @ w / spec.m
-        return float(out) if out.ndim == 0 else out
-
-    return r
+    return functools.partial(_tail_integral, spec)
 
 
-def analytic_cross_surface(spec: SimSpec, n_nodes: int = 200) -> Callable:
+def analytic_cross_surface(spec: SimSpec) -> Callable:
     """Exact aggregate cross-station surface X(s, t) = sum over i != j of
     r(i, j; s, t), whose edge X(v, 1) is the input of :func:`sigma_gamma0`.
 
@@ -268,8 +277,8 @@ def analytic_cross_surface(spec: SimSpec, n_nodes: int = 200) -> Callable:
     same surfaces, so r is evaluated once per ordered pair of such groups and
     weighted by the number of ordered station pairs it stands for.
     """
-    r = analytic_r_lookup(spec, n_nodes)
-    u = (np.polynomial.legendre.leggauss(n_nodes)[0] + 1.0) / 2.0
+    r = analytic_r_lookup(spec)
+    u = _nodes()[0]
     groups: dict[bytes, list[int]] = {}
     for j in range(spec.m):
         groups.setdefault(np.asarray(spec.scedasis[j](u), dtype=float).tobytes(), []).append(j)
@@ -290,19 +299,7 @@ def analytic_sigma(spec: SimSpec, j1: int, j2: int, s1: float, s2: float,
                    t1: float, t2: float) -> float:
     """Limiting covariance of the threshold-exceedance counts:
     (1/m) int_0^{t1 ^ t2} R(s1 c_{j1}(u), s2 c_{j2}(u)) du."""
-    R = (lambda x, y: np.minimum(x, y)) if j1 == j2 else \
-        _pair_tail_copula(spec.dependence, spec.alpha)
-    upper = min(t1, t2)
-    if upper <= 0:
-        return 0.0
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda u: float(R(s1 * float(spec.scedasis[j1](u)),
-                          s2 * float(spec.scedasis[j2](u)))) / spec.m,
-        0.0, upper, limit=200,
-    )
-    return float(val)
+    return _tail_integral(spec, j1, j2, s1, s2, upper=max(min(t1, t2), 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -134,8 +134,10 @@ class PanelSample:
     @cached_property
     def sorted_values(self) -> np.ndarray:
         """The non-missing values pooled over days and stations, sorted
-        ascending and read-only."""
+        ascending and read-only; :class:`EmptyPoolError` when there are none."""
         out = np.sort(self.values[~self.missing_mask])
+        if out.size == 0:
+            raise EmptyPoolError("panel has no non-missing observations")
         out.setflags(write=False)
         return out
 

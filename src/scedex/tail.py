@@ -47,8 +47,6 @@ class PooledOrderStatistics:
 def pool(p: PanelSample) -> PooledOrderStatistics:
     """All non-missing observations of the panel, sorted ascending (the panel
     sorts them once and every call shares that array)."""
-    if p.sorted_values.size == 0:
-        raise EmptyPoolError("panel has no non-missing observations")
     return PooledOrderStatistics(values=p.sorted_values)
 
 
