@@ -299,7 +299,9 @@ def analytic_sigma(spec: SimSpec, j1: int, j2: int, s1: float, s2: float,
                    t1: float, t2: float) -> float:
     """Limiting covariance of the threshold-exceedance counts:
     (1/m) int_0^{t1 ^ t2} R(s1 c_{j1}(u), s2 c_{j2}(u)) du."""
-    return _tail_integral(spec, j1, j2, s1, s2, upper=max(min(t1, t2), 0.0))
+    if not (0 <= t1 <= 1 and 0 <= t2 <= 1):  # NaN fails both comparisons
+        raise RangeError(f"time fractions must lie in [0, 1], got t1={t1}, t2={t2}")
+    return _tail_integral(spec, j1, j2, s1, s2, upper=min(t1, t2))
 
 
 # ---------------------------------------------------------------------------

@@ -178,21 +178,19 @@ class PanelSample:
 # ``20000101`` and ``2000-W01-2`` from 3.11 on, and numpy's cast reads
 # ``2000-01``, so both parsers check the spelling first.
 _DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+# The one number grammar: ASCII decimals with an optional sign and exponent
+# (Python's ``float`` also reads ``1_0`` and non-ASCII digits).  The
+# infinities and signed NaNs match too, to be reported as non-finite.
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
+                     re.IGNORECASE | re.ASCII)
 # One line with its ending, as iterating a file opened with newline="" gives
 # it (an io.StringIO copy of the text would take four bytes a character).
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # A missing cell ("", "nan" or "na" in any case, padded with blanks) with the
-# delimiter before it.  A missing cell never starts with a digit or a dot, so
-# the look-ahead rejects most numeric cells at their first character.
-_MISSING_CELL = re.compile(
-    r"([,\n])(?![0-9.])[ \t]*(?:nan|na)?[ \t]*(?=[,\n]|\Z)", re.IGNORECASE | re.ASCII
-)
-# A NaN with a sign, which numpy reads and the row parser rejects.  One
-# pattern per sign: a literal first character lets the search skip ahead
-# (7 ms for both on a 6.5 MB panel, against 50 ms for ``[+-]nan``, on a
-# 2-core x86-64 box with Python 3.11).
-_SIGNED_NAN = (re.compile(r"-nan", re.IGNORECASE | re.ASCII),
-               re.compile(r"\+nan", re.IGNORECASE | re.ASCII))
+# comma before it, in a line framed by commas.  The literal comma lets the
+# search jump from cell to cell, and a numeric cell fails at its first
+# character, as a missing cell never starts with a digit or a dot.
+_MISSING_CELL = re.compile(r",(?![0-9.])[ \t]*(?:nan|na)?[ \t]*(?=,)", re.IGNORECASE | re.ASCII)
 
 
 def load_panel(
@@ -281,20 +279,26 @@ def _parse_fast(text: str, n_fields: int, date_pos: int, col_pos: list[int]):
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    # The rows, led by the header's newline, which delimits the first cell.
-    # A quoted header that spans lines leaves its closing quote in them.
-    rows = text[text.find("\n"):].rstrip("\n")
-    if not rows.startswith("\n") or '"' in rows:
+    lines = text.split("\n")
+    while len(lines) > 1 and not lines[-1]:
+        lines.pop()
+    # A quoted header that spans lines leaves its closing quote in the rows.
+    if len(lines) < 2 or text.find('"', len(lines[0])) >= 0:
         return None
-    # numpy reads a signed NaN, which the row parser rejects; every other
-    # NaN it reads is a missing cell, rewritten to "nan" here.
-    if any(pattern.search(rows) for pattern in _SIGNED_NAN):
-        return None
-    rows = _MISSING_CELL.sub(r"\1nan", rows)
-    lines = rows.split("\n")[1:]
-    del rows  # each copy of the text adds to the peak memory of a load
-    if any(line.count(",") != n_fields - 1 for line in lines):
-        return None
+    del lines[0]
+    for i, line in enumerate(lines):
+        if line.count(",") != n_fields - 1:
+            return None
+        # numpy reads "nan" in any case and padding, so only lines with an
+        # empty cell, a blank or an "na" (an "a" outside a "nan") are rewritten.
+        hole = ",," in line or line[:1] == "," or line[-1:] == "," or " " in line or "\t" in line
+        if "a" in line or "A" in line:  # every NaN spelling holds an "a"
+            low = line.lower()
+            if "-nan" in low or "+nan" in low:
+                return None  # numpy reads a signed NaN, which the row parser rejects
+            hole = hole or low.count("a") != low.count("nan")
+        if hole:
+            lines[i] = _MISSING_CELL.sub(",nan", f",{line},")[1:-1]
     dates = [line.split(",", date_pos + 1)[date_pos] for line in lines]
     if not all(map(_DATE.fullmatch, dates)):
         return None
@@ -350,12 +354,11 @@ def _parse_rows(reader, n_fields: int, date_pos: int, stations: list[str], col_p
                 vals.append(np.nan)
                 miss.append(True)
                 continue
-            try:
-                x = float(cell)
-            except ValueError:
+            if not _NUMBER.fullmatch(cell):
                 raise PanelFormatError(
                     f"cannot parse value {cell!r} for station {s!r}", line=line_no
-                ) from None
+                )
+            x = float(cell)
             if not np.isfinite(x):
                 raise PanelFormatError(
                     f"non-finite value {cell!r} for station {s!r}", line=line_no
@@ -432,18 +435,15 @@ def decluster(p: PanelSample, gap_days: int = 2) -> PanelSample:
     # Rank: maximum descending, then date ascending (earlier day wins ties).
     order = rows[np.lexsort((day_nums[rows], -row_max[rows]))]
 
+    # Day d's flag sits at d + gap_days, so its window is [d, d + 2 gap_days]
+    # with no clamp at either end; days are unique, so gap 0 keeps every day.
     lo_day = int(day_nums[rows].min())
-    span = int(day_nums[rows].max()) - lo_day + 1
-    kept_flag = np.zeros(span, dtype=bool)
+    kept_flag = bytearray(int(day_nums[rows].max()) - lo_day + 1 + 2 * gap_days)
     kept: list[int] = []
-    for idx in order:
-        d = int(day_nums[idx]) - lo_day
-        w0 = max(0, d - gap_days)
-        w1 = min(span, d + gap_days + 1)
-        if gap_days > 0 and kept_flag[w0:w1].any():
-            continue
-        kept_flag[d] = True
-        kept.append(idx)
+    for idx, d in zip(order.tolist(), (day_nums[order] - lo_day).tolist()):
+        if kept_flag.find(1, d, d + 2 * gap_days + 1) < 0:
+            kept_flag[d + gap_days] = 1
+            kept.append(idx)
 
     kept_idx = np.sort(np.array(kept, dtype=np.int64))
     return p.subset_rows(kept_idx)

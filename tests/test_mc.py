@@ -387,6 +387,16 @@ def test_tail_integrals_reject_bad_stations_and_negative_levels(dependence, alph
             analytic_sigma(spec, i, j, 1.0, -1.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("t1,t2", [(2.0, 3.0), (1.0, 1.5), (-1.0, 1.0), (0.5, -0.1),
+                                   (np.nan, 1.0), (1.0, np.nan)])
+def test_analytic_sigma_rejects_time_fractions_outside_the_unit_interval(t1, t2):
+    # the simulator has no days past u = 1; before this check (2, 3) read 1.0,
+    # t = -1 read 0.0 and NaN read nan
+    spec = SimSpec(n=100, m=2, gamma=0.25)
+    with pytest.raises(RangeError, match=r"time fractions must lie in \[0, 1\]"):
+        analytic_sigma(spec, 0, 0, 1.0, 1.0, t1, t2)
+
+
 # ---------------------------------------------------------------------------
 # harnesses
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -226,6 +228,34 @@ def test_signed_nan_in_a_selected_column_names_its_line(tmp_path, cell):
         load_panel(f)
 
 
+@pytest.mark.parametrize("cell", ["1_0", "\u0661\u0662", "\uff11", "0x10", "1e", ".", "1.5.2"])
+def test_load_panel_reads_only_ascii_decimals(tmp_path, cell):
+    # Python's float reads "1_0" as 10.0, Arabic-Indic "12" as 12.0 and a
+    # fullwidth "1" as 1.0; numpy refuses them, so the row parser decides
+    f = tmp_path / "panel.csv"
+    f.write_bytes(f"date,A,B\n2000-01-01,1,2\n2000-01-02,3,{cell}\n".encode())
+    want = rf"line 3: cannot parse value {re.escape(repr(cell))} for station 'B'"
+    with pytest.raises(PanelFormatError, match=want):
+        load_panel(f)
+    with _row_parser_only(), pytest.raises(PanelFormatError, match=want):
+        load_panel(f)
+
+
+def test_load_panel_reads_every_ascii_decimal_spelling(tmp_path):
+    f = _write(tmp_path, "date,A,B,C,D,E,F\n2000-01-01,+1.5,.5,1.,1E-2,-0, 7e+1\t\n")
+    want = [[1.5, 0.5, 1.0, 0.01, 0.0, 70.0]]
+    assert load_panel(f).values.tolist() == want
+    with _row_parser_only():
+        assert load_panel(f).values.tolist() == want
+
+
+def test_date_column_read_as_a_station_names_its_line(tmp_path):
+    # one field per row, so a blank row has the right comma count
+    f = _write(tmp_path, "date\n2000-01-01\n\n2000-01-02\n")
+    with pytest.raises(PanelFormatError, match="line 2: cannot parse value '2000-01-01'"):
+        load_panel(f, station_columns=["date"])
+
+
 _SPELLINGS = ("", "nan", "na", "NaN", "NA", "nA", "Nan", "NAN")
 _PADS = ("", " ", "\t", " \t")
 _ODD_NUMBERS = ("-0", "+1", "1E3", " 2.5 ", "\t7", ".5")
@@ -234,14 +264,15 @@ _FAULTS = ("crlf", "blank line", "quote", "bad cell", "field count", "repeated d
 
 
 @st.composite
-def _csv_panels(draw):
+def _csv_panels(draw, max_faults=2):
     """Small panel CSV text (padded and mixed-case missing cells, the date
-    column anywhere, at most two faults) and a ``station_columns`` choice."""
+    column anywhere, at most ``max_faults`` faults) and a ``station_columns``
+    choice."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     names = [f"S{j}" for j in range(m)]
     date_pos = draw(st.integers(0, m))
-    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=2))
+    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=max_faults))
     steps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
     dates = [str(d) for d in np.datetime64("1999-12-30") + np.cumsum(steps)]
     if "repeated date" in faults and n > 1:
@@ -309,6 +340,43 @@ def test_fast_parser_agrees_with_row_parser(tmp_path_factory, case):
     assert got == want
 
 
+def test_every_missing_spelling_keeps_the_fast_path(tmp_path):
+    # one hole per line, first and last on alternate lines, so every line
+    # is rewritten (or not) on its own merits
+    holes = [pre + word + post for word in _SPELLINGS for pre in _PADS for post in _PADS]
+    days = np.datetime_as_string(np.datetime64("2000-01-01") + np.arange(2 * len(holes)))
+    lines = ["A,date,B"]
+    for i, hole in enumerate(holes):
+        lines += [f"{hole},{days[2 * i]},1", f"2,{days[2 * i + 1]},{hole}"]
+    f = _write(tmp_path, "\n".join(lines) + "\n")
+
+    def refuse(*args):
+        raise AssertionError("the row parser ran on a valid panel")
+
+    with mock.patch.object(panel_module, "_parse_rows", refuse):
+        p = load_panel(f)
+    assert p.missing_mask.tolist() == [[True, False], [False, True]] * len(holes)
+    assert np.nansum(p.values) == 3 * len(holes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_csv_panels(max_faults=0))
+def test_fault_free_panels_skip_the_row_parser(tmp_path_factory, case):
+    """Padded and mixed-case missing cells, odd number spellings, the date
+    column anywhere and a column subset all stay on the fast path: the
+    agreement test above would pass even if every file fell back to the row
+    parser, which is several times slower."""
+    text, stations = case
+    f = tmp_path_factory.mktemp("fast") / "panel.csv"
+    f.write_bytes(text.encode())
+
+    def refuse(*args):
+        raise AssertionError("the row parser ran on a fault-free panel")
+
+    with mock.patch.object(panel_module, "_parse_rows", refuse):
+        load_panel(f, station_columns=stations)
+
+
 # ---------------------------------------------------------------------------
 # Seasons
 # ---------------------------------------------------------------------------
@@ -334,8 +402,6 @@ def test_split_season_keeps_only_matching_months():
 def test_split_season_full_year_no_warning():
     # a complete year keeps 152 winter days (Jan-Mar + Nov-Dec), above the floor
     p = make_panel(np.ones((366, 1)), start="2000-01-01")
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         w = split_season(p, SeasonDefinition.winter())
@@ -449,6 +515,58 @@ def test_decluster_separation_property(values, gap):
             if abs(kd - int(d)) <= gap
         ]
         assert blockers and max(blockers) >= v
+
+
+def _decluster_by_definition(p, gap):
+    """Rows kept by the rule in ``decluster``'s docstring, checked day
+    against day: rank the days with an observation by their station maximum
+    (largest first, earlier day first), then keep a day unless it lies
+    within ``gap`` calendar days of a day already kept."""
+    days = p.day_numbers().tolist()
+    maxima = {}
+    for i in range(p.n):
+        seen = [v for v, miss in zip(p.values[i].tolist(), p.missing_mask[i].tolist())
+                if not miss]
+        if seen:
+            maxima[i] = max(seen)
+    kept = []
+    for i in sorted(maxima, key=lambda i: (-maxima[i], days[i])):
+        if all(abs(days[i] - days[j]) > gap for j in kept):
+            kept.append(i)
+    return sorted(kept)
+
+
+@st.composite
+def _gappy_panels(draw):
+    """Up to 4 stations over up to 30 days with calendar gaps, few distinct
+    values (so row maxima tie) and missing cells (so whole days go missing)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 30))
+    steps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    cells = st.lists(st.sampled_from((0.0, 1.0, 2.0, 2.5, 7.0)), min_size=m, max_size=m)
+    holes = st.lists(st.sampled_from((False, False, True)), min_size=m, max_size=m)
+    return PanelSample(
+        values=np.array(draw(st.lists(cells, min_size=n, max_size=n))),
+        day_labels=np.datetime64("2000-02-20") + np.cumsum(steps),
+        station_ids=tuple(f"S{j}" for j in range(m)),
+        missing_mask=np.array(draw(st.lists(holes, min_size=n, max_size=n))),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=_gappy_panels(), gap=st.integers(0, 5))
+def test_decluster_matches_its_definition(p, gap):
+    if p.missing_mask.all():
+        with pytest.raises(EmptyPoolError):
+            decluster(p, gap_days=gap)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        out = decluster(p, gap_days=gap)
+    want = p.subset_rows(np.array(_decluster_by_definition(p, gap), dtype=np.int64))
+    assert out.day_labels.tobytes() == want.day_labels.tobytes()
+    assert out.values.tobytes() == want.values.tobytes()
+    assert out.missing_mask.tobytes() == want.missing_mask.tobytes()
 
 
 def test_public_reexports():
