@@ -52,7 +52,10 @@ def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDepe
     tied.
     """
     tail = TailAtK(p, k)
-    E = tail.exceed.astype(np.float64)
+    # Only days with an exceedance add to E.T @ E, and its entries are whole
+    # counts, exact in any summation order: the at most k rows holding one
+    # give the same bits as all n rows, without a float copy of all n.
+    E = tail.exceed[tail.exceed.any(axis=1)].astype(np.float64)
     divisor = tail.divisor(renormalize)
     return TailDependenceMatrix(entries=(E.T @ E) / divisor, k=tail.k, divisor=divisor,
                                 tie_count=tail.tie_count)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -92,7 +91,8 @@ class SimSpec:
     ``scedasis`` is one frequency function per station (u in [0, 1] ->
     positive level); None means constant 1 everywhere.  Functions are
     jointly rescaled at construction so their average integral is exactly 1,
-    preserving the ratios between stations.
+    preserving the ratios between stations.  ``seed`` is a non-negative
+    integer; with the replication number it keys the panel's random stream.
     """
 
     n: int
@@ -106,6 +106,8 @@ class SimSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise SimSpecError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise SimSpecError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.gamma <= -0.5:
             raise SimSpecError(f"shape must exceed -1/2, got {self.gamma}")
         if self.dependence not in _DEPENDENCES:
@@ -156,6 +158,19 @@ class SimSpec:
         """Exact per-station integrated frequencies C_j(1) (they sum to 1)."""
         return np.asarray(self._c1)
 
+    @functools.cached_property
+    def _frame(self) -> tuple:
+        """What every replication of this spec shares, built on first use and
+        read-only: the days x stations frequency levels c(i/n, j), the tail
+        masses c TAIL_MASS and 1 - c TAIL_MASS, and the filler's top x0."""
+        u_rows = np.arange(1, self.n + 1) / self.n
+        c_mat = np.column_stack([self.scedasis[j](u_rows) for j in range(self.m)])
+        tail_mass = c_mat * TAIL_MASS
+        body_mass = 1.0 - tail_mass
+        for a in (c_mat, tail_mass, body_mass):
+            a.setflags(write=False)
+        return c_mat, tail_mass, body_mass, float(self.tail_quantile(TAIL_MASS))
+
     # -- exact marginal quantities -----------------------------------------
 
     def tail_quantile(self, q) -> np.ndarray:
@@ -188,7 +203,7 @@ def _positive_stable(rng: np.random.Generator, alpha: float, size: int) -> np.nd
 
 def _draw_uniforms(spec: SimSpec, rng: np.random.Generator) -> np.ndarray:
     """Per-day station uniforms whose lower joint tail realises the chosen
-    tail copula."""
+    tail copula, in one fresh days x stations array."""
     n, m = spec.n, spec.m
     if spec.dependence == "comonotone":
         v = np.repeat(rng.random((n, 1)), m, axis=1)
@@ -196,9 +211,14 @@ def _draw_uniforms(spec: SimSpec, rng: np.random.Generator) -> np.ndarray:
         v = rng.random((n, m))
     else:
         s = _positive_stable(rng, spec.alpha, n)
-        e = rng.standard_exponential((n, m))
-        v = -np.expm1(-((e / s[:, None]) ** spec.alpha))  # 1 - Gumbel-copula uniform
-    return np.maximum(v, 1e-300)
+        v = rng.standard_exponential((n, m))
+        # 1 - Gumbel-copula uniform, -expm1(-((e / s) ** alpha)), in place
+        v /= s[:, None]
+        v **= spec.alpha
+        np.negative(v, out=v)
+        np.expm1(v, out=v)
+        np.negative(v, out=v)
+    return np.maximum(v, 1e-300, out=v)
 
 
 def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
@@ -211,26 +231,23 @@ def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
         np.random.Philox(np.random.SeedSequence((spec.seed, replication)))
     )
     n, m = spec.n, spec.m
+    c_mat, tail_mass, body_mass, x0 = spec._frame
     v = _draw_uniforms(spec, rng)
 
-    u_rows = np.arange(1, n + 1) / n
-    c_mat = np.column_stack([spec.scedasis[j](u_rows) for j in range(m)])
-    tail_mass = c_mat * TAIL_MASS
-
-    x0 = float(spec.tail_quantile(TAIL_MASS))
     is_tail = v <= tail_mass
-    # The filler x0 (1 - frac) everywhere, then the exact GP quantile on the
-    # tail cells.  Building the filler in place and the quantile on the tail
-    # cells alone keeps full-size temporaries, each paid in fresh pages, few.
-    x = v - tail_mass
-    x /= 1.0 - tail_mass
-    np.clip(x, 0.0, 1.0, out=x)
-    np.subtract(1.0, x, out=x)
-    x *= x0
-    x[is_tail] = spec.tail_quantile(v[is_tail] / c_mat[is_tail])
+    # The exact GP quantile on the tail cells, then the filler x0 (1 - frac)
+    # over the uniforms' own buffer.  Every full-size temporary is paid in
+    # fresh pages, so the replication allocates as few as it can.
+    tail = spec.tail_quantile(v[is_tail] / c_mat[is_tail])
+    v -= tail_mass
+    v /= body_mass
+    np.clip(v, 0.0, 1.0, out=v)
+    np.subtract(1.0, v, out=v)
+    v *= x0
+    v[is_tail] = tail
 
     return PanelSample(
-        values=x,
+        values=v,
         day_labels=np.datetime64("2000-01-01") + np.arange(n),
         station_ids=tuple(f"S{j + 1:02d}" for j in range(m)),
         missing_mask=np.zeros((n, m), dtype=bool),
@@ -339,6 +356,10 @@ def _replicate(fn: Callable, reps: int, threads: int, need: int):
     if threads == 1:  # on the caller's thread, so a tracer nests each call in it
         results = [guarded(r) for r in range(reps)]
     else:
+        # imported here: concurrent.futures (and the logging it loads) costs
+        # every process that imports scedex about 8 ms, and only this uses it
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool_:
             results = list(pool_.map(guarded, range(reps)))
     done = [r for r in results if r is not None]
@@ -472,6 +493,25 @@ def mc_covariance_check(
     )
 
 
+# Edge nodes per evaluation of the analytic surface.  Each block's quadrature
+# temporaries are (64 x 200) doubles, 100 KiB instead of the 6.4 MB of all
+# 4000 nodes at once: under the 128 KiB at which glibc's malloc maps fresh
+# pages, so every block reuses the heap memory of the one before.  A multiple
+# of 16, so BLAS's matrix-vector kernels group the rows of every block as
+# they group the rows of the whole, and the edge is the same to the bit.
+_EDGE_BLOCK = 64
+
+
+def _analytic_edge(spec: SimSpec) -> tuple:
+    """(v, X(v, 1)): the spec's exact aggregate cross-station edge at 4000
+    geometric nodes v from 1e-6 to 1, evaluated ``_EDGE_BLOCK`` nodes at a
+    time."""
+    v = np.geomspace(1e-6, 1.0, 4000)
+    cross = analytic_cross_surface(spec)
+    return v, np.concatenate([cross(v[i:i + _EDGE_BLOCK], 1.0)
+                              for i in range(0, v.size, _EDGE_BLOCK)])
+
+
 def mc_mle_variance(
     spec: SimSpec,
     k: int,
@@ -506,10 +546,7 @@ def mc_mle_variance(
     k_var_gamma = float(k * gammas.var(ddof=1))
     k_var_scale = float(k * rel_scales.var(ddof=1))
 
-    edge = None
-    if spec.m > 1:
-        v = np.geomspace(1e-6, 1.0, 4000)
-        edge = (v, analytic_cross_surface(spec)(v, 1.0))
+    edge = _analytic_edge(spec) if spec.m > 1 else None
     sigma, _ = sigma_gamma0(spec.gamma, spec.c1, edge=edge)
     inv = fisher_info_inverse(spec.gamma)
     sandwich = inv @ sigma @ inv

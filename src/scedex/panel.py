@@ -135,7 +135,8 @@ class PanelSample:
     def sorted_values(self) -> np.ndarray:
         """The non-missing values pooled over days and stations, sorted
         ascending and read-only; :class:`EmptyPoolError` when there are none."""
-        out = np.sort(self.values[~self.missing_mask])
+        out = self.values[~self.missing_mask]  # a fresh copy: sort it in place
+        out.sort()
         if out.size == 0:
             raise EmptyPoolError("panel has no non-missing observations")
         out.setflags(write=False)

@@ -757,6 +757,44 @@ def test_mc_nan_frequency_level_is_a_spec_error(runner):
     assert "replications" not in report["message"]
 
 
+def test_mc_negative_seed_is_a_spec_error(runner):
+    # the run and the dry run both end in the structured report, not in a
+    # numpy traceback from the simulator
+    args = ["mc", "--harness", "size", "--n", "200", "--m", "2", "--k", "20", "--reps", "3",
+            "--seed", "-1"]
+    for extra in ([], ["--dry-run"]):
+        result = runner.invoke(main, args + extra)
+        assert result.exit_code == 1, result.output
+        report = json.loads(_stderr(result) or result.output)
+        assert report["error"] == "SimSpecError"
+        assert report["module"] == "mc"
+        assert report["command"] == "mc"
+        assert "seed must be a non-negative integer, got -1" in report["message"]
+
+
+def test_one_thread_loads_no_thread_pool(tmp_path):
+    """concurrent.futures (and the logging it imports) costs every process
+    about 8 ms; only an mc run on more than one thread needs it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "from scedex.cli import main\n"
+        "loaded = ['concurrent.futures' in sys.modules]\n"
+        "for threads in ('1', '2'):\n"
+        "    main.main(['mc', '--harness', 'size', '--n', '300', '--m', '2', '--k', '20',\n"
+        "               '--reps', '3', '--threads', threads, '--output', sys.argv[1]],\n"
+        "              standalone_mode=False)\n"
+        "    loaded.append('concurrent.futures' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "mc.json")], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[False,", "False,", "True]"]
+
+
 def test_mc_dry_run_checks_the_simulation_spec(runner):
     ok = _ok(runner.invoke(main, MC_BASE + ["--harness", "size", "--dry-run"]))
     payload = json.loads(ok.output)

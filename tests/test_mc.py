@@ -6,6 +6,7 @@ under the logistic copula, and the Laplace transform of the positive-stable
 mixing variable.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -31,7 +32,8 @@ from scedex import (
     simulate_panel,
 )
 from scedex import mc as mc_module
-from scedex.mc import TAIL_MASS, _draw_uniforms, _positive_stable, _replicate
+from scedex.mc import (TAIL_MASS, _analytic_edge, _draw_uniforms, _positive_stable,
+                       _replicate)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +121,20 @@ def test_spec_validation():
         # a narrow spike: normalised level tops 10, beyond the exact-tail cap
         spike = lambda u: np.where(np.asarray(u) < 0.01, 100.0, 0.01)
         SimSpec(n=10, m=1, gamma=0.2, scedasis=(spike,))
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
+def test_spec_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # numpy's SeedSequence refuses these only once simulate_panel runs, with a
+    # raw ValueError or TypeError: the spec refuses them when it is built
+    with pytest.raises(SimSpecError, match="seed must be a non-negative integer"):
+        SimSpec(n=10, m=1, gamma=0.2, seed=seed)
+
+
+def test_spec_accepts_numpy_integer_seeds():
+    a = simulate_panel(SimSpec(n=30, m=2, gamma=0.2, seed=np.int64(5)), 1)
+    b = simulate_panel(SimSpec(n=30, m=2, gamma=0.2, seed=5), 1)
+    assert np.array_equal(a.values, b.values)
 
 
 def test_spec_rejects_nan_frequencies_before_simulating():
@@ -237,6 +253,57 @@ def test_simulate_matches_the_direct_quantile_transform(spec):
     assert np.array_equal(simulate_panel(spec, 2).values, want)
 
 
+_TREND3 = (linear_scedasis(0.5, 1.5), linear_scedasis(1.0, 1.0), linear_scedasis(1.5, 0.5))
+_PINNED_SPECS = {
+    "independent": SimSpec(n=400, m=3, gamma=0.2, seed=11),
+    "logistic": SimSpec(n=400, m=3, gamma=0.2, dependence="logistic", alpha=0.6, seed=11),
+    "comonotone": SimSpec(n=400, m=3, gamma=0.2, dependence="comonotone", seed=11),
+    "logistic-trend": SimSpec(n=400, m=3, gamma=0.2, dependence="logistic", alpha=0.6,
+                              seed=11, scedasis=_TREND3),
+}
+
+
+@pytest.mark.parametrize("name, replication, digest", [
+    ("independent", 0, "61fab9460e9c312c9d263b5bed4e23e0483b136d962de08f7376eecb9e78000f"),
+    ("independent", 7, "58d97568b827463afafcbc8f038b86a5ec259535a178266265ca3f4e34c5c537"),
+    ("logistic", 0, "3509d426500a18662c9633b0ade89354d3dfff6e0ecc3f47bdcaa5bf6abb2125"),
+    ("logistic", 7, "935356662c0b105293263a01f484c597c9e2efceed75bf456f20872a47ca310c"),
+    ("comonotone", 0, "6998125fe19f4ffd48a553787ba2b85f0d6e9e797f9d5d920ada8259dddd0dbb"),
+    ("comonotone", 7, "d737ed582ddd50b258835373e616cc68a7b1c2cda305d29ddc5d808292db7271"),
+    ("logistic-trend", 0, "61dd9fb011c88e8a4fa5ede45b5d2eb294df35093a5324d4e6abe08f3937a4c5"),
+    ("logistic-trend", 7, "1bff145136946bea92ca22cb98e3b8c4339fa68360fbfab05222485454c952c1"),
+])
+def test_simulate_panel_bits_are_pinned(name, replication, digest):
+    """The simulator's output to the bit, recorded with numpy 2.4 on x86-64:
+    a change to the arithmetic or its order, or to the random streams, shows
+    here."""
+    values = simulate_panel(_PINNED_SPECS[name], replication).values
+    assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_spec_frame_is_read_only_and_survives_replications(threads):
+    spec = SimSpec(n=600, m=3, gamma=0.2, dependence="logistic", alpha=0.6, seed=4,
+                   scedasis=_TREND3)
+    c_mat, tail_mass, body_mass, x0 = spec._frame
+    before = [a.copy() for a in (c_mat, tail_mass, body_mass)]
+    u = np.arange(1, spec.n + 1) / spec.n
+    assert np.array_equal(c_mat, np.column_stack([f(u) for f in spec.scedasis]))
+    assert np.array_equal(tail_mass, c_mat * TAIL_MASS)
+    assert np.array_equal(body_mass, 1.0 - tail_mass)
+    assert x0 == float(spec.tail_quantile(TAIL_MASS))
+    for a in (c_mat, tail_mass, body_mass):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 0.0
+    mc_test_size(spec, k=40, reps=6, threads=threads)
+    mc_covariance_check(spec, k=40, pairs=[((0, 1.0, 1.0), (2, 1.0, 0.5))], reps=6,
+                        threads=threads)
+    assert spec._frame[0] is c_mat  # built once
+    for a, b in zip((c_mat, tail_mass, body_mass), before):
+        assert np.array_equal(a, b)
+
+
 def test_simulate_comonotone_duplicates_columns():
     spec = SimSpec(n=500, m=3, gamma=0.5, dependence="comonotone", seed=3)
     p = simulate_panel(spec)
@@ -320,6 +387,16 @@ def test_analytic_cross_surface_sums_the_pairs():
     assert cross(s, t) == pytest.approx(want, abs=1e-12)
     assert cross(0.4, 0.9) == pytest.approx(
         sum(r(i, j, 0.4, 0.9) for i in range(3) for j in range(3) if i != j), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    SimSpec(n=100, m=4, gamma=0.1, dependence="logistic", alpha=0.6),
+    SimSpec(n=100, m=3, gamma=0.1, dependence="logistic", alpha=0.3, scedasis=_TREND3),
+])
+def test_blocked_edge_is_the_one_shot_edge_to_the_bit(spec):
+    v, edge = _analytic_edge(spec)
+    assert np.array_equal(v, np.geomspace(1e-6, 1.0, 4000))
+    assert np.array_equal(edge, analytic_cross_surface(spec)(v, 1.0))
 
 
 def test_analytic_sigma_truncates_in_time():
@@ -468,6 +545,14 @@ def test_mc_test_size_threads_match_serial():
     a = mc_test_size(spec, k=60, reps=12, threads=1)
     b = mc_test_size(spec, k=60, reps=12, threads=3)
     assert a.rejection_rate == b.rejection_rate
+
+
+def test_mc_mle_variance_threads_match_serial():
+    spec = SimSpec(n=1000, m=3, gamma=0.1, dependence="logistic", alpha=0.6, seed=29)
+    a = mc_mle_variance(spec, k=80, reps=8, threads=1)
+    b = mc_mle_variance(spec, k=80, reps=8, threads=2)
+    assert (a.replications, a.skipped) == (b.replications, b.skipped)
+    assert a.summaries == b.summaries
 
 
 def test_mc_covariance_check_smoke():
