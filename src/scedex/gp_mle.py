@@ -107,10 +107,7 @@ def _start_values(x: np.ndarray) -> tuple[float, float]:
     mean excess for the scale."""
     xs = np.sort(x)[::-1]
     q = max(1, xs.size // 4)
-    if xs[q - 1] > 0:
-        g0 = float(np.mean(np.log(xs[:q]) - np.log(xs[q - 1])))
-    else:
-        g0 = 0.1
+    g0 = float(np.mean(np.log(xs[:q]) - np.log(xs[q - 1])))
     g0 = float(np.clip(g0, 0.01, 2.0))
     return g0, float(np.log(np.mean(x)))
 
@@ -221,7 +218,7 @@ def _profile_maximum(x: np.ndarray) -> tuple[float, float]:
 
 
 def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> GpFit:
-    """GP pseudo-ML fit of positive excesses via damped Newton in
+    """GP pseudo-ML fit of finite positive excesses via damped Newton in
     (gamma, log sigma), with a profile-likelihood fallback.
 
     The shape is constrained to (-0.5, 10]; convergence requires the score
@@ -232,6 +229,8 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
     x = np.asarray(excesses, dtype=float)
     if x.ndim != 1:
         raise RangeError("excesses must be 1-D")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("excesses must be finite")
     if np.any(x <= 0):
         raise DomainError("excesses must be strictly positive")
     if x.size < 10:
@@ -241,9 +240,7 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
     k_label = int(k) if k is not None else int(x.size)
 
     trace: list[dict] = []
-    g, tau = _start_values(x)
-    if _loglik_terms(g, tau, x) is None:  # start inside support by construction, but be safe
-        g, tau = 0.1, float(np.log(np.mean(x)))
+    g, tau = _start_values(x)  # g > 0 and x > 0: inside the support
     g, tau, ll, norm, it, converged = _newton(g, tau, x, 1, _MAX_ITER, trace)
     method = "newton"
     if not converged:
@@ -394,12 +391,11 @@ class AsymptoticCov:
     """Sandwich covariance of sqrt(k) (gamma_hat - gamma, scale ratio - 1)."""
 
     matrix: np.ndarray
-    fisher: np.ndarray
     sigma: np.ndarray
     k: int
 
     def __post_init__(self):
-        for name in ("matrix", "fisher", "sigma"):
+        for name in ("matrix", "sigma"):
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -435,7 +431,6 @@ def mle_asymptotic_cov(fit: GpFit, p: PanelSample, c1_values=None, edge=None) ->
     inv = fisher_info_inverse(fit.gamma_hat)
     return AsymptoticCov(
         matrix=inv @ sigma @ inv,
-        fisher=fisher_info(fit.gamma_hat),
         sigma=sigma,
         k=fit.k,
     )

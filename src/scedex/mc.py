@@ -250,7 +250,6 @@ def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
         values=v,
         day_labels=np.datetime64("2000-01-01") + np.arange(n),
         station_ids=tuple(f"S{j + 1:02d}" for j in range(m)),
-        missing_mask=np.zeros((n, m), dtype=bool),
     )
 
 

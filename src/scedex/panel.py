@@ -10,7 +10,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -65,21 +64,19 @@ class SeasonDefinition:
 class PanelSample:
     """Daily observations for ``m`` stations over ``n`` days.
 
-    ``values[i, j]`` is the amount on day ``i`` at station ``j`` (NaN where
-    missing); ``missing_mask`` mirrors the NaN pattern.  Rows are strictly
-    calendar-ordered and arrays are frozen after construction, so the pooled
-    sample :attr:`sorted_values` is sorted once, on first use.
+    ``values[i, j]`` is the amount on day ``i`` at station ``j``; NaN marks a
+    missing cell, and :attr:`missing_mask` is derived from it.  Rows are
+    strictly calendar-ordered and arrays are frozen after construction, so
+    the pooled sample :attr:`sorted_values` is sorted once, on first use.
     """
 
     values: np.ndarray
     day_labels: np.ndarray  # datetime64[D], strictly increasing
     station_ids: tuple[str, ...]
-    missing_mask: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        mask = np.asarray(self.missing_mask, dtype=bool)
-        labels = np.asarray(self.day_labels, dtype="datetime64[D]")
+        values = np.array(self.values, dtype=float)
+        labels = np.array(self.day_labels, dtype="datetime64[D]")
         ids = tuple(str(s) for s in self.station_ids)
 
         if values.ndim != 2:
@@ -87,10 +84,6 @@ class PanelSample:
         n, m = values.shape
         if m == 0 or n == 0:
             raise DomainError(f"panel must be non-empty, got shape {values.shape}")
-        if mask.shape != values.shape:
-            raise DomainError(
-                f"missing_mask shape {mask.shape} does not match values shape {values.shape}"
-            )
         if labels.shape != (n,):
             raise DomainError(f"day_labels must have length {n}, got {labels.shape}")
         if len(ids) != m:
@@ -101,21 +94,14 @@ class PanelSample:
                 f"day_labels must be strictly increasing (violated at row {bad}: "
                 f"{labels[bad]} after {labels[bad - 1]})"
             )
-
-        values = values.copy()
-        values[mask] = np.nan
-        if not np.all(np.isfinite(values) | mask):
+        if np.any(np.isinf(values)):
             raise DomainError("non-missing values must be finite")
         if np.any(values < 0):  # NaN compares False
             raise DomainError("non-missing values must be >= 0")
 
         values.setflags(write=False)
-        mask = mask.copy()
-        mask.setflags(write=False)
-        labels = labels.copy()
         labels.setflags(write=False)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "missing_mask", mask)
         object.__setattr__(self, "day_labels", labels)
         object.__setattr__(self, "station_ids", ids)
 
@@ -130,6 +116,13 @@ class PanelSample:
     def m(self) -> int:
         """Number of stations (columns)."""
         return self.values.shape[1]
+
+    @cached_property
+    def missing_mask(self) -> np.ndarray:
+        """Read-only ``isnan(values)``: True where a cell is missing."""
+        mask = np.isnan(self.values)
+        mask.setflags(write=False)
+        return mask
 
     @cached_property
     def sorted_values(self) -> np.ndarray:
@@ -159,7 +152,6 @@ class PanelSample:
             values=self.values[idx],
             day_labels=self.day_labels[idx],
             station_ids=self.station_ids,
-            missing_mask=self.missing_mask[idx],
         )
 
     def station_index(self, station: str | int) -> int:
@@ -194,18 +186,14 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 _MISSING_CELL = re.compile(r",(?![0-9.])[ \t]*(?:nan|na)?[ \t]*(?=,)", re.IGNORECASE | re.ASCII)
 
 
-def load_panel(
-    path: str | Path,
-    date_column: str = "date",
-    station_columns: Sequence[str] | None = None,
-) -> PanelSample:
+def load_panel(path: str | Path) -> PanelSample:
     """Read a panel from CSV.
 
     Expected layout: UTF-8 text with one header row of unique names; one
-    column of ``YYYY-MM-DD`` dates (``date_column``) and one column per
-    station.  Empty cells, ``nan`` and ``na`` (any case, surrounding blanks
-    allowed) mark missing observations.  Errors carry the physical line
-    number of the offending row.
+    ``date`` column of ``YYYY-MM-DD`` dates, in any position, and one column
+    per station.  Empty cells, ``nan`` and ``na`` (any case, surrounding
+    blanks allowed) mark missing observations.  Errors carry the physical
+    line number of the offending row.
 
     A vectorised parser reads files it can prove valid; anything else
     (quoted fields, blank rows, a bad cell, ...) goes through the row
@@ -216,15 +204,13 @@ def load_panel(
     header = next(reader, None)
     if header is None:
         raise PanelFormatError("file is empty")
-    header, date_pos, stations, col_pos = _columns(header, date_column, station_columns)
-    parsed = _parse_fast(text, len(header), date_pos, col_pos)
+    date_pos, stations = _columns(header)
+    parsed = _parse_fast(text, date_pos, len(stations))
     if parsed is None:
-        parsed = _parse_rows(reader, len(header), date_pos, stations, col_pos)
-    values, labels, mask = parsed
-    del text, reader  # free the text before PanelSample copies the arrays
-    return PanelSample(
-        values=values, day_labels=labels, station_ids=tuple(stations), missing_mask=mask
-    )
+        parsed = _parse_rows(reader, date_pos, stations)
+    values, labels = parsed
+    del text, reader  # free the text before PanelSample copies the values
+    return PanelSample(values=values, day_labels=labels, station_ids=tuple(stations))
 
 
 def _read_text(path: Path) -> str:
@@ -238,43 +224,31 @@ def _read_text(path: Path) -> str:
         ) from None
 
 
-def _columns(header: list[str], date_column: str, station_columns: Sequence[str] | None):
-    """Header names, the date column's position, the station ids and their
-    column positions; every header error is reported on line 1."""
+def _columns(header: list[str]) -> tuple[int, list[str]]:
+    """The date column's position and the station ids, in file order; every
+    header error is reported on line 1."""
     header = [h.strip() for h in header]
     repeated = sorted(h for h, c in Counter(header).items() if c > 1)
     if repeated:
         raise PanelFormatError(f"duplicate column name(s) in header: {repeated}", line=1)
-    if date_column not in header:
-        raise PanelFormatError(
-            f"missing required date column {date_column!r} in header {header}", line=1
-        )
-    date_pos = header.index(date_column)
-    if station_columns is None:
-        stations = [h for i, h in enumerate(header) if i != date_pos]
-    else:
-        stations = list(station_columns)
-        missing_cols = [s for s in stations if s not in header]
-        if missing_cols:
-            raise PanelFormatError(f"station column(s) not in header: {missing_cols}", line=1)
-        repeated = sorted(s for s, c in Counter(stations).items() if c > 1)
-        if repeated:
-            raise PanelFormatError(f"station column(s) requested twice: {repeated}")
+    if "date" not in header:
+        raise PanelFormatError(f"missing required date column 'date' in header {header}", line=1)
+    date_pos = header.index("date")
+    stations = header[:date_pos] + header[date_pos + 1:]
     if not stations:
         raise PanelFormatError("no station columns found", line=1)
-    return header, date_pos, stations, [header.index(s) for s in stations]
+    return date_pos, stations
 
 
-def _parse_fast(text: str, n_fields: int, date_pos: int, col_pos: list[int]):
-    """``(values, day_labels, missing_mask)`` parsed with numpy, or None.
+def _parse_fast(text: str, date_pos: int, m: int):
+    """``(values, day_labels)`` parsed with numpy, or None.
 
     None means the file holds something this parser does not prove valid:
     a quote in a data row, a lone carriage return, a blank row, a row with
     the wrong field count, a date outside the grammar or out of order, a
     signed NaN (``-nan``) anywhere, an infinite or negative amount, or a
-    selected cell numpy cannot read (cells outside the selected columns are
-    only counted, as the row parser does).  On every file it accepts, the
-    row parser returns the same arrays.
+    cell numpy cannot read.  On every file it accepts, the row parser
+    returns the same arrays.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
@@ -288,7 +262,7 @@ def _parse_fast(text: str, n_fields: int, date_pos: int, col_pos: list[int]):
         return None
     del lines[0]
     for i, line in enumerate(lines):
-        if line.count(",") != n_fields - 1:
+        if line.count(",") != m:
             return None
         # numpy reads "nan" in any case and padding, so only lines with an
         # empty cell, a blank or an "na" (an "a" outside a "nan") are rewritten.
@@ -303,12 +277,12 @@ def _parse_fast(text: str, n_fields: int, date_pos: int, col_pos: list[int]):
     dates = [line.split(",", date_pos + 1)[date_pos] for line in lines]
     if not all(map(_DATE.fullmatch, dates)):
         return None
+    col_pos = [j for j in range(m + 1) if j != date_pos]
     try:
         labels = np.array(dates, dtype="datetime64[D]")
         values = np.loadtxt(lines, delimiter=",", comments=None, usecols=col_pos, ndmin=2)
     except ValueError:
         return None
-    missing = np.isnan(values)
     if (
         labels[0] < np.datetime64("0001-01-01")  # date.fromisoformat has no year 0
         or np.any(labels[1:] <= labels[:-1])
@@ -316,15 +290,15 @@ def _parse_fast(text: str, n_fields: int, date_pos: int, col_pos: list[int]):
         or np.any(values < 0)
     ):
         return None
-    return values, labels, missing
+    return values, labels
 
 
-def _parse_rows(reader, n_fields: int, date_pos: int, stations: list[str], col_pos: list[int]):
-    """``(values, day_labels, missing_mask)`` parsed row by row; raises the
-    error of the first bad row, with its line number."""
+def _parse_rows(reader, date_pos: int, stations: list[str]):
+    """``(values, day_labels)`` parsed row by row; raises the error of the
+    first bad row, with its line number."""
+    n_fields = len(stations) + 1
     dates: list[dt.date] = []
     rows: list[list[float]] = []
-    mask_rows: list[list[bool]] = []
     end = reader.line_num  # the header's last physical line
     for row in reader:
         # a quoted cell may span lines: the row starts after the last one ended
@@ -333,7 +307,7 @@ def _parse_rows(reader, n_fields: int, date_pos: int, stations: list[str], col_p
             continue  # tolerate blank lines
         if len(row) != n_fields:
             raise PanelFormatError(f"expected {n_fields} fields, got {len(row)}", line=line_no)
-        raw_date = row[date_pos].strip()
+        raw_date = row.pop(date_pos).strip()
         try:
             if not _DATE.fullmatch(raw_date):
                 raise ValueError(raw_date)
@@ -348,12 +322,10 @@ def _parse_rows(reader, n_fields: int, date_pos: int, stations: list[str], col_p
                 f"({date.isoformat()} after {dates[-1].isoformat()})"
             )
         vals: list[float] = []
-        miss: list[bool] = []
-        for s, pos in zip(stations, col_pos):
-            cell = row[pos].strip()
+        for s, cell in zip(stations, row):
+            cell = cell.strip()
             if cell == "" or cell.lower() in {"nan", "na"}:
                 vals.append(np.nan)
-                miss.append(True)
                 continue
             if not _NUMBER.fullmatch(cell):
                 raise PanelFormatError(
@@ -367,18 +339,12 @@ def _parse_rows(reader, n_fields: int, date_pos: int, stations: list[str], col_p
             if x < 0:
                 raise DomainError(f"line {line_no}: negative amount {x} for station {s!r}")
             vals.append(x)
-            miss.append(False)
         dates.append(date)
         rows.append(vals)
-        mask_rows.append(miss)
 
     if not rows:
         raise PanelFormatError("no data rows")
-    return (
-        np.array(rows, dtype=float),
-        np.array(dates, dtype="datetime64[D]"),
-        np.array(mask_rows, dtype=bool),
-    )
+    return np.array(rows, dtype=float), np.array(dates, dtype="datetime64[D]")
 
 
 def split_season(p: PanelSample, season: SeasonDefinition) -> PanelSample:
@@ -420,9 +386,8 @@ def decluster(p: PanelSample, gap_days: int = 2) -> PanelSample:
     if gap_days < 0:
         raise DomainError(f"gap_days must be >= 0, got {gap_days}")
 
-    filled = np.where(p.missing_mask, -np.inf, p.values)
-    row_max = filled.max(axis=1)
-    usable = np.isfinite(row_max)
+    row_max = np.fmax.reduce(p.values, axis=1)  # NaN on a day with every station missing
+    usable = ~np.isnan(row_max)
     if not usable.any():
         raise EmptyPoolError("panel has no non-missing observations to decluster")
     n_all_missing = int((~usable).sum())

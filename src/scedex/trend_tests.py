@@ -23,6 +23,8 @@ from .scedasis import scedasis_curve
 # Condition-number ceiling for the studentising matrix; beyond this the
 # quadratic form is numerically meaningless (typically duplicated stations).
 CONDITION_LIMIT = 1e12
+# A singular-matrix report names this many pairs or stations at most.
+_SHOWN = 5
 
 
 @dataclass(frozen=True)
@@ -146,6 +148,11 @@ def _near_duplicate_pairs(sigma: np.ndarray, tol: float = 1e-9) -> list[tuple[in
     return out
 
 
+def _first(items: list) -> str:
+    """The first :data:`_SHOWN` items, comma-separated, with ", ..." if more."""
+    return ", ".join(map(str, items[:_SHOWN])) + (", ..." if len(items) > _SHOWN else "")
+
+
 def space_test(p: PanelSample, k: int) -> TestResult:
     """Test equality of the stations' shares of the pooled tail.
 
@@ -169,20 +176,17 @@ def space_test(p: PanelSample, k: int) -> TestResult:
 
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
+        # the message names a few pairs; the error keeps them all
         suspects = _near_duplicate_pairs(sigma)
-        zero_var = [j for j in range(m) if sigma[j, j] == 0.0]
-        parts = []
-        if suspects:
-            parts.append(
-                "near-duplicate station pair(s): "
-                + ", ".join(f"({a}, {b})" for a, b in suspects)
-            )
-        if zero_var:
-            parts.append(f"station(s) with no exceedances: {zero_var}")
-        detail = "; ".join(parts) if parts else "no station pair singled out"
+        pairs = (f"{len(suspects)} near-duplicate station pair(s): "
+                 + _first([f"({a}, {b})" for a, b in suspects])
+                 if suspects else "no station pair singled out")
+        counts = np.rint(np.diag(sigma) * dep.divisor).astype(np.int64)
+        fewest = np.flatnonzero(counts == counts.min()).tolist()
         raise SingularCovarianceError(
             f"studentising matrix is numerically singular (cond={cond:.3g} > "
-            f"{CONDITION_LIMIT:.0e}); {detail}",
+            f"{CONDITION_LIMIT:.0e}); {pairs}; fewest exceedances at a station: "
+            f"{counts.min()}, at station(s) {_first(fewest)}",
             suspects=suspects,
         )
 

@@ -5,18 +5,18 @@ from scedex import PanelSample
 
 
 def make_panel(values, start="2001-01-01", missing=None, stations=None):
-    """Panel from a 2-D array with consecutive daily labels."""
-    values = np.asarray(values, dtype=float)
+    """Panel from a 2-D array with consecutive daily labels; NaN is written
+    under ``missing``."""
+    values = np.array(values, dtype=float)
     n, m = values.shape
-    if missing is None:
-        missing = np.zeros((n, m), dtype=bool)
+    if missing is not None:
+        values[np.asarray(missing, dtype=bool)] = np.nan
     if stations is None:
         stations = tuple(f"S{j}" for j in range(m))
     return PanelSample(
         values=values,
         day_labels=np.datetime64(start) + np.arange(n),
         station_ids=stations,
-        missing_mask=np.asarray(missing, dtype=bool),
     )
 
 

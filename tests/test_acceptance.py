@@ -25,7 +25,6 @@ def _panel(values, start="2000-01-01"):
         values=values,
         day_labels=np.datetime64(start) + np.arange(n),
         station_ids=tuple(f"S{j}" for j in range(m)),
-        missing_mask=np.zeros((n, m), dtype=bool),
     )
 
 

@@ -213,6 +213,9 @@ def test_fit_input_validation():
         fit_gp_excesses(np.concatenate([np.zeros(2), np.arange(1.0, 12.0)]))
     with pytest.raises(RangeError):
         fit_gp_excesses(np.ones((4, 4)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="finite"):
+            fit_gp_excesses(np.append(np.arange(1.0, 12.0), bad))
 
 
 def test_fit_gp_pml_drops_threshold_ties():

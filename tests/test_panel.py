@@ -47,22 +47,22 @@ def test_panel_rejects_unsorted_dates():
                 ["2001-01-01", "2001-01-05", "2001-01-05"], dtype="datetime64[D]"
             ),
             station_ids=("a",),
-            missing_mask=np.zeros((3, 1), dtype=bool),
         )
 
 
 def test_panel_rejects_negative_and_nonfinite():
     with pytest.raises(DomainError):
         make_panel([[1.0], [-0.5]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="finite"):
         make_panel([[1.0], [np.inf]])
-
-
-def test_masked_cells_may_hold_garbage():
-    # values under the mask are replaced by NaN, whatever they were
-    p = make_panel([[1.0, -99.0]], missing=[[False, True]])
-    assert np.isnan(p.values[0, 1])
-    assert p.values[0, 0] == 1.0
+    with pytest.raises(DomainError, match="finite"):
+        make_panel([[1.0], [-np.inf]])
+    # NaN is the one marker of a missing cell; the mask is derived from it
+    p = make_panel([[1.0, np.nan], [np.nan, 0.0]])
+    assert p.missing_mask.tolist() == [[False, True], [True, False]]
+    assert p.missing_mask.flags.writeable is False
+    with pytest.raises(ValueError, match="read-only"):
+        p.missing_mask[0, 0] = True
 
 
 def test_months_and_years():
@@ -137,21 +137,11 @@ def test_load_panel_negative_value(tmp_path):
         load_panel(f)
 
 
-def test_load_panel_station_subset(tmp_path):
-    f = _write(tmp_path, "date,A,B,C\n2000-01-01,1,2,3\n")
-    p = load_panel(f, station_columns=["C", "A"])
-    assert p.station_ids == ("C", "A")
-    assert p.values[0].tolist() == [3.0, 1.0]
-
-
 def test_load_panel_rejects_duplicate_headers(tmp_path):
     f = _write(tmp_path, "date,A,A\n2000-01-01,1,2\n2000-01-02,3,4\n")
     duplicate = r"line 1: duplicate column name\(s\) in header: \['A'\]"
     with pytest.raises(PanelFormatError, match=duplicate):
         load_panel(f)
-    f2 = _write(tmp_path, "date,A,B\n2000-01-01,1,2\n", name="b.csv")
-    with pytest.raises(PanelFormatError, match=r"requested twice: \['A'\]"):
-        load_panel(f2, station_columns=["A", "B", "A"])
 
 
 def test_load_panel_non_utf8_byte_reports_its_line(tmp_path):
@@ -208,19 +198,6 @@ def test_clean_panel_skips_the_row_parser(tmp_path):
     assert fast.station_ids == rows.station_ids
 
 
-def test_unselected_text_column_keeps_the_fast_path(tmp_path):
-    f = _write(tmp_path, "date,A,flag\n2000-01-01,1.5,ok\n2000-01-02,,na\n2000-01-03,2,x\n")
-
-    def refuse(*args):
-        raise AssertionError("the row parser ran on a valid panel")
-
-    with mock.patch.object(panel_module, "_parse_rows", refuse):
-        p = load_panel(f, station_columns=["A"])
-    assert p.station_ids == ("A",)
-    assert np.array_equal(p.values, [[1.5], [np.nan], [2.0]], equal_nan=True)
-    assert p.missing_mask.tolist() == [[False], [True], [False]]
-
-
 @pytest.mark.parametrize("cell", ["-nan", "+NaN", " -nan "])
 def test_signed_nan_in_a_selected_column_names_its_line(tmp_path, cell):
     f = _write(tmp_path, f"date,A,B\n2000-01-01,1,2\n2000-01-02,3,{cell}\n")
@@ -249,13 +226,6 @@ def test_load_panel_reads_every_ascii_decimal_spelling(tmp_path):
         assert load_panel(f).values.tolist() == want
 
 
-def test_date_column_read_as_a_station_names_its_line(tmp_path):
-    # one field per row, so a blank row has the right comma count
-    f = _write(tmp_path, "date\n2000-01-01\n\n2000-01-02\n")
-    with pytest.raises(PanelFormatError, match="line 2: cannot parse value '2000-01-01'"):
-        load_panel(f, station_columns=["date"])
-
-
 _SPELLINGS = ("", "nan", "na", "NaN", "NA", "nA", "Nan", "NAN")
 _PADS = ("", " ", "\t", " \t")
 _ODD_NUMBERS = ("-0", "+1", "1E3", " 2.5 ", "\t7", ".5")
@@ -265,9 +235,8 @@ _FAULTS = ("crlf", "blank line", "quote", "bad cell", "field count", "repeated d
 
 @st.composite
 def _csv_panels(draw, max_faults=2):
-    """Small panel CSV text (padded and mixed-case missing cells, the date
-    column anywhere, at most ``max_faults`` faults) and a ``station_columns``
-    choice."""
+    """Small panel CSV text: padded and mixed-case missing cells, the date
+    column anywhere, at most ``max_faults`` faults."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     names = [f"S{j}" for j in range(m)]
@@ -312,14 +281,12 @@ def _csv_panels(draw, max_faults=2):
         blank = draw(st.sampled_from(("", "  ", ", " * m)))
         lines.insert(draw(st.integers(1, len(lines))), blank)
     eol = "\r\n" if "crlf" in faults else "\n"
-    order = draw(st.permutations(names))
-    stations = draw(st.none() | st.integers(1, m).map(lambda k: order[:k]))
-    return eol.join(lines) + eol, stations
+    return eol.join(lines) + eol
 
 
-def _load_outcome(path, stations):
+def _load_outcome(path):
     try:
-        p = load_panel(path, station_columns=stations)
+        p = load_panel(path)
     except ScedexError as exc:
         return type(exc), str(exc)
     return (p.values.shape, p.values.tobytes(), p.missing_mask.tobytes(),
@@ -331,12 +298,11 @@ def _load_outcome(path, stations):
 def test_fast_parser_agrees_with_row_parser(tmp_path_factory, case):
     """Same arrays (NaN-aware, to the bit), or the same error class and
     message, whichever parser reads the file."""
-    text, stations = case
     f = tmp_path_factory.mktemp("diff") / "panel.csv"
-    f.write_bytes(text.encode())
-    got = _load_outcome(f, stations)
+    f.write_bytes(case.encode())
+    got = _load_outcome(f)
     with _row_parser_only():
-        want = _load_outcome(f, stations)
+        want = _load_outcome(f)
     assert got == want
 
 
@@ -362,19 +328,18 @@ def test_every_missing_spelling_keeps_the_fast_path(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(case=_csv_panels(max_faults=0))
 def test_fault_free_panels_skip_the_row_parser(tmp_path_factory, case):
-    """Padded and mixed-case missing cells, odd number spellings, the date
-    column anywhere and a column subset all stay on the fast path: the
-    agreement test above would pass even if every file fell back to the row
-    parser, which is several times slower."""
-    text, stations = case
+    """Padded and mixed-case missing cells, odd number spellings and the date
+    column anywhere all stay on the fast path: the agreement test above would
+    pass even if every file fell back to the row parser, which is several
+    times slower."""
     f = tmp_path_factory.mktemp("fast") / "panel.csv"
-    f.write_bytes(text.encode())
+    f.write_bytes(case.encode())
 
     def refuse(*args):
         raise AssertionError("the row parser ran on a fault-free panel")
 
     with mock.patch.object(panel_module, "_parse_rows", refuse):
-        load_panel(f, station_columns=stations)
+        load_panel(f)
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +444,6 @@ def test_decluster_respects_calendar_gaps():
         values=np.array([[2.0], [1.0]]),
         day_labels=np.array(["2000-01-01", "2000-01-30"], dtype="datetime64[D]"),
         station_ids=("a",),
-        missing_mask=np.zeros((2, 1), dtype=bool),
     )
     assert decluster(p, gap_days=2).n == 2
 
@@ -545,11 +509,12 @@ def _gappy_panels(draw):
     steps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
     cells = st.lists(st.sampled_from((0.0, 1.0, 2.0, 2.5, 7.0)), min_size=m, max_size=m)
     holes = st.lists(st.sampled_from((False, False, True)), min_size=m, max_size=m)
+    values = np.array(draw(st.lists(cells, min_size=n, max_size=n)))
+    values[np.array(draw(st.lists(holes, min_size=n, max_size=n)))] = np.nan
     return PanelSample(
-        values=np.array(draw(st.lists(cells, min_size=n, max_size=n))),
+        values=values,
         day_labels=np.datetime64("2000-02-20") + np.cumsum(steps),
         station_ids=tuple(f"S{j}" for j in range(m)),
-        missing_mask=np.array(draw(st.lists(holes, min_size=n, max_size=n))),
     )
 
 

@@ -10,6 +10,7 @@ from scipy import special, stats
 
 from scedex import (
     NoExceedanceError,
+    SimSpec,
     RangeError,
     SingularCovarianceError,
     bonferroni,
@@ -17,6 +18,7 @@ from scedex import (
     k_sweep,
     kolmogorov_pvalue,
     sigma1_matrix,
+    simulate_panel,
     space_test,
     time_test,
 )
@@ -139,6 +141,19 @@ def test_space_test_duplicated_station_is_singular():
     with pytest.raises(SingularCovarianceError) as exc:
         space_test(p, k=4)
     assert (0, 1) in exc.value.suspects
+    assert "1 near-duplicate station pair(s): (0, 1);" in str(exc.value)
+
+
+def test_singular_report_stays_short_at_tens_of_stations():
+    # 133 near-duplicate pairs at this spec: the message names five
+    spec = SimSpec(n=24000, m=32, gamma=0.1, dependence="logistic", alpha=0.6, seed=1)
+    with pytest.raises(SingularCovarianceError) as exc:
+        space_test(simulate_panel(spec), k=64)
+    message = str(exc.value)
+    assert len(exc.value.suspects) > 5
+    assert f"{len(exc.value.suspects)} near-duplicate station pair(s)" in message
+    assert "fewest exceedances at a station: 0, at station(s)" in message
+    assert len(message) < 300
 
 
 def test_space_test_needs_two_stations():
