@@ -468,7 +468,9 @@ def _parse_pair(text: str):
     click.option("--pair", "pair_texts", multiple=True,
                  help="Coordinate pair 'j1,s1,t1:j2,s2,t2' for --harness cov; repeatable."),
     click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-                 help="Worker threads."),
+                 help="Worker threads.  They pay off on large panels only: on 2 cores, "
+                      "40 size replications at n=24000, m=32 took 1.58 s on 1 thread "
+                      "and 0.87 s on 2, but 300 at n=5000, m=4 took 0.38 s and 0.42 s."),
     _output_opt,
     _dry_opt,
 )

@@ -234,17 +234,19 @@ def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
     c_mat, tail_mass, body_mass, x0 = spec._frame
     v = _draw_uniforms(spec, rng)
 
-    is_tail = v <= tail_mass
     # The exact GP quantile on the tail cells, then the filler x0 (1 - frac)
     # over the uniforms' own buffer.  Every full-size temporary is paid in
-    # fresh pages, so the replication allocates as few as it can.
-    tail = spec.tail_quantile(v[is_tail] / c_mat[is_tail])
+    # fresh pages, so the replication allocates as few as it can; the tail
+    # cells are flat indices into the C-ordered v, cheaper than a 2-D mask.
+    at = np.flatnonzero(v <= tail_mass)
+    flat = v.ravel()  # a view
+    tail = spec.tail_quantile(flat[at] / c_mat.ravel()[at])
     v -= tail_mass
     v /= body_mass
     np.clip(v, 0.0, 1.0, out=v)
     np.subtract(1.0, v, out=v)
     v *= x0
-    v[is_tail] = tail
+    flat[at] = tail
 
     return PanelSample(
         values=v,

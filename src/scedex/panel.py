@@ -9,6 +9,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -171,11 +172,19 @@ class PanelSample:
 # ``20000101`` and ``2000-W01-2`` from 3.11 on, and numpy's cast reads
 # ``2000-01``, so both parsers check the spelling first.
 _DATE = re.compile(r"\d{4}-\d{2}-\d{2}", re.ASCII)
+# The same grammar on a date read into 11 bytes: each byte minus the low
+# template, in uint8 arithmetic that wraps below 0, is at most the slack, so
+# digits sit at 0-3, 5-6 and 8-9, dashes at 4 and 7, and a NUL at 10 (an
+# eleventh character would be there instead).
+_DATE_LOW = np.frombuffer(b"0000-00-00\0", dtype=np.uint8)
+_DATE_SLACK = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
 # The one number grammar: ASCII decimals with an optional sign and exponent
 # (Python's ``float`` also reads ``1_0`` and non-ASCII digits).  The
 # infinities and signed NaNs match too, to be reported as non-finite.
 _NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
                      re.IGNORECASE | re.ASCII)
+# The rest of a file that holds no row, only blank lines (loadtxt would warn).
+_NO_ROWS = re.compile(r"\n*\Z")
 # One line with its ending, as iterating a file opened with newline="" gives
 # it (an io.StringIO copy of the text would take four bytes a character).
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
@@ -216,7 +225,8 @@ def load_panel(path: str | Path) -> PanelSample:
 def _read_text(path: Path) -> str:
     data = path.read_bytes()
     try:
-        return data.decode("utf-8")
+        # Excel's "CSV UTF-8" starts the file with a byte-order mark
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise PanelFormatError(
             f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8",
@@ -241,48 +251,48 @@ def _columns(header: list[str]) -> tuple[int, list[str]]:
 
 
 def _parse_fast(text: str, date_pos: int, m: int):
-    """``(values, day_labels)`` parsed with numpy, or None.
+    """``(values, day_labels)`` from one structured ``np.loadtxt``, or None.
 
-    None means the file holds something this parser does not prove valid:
-    a quote in a data row, a lone carriage return, a blank row, a row with
-    the wrong field count, a date outside the grammar or out of order, a
-    signed NaN (``-nan``) anywhere, an infinite or negative amount, or a
-    cell numpy cannot read.  On every file it accepts, the row parser
-    returns the same arrays.
+    The dtype puts an 11-byte date field between the station fields, so
+    loadtxt rejects a row with the wrong field count and skips a blank line,
+    as the row parser does; the date bytes are checked in bulk.  The lines
+    go in a block at a time, rewritten (:func:`_fill_holes`) only when the
+    body holds a hole marker or the first read failed.  None means the file
+    holds what this parser cannot prove valid: a quote, NUL or lone carriage
+    return in a data row, a date outside the grammar or out of order, a
+    signed NaN, an infinite or negative amount, or a cell numpy cannot read.
+    On every file it accepts, the row parser returns the same arrays.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n")
         if "\r" in text:
             return None
-    lines = text.split("\n")
-    while len(lines) > 1 and not lines[-1]:
-        lines.pop()
-    # A quoted header that spans lines leaves its closing quote in the rows.
-    if len(lines) < 2 or text.find('"', len(lines[0])) >= 0:
+    start = text.find("\n") + 1
+    # A quoted header that spans lines leaves its closing quote in the rows,
+    # and a NUL would end a date field early.
+    if (not start or _NO_ROWS.match(text, start) or text.find('"', start) >= 0
+            or text.find("\0", start) >= 0):
         return None
-    del lines[0]
-    for i, line in enumerate(lines):
-        if line.count(",") != m:
-            return None
-        # numpy reads "nan" in any case and padding, so only lines with an
-        # empty cell, a blank or an "na" (an "a" outside a "nan") are rewritten.
-        hole = ",," in line or line[:1] == "," or line[-1:] == "," or " " in line or "\t" in line
-        if "a" in line or "A" in line:  # every NaN spelling holds an "a"
-            low = line.lower()
-            if "-nan" in low or "+nan" in low:
-                return None  # numpy reads a signed NaN, which the row parser rejects
-            hole = hole or low.count("a") != low.count("nan")
-        if hole:
-            lines[i] = _MISSING_CELL.sub(",nan", f",{line},")[1:-1]
-    dates = [line.split(",", date_pos + 1)[date_pos] for line in lines]
-    if not all(map(_DATE.fullmatch, dates)):
+    dtype = [("a", "f8", (date_pos,)), ("date", "S11"), ("b", "f8", (m - date_pos,))]
+    # Every missing-cell spelling but the empty cell holds an "a" or a blank.
+    for fill in (True,) if any(text.find(c, start) >= 0 for c in "aA \t") else (False, True):
+        blocks = _line_blocks(text, start)
+        try:
+            table = np.loadtxt(chain.from_iterable(map(_fill_holes, blocks) if fill else blocks),
+                               dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            break
+        except ValueError:
+            pass
+    else:
         return None
-    col_pos = [j for j in range(m + 1) if j != date_pos]
+    if np.any(table["date"].view(("u1", 11)) - _DATE_LOW > _DATE_SLACK):
+        return None
     try:
-        labels = np.array(dates, dtype="datetime64[D]")
-        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=col_pos, ndmin=2)
-    except ValueError:
+        labels = table["date"].astype("datetime64[D]")
+    except ValueError:  # a month or a day out of range
         return None
+    a, b = table["a"], table["b"]
+    values = a if date_pos == m else b if date_pos == 0 else np.concatenate((a, b), axis=1)
     if (
         labels[0] < np.datetime64("0001-01-01")  # date.fromisoformat has no year 0
         or np.any(labels[1:] <= labels[:-1])
@@ -291,6 +301,33 @@ def _parse_fast(text: str, date_pos: int, m: int):
     ):
         return None
     return values, labels
+
+
+def _line_blocks(text: str, start: int):
+    """The lines of ``text[start:]`` in lists, about a megabyte of text at a
+    time: one list of every line would take more memory than the text."""
+    while start < len(text):
+        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
+        yield text[start:end].split("\n")  # ends in "", a blank line loadtxt skips
+        start = end
+
+
+def _fill_holes(lines: list[str]) -> list[str]:
+    """``lines``, with every missing cell spelled ``nan`` in place, as numpy
+    reads it; ValueError on a signed NaN, which numpy reads and the row
+    parser rejects."""
+    for i, line in enumerate(lines):
+        # numpy reads "nan" in any case and padding, so only lines with an
+        # empty cell, a blank or an "na" (an "a" outside a "nan") are rewritten.
+        hole = ",," in line or line[:1] == "," or line[-1:] == "," or " " in line or "\t" in line
+        if "a" in line or "A" in line:  # every NaN spelling holds an "a"
+            low = line.lower()
+            if "-nan" in low or "+nan" in low:
+                raise ValueError(f"signed NaN in {line!r}")
+            hole = hole or low.count("a") != low.count("nan")
+        if hole:
+            lines[i] = _MISSING_CELL.sub(",nan", f",{line},")[1:-1]
+    return lines
 
 
 def _parse_rows(reader, date_pos: int, stations: list[str]):

@@ -169,6 +169,18 @@ def test_ingest_check_reports_shape(runner, panel_csv):
     assert payload["missing_by_station"] == {"stn_a": 1, "stn_b": 0, "stn_c": 1}
 
 
+def test_ingest_check_reads_a_byte_order_mark(runner, panel_csv, tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with U+FEFF
+    f = tmp_path / "bom.csv"
+    f.write_bytes(b"\xef\xbb\xbf" + panel_csv.read_bytes())
+    reports = []
+    for path in (panel_csv, f):
+        result = _ok(runner.invoke(main, ["ingest-check", "--input", str(path)]))
+        reports.append(json.loads(result.output))
+        assert reports[-1].pop("input") == str(path)
+    assert reports[0] == reports[1]
+
+
 def test_ingest_check_season_filter(runner, panel_csv):
     full = json.loads(_ok(runner.invoke(
         main, ["ingest-check", "--input", str(panel_csv), "--gap", "0"])).output)

@@ -151,6 +151,17 @@ def test_load_panel_non_utf8_byte_reports_its_line(tmp_path):
         load_panel(f)
 
 
+def test_load_panel_drops_a_byte_order_mark(tmp_path):
+    text = "date,A,B\n2000-01-01,1.5,\n2000-01-02,na,2\n"
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert _load_outcome(bom) == _load_outcome(plain)
+    with _row_parser_only():
+        assert _load_outcome(bom) == _load_outcome(plain)
+    assert load_panel(bom).station_ids == ("A", "B")
+
+
 @pytest.mark.parametrize("spelling", ["20000101", "2000-W01-2", "2000-01", "2000-01-01T00"])
 def test_load_panel_accepts_only_yyyy_mm_dd(tmp_path, spelling):
     # date.fromisoformat reads 20000101 and 2000-W01-2 on Python >= 3.11;
@@ -230,7 +241,8 @@ _SPELLINGS = ("", "nan", "na", "NaN", "NA", "nA", "Nan", "NAN")
 _PADS = ("", " ", "\t", " \t")
 _ODD_NUMBERS = ("-0", "+1", "1E3", " 2.5 ", "\t7", ".5")
 _BAD_CELLS = ("inf", "-nan", "1_0", "-1.5", "x")
-_FAULTS = ("crlf", "blank line", "quote", "bad cell", "field count", "repeated date")
+_FAULTS = ("crlf", "blank line", "quote", "bad cell", "field count", "repeated date",
+           "long date")
 
 
 @st.composite
@@ -247,6 +259,8 @@ def _csv_panels(draw, max_faults=2):
     if "repeated date" in faults and n > 1:
         i = draw(st.integers(1, n - 1))
         dates[i] = dates[i - 1]
+    if "long date" in faults:
+        dates[draw(st.integers(0, n - 1))] += draw(st.sampled_from(("0", "00", "x")))
     rows = []
     for date in dates:
         cells = []
@@ -304,6 +318,111 @@ def test_fast_parser_agrees_with_row_parser(tmp_path_factory, case):
     with _row_parser_only():
         want = _load_outcome(f)
     assert got == want
+
+
+def _refuse_rows(*args):
+    raise AssertionError("the row parser ran on a valid panel")
+
+
+def _agrees_on_the_fast_path(f):
+    """The panel at ``f`` loads without the row parser, to its arrays."""
+    with mock.patch.object(panel_module, "_parse_rows", _refuse_rows):
+        got = _load_outcome(f)
+    with _row_parser_only():
+        assert got == _load_outcome(f)
+
+
+def test_empty_cell_holes_take_the_fast_path_on_a_second_read(tmp_path):
+    # no hole marker ("a", "A", blank, tab) in the body: the first read fails
+    # on an empty cell, and the one rewrite of the lines is the retry
+    f = _write(tmp_path, "date,A,B,C\n2000-01-01,,1,2\n2000-01-02,3,,4\n2000-01-03,5,6,\n")
+    with mock.patch.object(panel_module, "_fill_holes", wraps=panel_module._fill_holes) as fill:
+        _agrees_on_the_fast_path(f)
+    fill.assert_called_once()  # the row-parser load does not reach it
+    assert load_panel(f).missing_mask.tolist() == [[True, False, False], [False, True, False],
+                                                   [False, False, True]]
+
+
+def test_clean_panel_is_read_once(tmp_path):
+    f = _write(tmp_path, "date,A\n2000-01-01,1\n2000-01-02,2\n")
+    with mock.patch.object(panel_module, "_fill_holes") as fill:
+        _agrees_on_the_fast_path(f)
+    fill.assert_not_called()
+
+
+def test_panel_longer_than_one_block_of_lines(tmp_path):
+    # about 1.7 MB: the lines reach loadtxt in several blocks, and the empty
+    # cells (no hole marker) are filled block by block on the second read
+    n = 60000
+    days = np.datetime_as_string(np.datetime64("1850-01-01") + np.arange(n))
+    cells = np.char.mod("%.6g", np.random.default_rng(3).pareto(3.0, (n, 2)) * 10)
+    cells[::7, 0] = ""
+    lines = ["date,A,B"] + [f"{d},{a},{b}" for d, (a, b) in zip(days.tolist(), cells.tolist())]
+    f = _write(tmp_path, "\n".join(lines) + "\n")
+    with mock.patch.object(panel_module, "_fill_holes", wraps=panel_module._fill_holes) as fill:
+        _agrees_on_the_fast_path(f)
+    assert fill.call_count > 1
+    assert load_panel(f).missing_mask[:, 0].sum() == len(range(0, n, 7))
+
+
+@pytest.mark.parametrize("date", ["2000-01-010", "2000-01-0100", "2000-01-01x"])
+def test_long_date_field_gets_the_row_parsers_error(tmp_path, date):
+    # an 11-byte field holds an eleventh character, so a longer date is never
+    # cut down to a valid one
+    f = _write(tmp_path, f"date,A\n1999-12-31,1\n{date},2\n")
+    got = _load_outcome(f)
+    with _row_parser_only():
+        assert got == _load_outcome(f)
+    assert got == (PanelFormatError, f"line 3: cannot parse date '{date}' (expected YYYY-MM-DD)")
+
+
+@pytest.mark.parametrize("row", [
+    "2000-01-0\u0661,2",  # Arabic-Indic one: numpy cannot store it in bytes
+    "2000-01-0\u00b9,2",  # superscript one: a Latin-1 byte that is not a digit
+    "\uff12000-01-02,2",  # fullwidth one
+    "2000-01-02,\u0661",  # and in a value
+    "2000-01-02,\u00b9",
+])
+def test_non_ascii_digit_gets_the_row_parsers_error(tmp_path, row):
+    f = tmp_path / "panel.csv"
+    f.write_bytes(f"date,A\n2000-01-01,1\n{row}\n".encode())
+    got = _load_outcome(f)
+    with _row_parser_only():
+        assert got == _load_outcome(f)
+    assert got[0] is PanelFormatError and got[1].startswith("line 3: cannot parse")
+
+
+@pytest.mark.parametrize("cell", ["", "1"])
+def test_blank_line_mid_file_stays_on_the_fast_path(tmp_path, cell):
+    f = _write(tmp_path, f"date,A,B\n2000-01-01,1,{cell}\n\n2000-01-02,3,4\n\n")
+    _agrees_on_the_fast_path(f)
+    assert load_panel(f).n == 2
+
+
+def test_nul_in_a_date_gets_the_row_parsers_error(tmp_path):
+    # the 11-byte date field cannot tell a trailing NUL from its padding
+    f = tmp_path / "panel.csv"
+    f.write_bytes(b"date,A\n2000-01-01\x00,1\n")
+    got = _load_outcome(f)
+    with _row_parser_only():
+        assert got == _load_outcome(f)
+    assert got[0] is PanelFormatError
+
+
+@pytest.mark.parametrize("header", ["A,date,B,C", "A,B,date,C"])
+def test_date_column_in_the_middle_stays_on_the_fast_path(tmp_path, header):
+    rows = [[1.5, 2, 3.25], [0, 7e-3, 12]]
+    cols = header.split(",")
+    lines = [header]
+    for i, row in enumerate(rows):
+        cells = [repr(float(x)) for x in row]
+        cells.insert(cols.index("date"), f"2000-01-0{i + 1}")
+        lines.append(",".join(cells))
+    f = _write(tmp_path, "\n".join(lines) + "\n")
+    _agrees_on_the_fast_path(f)
+    p = load_panel(f)
+    assert p.station_ids == ("A", "B", "C")
+    assert p.values.tolist() == rows
 
 
 def test_every_missing_spelling_keeps_the_fast_path(tmp_path):
