@@ -144,7 +144,7 @@ _input_opt = click.option("--input", "input", required=True, type=str,
 _season_opt = click.option("--season", type=click.Choice(["winter", "summer", "all"]),
                            default="all", show_default=True,
                            help="Keep only this season's days before analysis.")
-_gap_opt = click.option("--gap", type=int, default=2, show_default=True,
+_gap_opt = click.option("--gap", type=click.IntRange(min=0), default=2, show_default=True,
                         help="Declustering separation in days (0 disables).")
 _output_opt = click.option("--output", type=str, default=None,
                            help="Write here (atomically) instead of stdout.")
@@ -153,6 +153,7 @@ _format_opt = click.option("--format", "fmt", type=click.Choice(["csv", "json"])
 _dry_opt = click.option("--dry-run", is_flag=True,
                         help="Validate the configuration and exit without writing.")
 _k_opt = click.option("--k", type=int, required=True)
+_LEVEL = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 _k_range_opts = (
     click.option("--k-min", type=click.IntRange(min=1), required=True),
     click.option("--k-max", type=int, required=True),
@@ -318,7 +319,7 @@ def _test_space(p, k, **_):
     _k_opt,
     click.option("--station", multiple=True,
                  help="Station name or index; repeatable. Default: all stations."),
-    click.option("--alpha", type=float, default=0.05, show_default=True,
+    click.option("--alpha", type=_LEVEL, default=0.05, show_default=True,
                  help="Family-wise level for the Bonferroni correction."),
 )
 def _test_time(p, k, station, alpha, **_):
@@ -433,16 +434,18 @@ def _parse_scedasis_spec(text: str | None, m: int):
     return tuple(funcs)
 
 
-def _parse_pair(text: str):
-    try:
-        left, right = text.split(":")
-        j1, s1, t1 = left.split(",")
-        j2, s2, t2 = right.split(",")
-        return ((int(j1), float(s1), float(t1)), (int(j2), float(s2), float(t2)))
-    except ValueError:
-        raise click.UsageError(
-            f"bad --pair {text!r}; expected 'j1,s1,t1:j2,s2,t2'"
-        ) from None
+def _parse_pairs(ctx, param, texts):
+    pairs = []
+    for text in texts:
+        try:
+            left, right = text.split(":")
+            j1, s1, t1 = left.split(",")
+            j2, s2, t2 = right.split(",")
+            pairs.append(((int(j1), float(s1), float(t1)), (int(j2), float(s2), float(t2))))
+        except ValueError:
+            raise click.BadParameter(
+                f"bad pair {text!r}; expected 'j1,s1,t1:j2,s2,t2'") from None
+    return tuple(pairs)
 
 
 @_command(
@@ -464,8 +467,8 @@ def _parse_pair(text: str):
                  show_default=True, help="Test for --harness size."),
     click.option("--station", type=int, default=0, show_default=True,
                  help="Station for the time test."),
-    click.option("--level", type=float, default=0.05, show_default=True),
-    click.option("--pair", "pair_texts", multiple=True,
+    click.option("--level", type=_LEVEL, default=0.05, show_default=True),
+    click.option("--pair", "pairs", multiple=True, callback=_parse_pairs,
                  help="Coordinate pair 'j1,s1,t1:j2,s2,t2' for --harness cov; repeatable."),
     click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
                  help="Worker threads.  They pay off on large panels only: on 2 cores, "
@@ -475,24 +478,18 @@ def _parse_pair(text: str):
     _dry_opt,
 )
 def _mc(harness, n, m, gamma, dependence, alpha, scedasis_json, k, reps, seed,
-        which, station, level, pair_texts, threads, output, dry_run):
+        which, station, level, pairs, threads, output, dry_run):
     """Monte Carlo harnesses on synthetic panels with known tail behaviour."""
     spec = mc.SimSpec(n=n, m=m, gamma=gamma, dependence=dependence, alpha=alpha,
                       scedasis=_parse_scedasis_spec(scedasis_json, m), seed=seed)
     if dry_run:
-        return _dry_run_report("mc", dict(harness=harness, n=n, m=m, gamma=gamma,
-                                          dependence=dependence, alpha=alpha, k=k,
-                                          reps=reps, seed=seed))
+        return _dry_run_report("mc", click.get_current_context().params)
     if harness == "size":
         report = mc.mc_test_size(spec, k, which=which, reps=reps, level=level,
                                  station=station, threads=threads)
     elif harness == "cov":
-        if pair_texts:
-            pairs = [_parse_pair(t) for t in pair_texts]
-        elif m > 1:
-            pairs = [(((0, 1.0, 1.0)), ((1, 1.0, 1.0)))]
-        else:
-            pairs = [(((0, 1.0, 1.0)), ((0, 1.0, 1.0)))]
+        # by default the corner of the first two stations (of the one station)
+        pairs = pairs or [((0, 1.0, 1.0), (min(1, m - 1), 1.0, 1.0))]
         report = mc.mc_covariance_check(spec, k, pairs, reps=reps, threads=threads)
     else:
         report = mc.mc_mle_variance(spec, k, reps=reps, threads=threads)

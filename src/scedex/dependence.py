@@ -6,7 +6,7 @@ studentise the spatial homogeneity test.  For the sandwich covariance of the
 pooled GP fit, :class:`EmpiricalTailDependence` estimates the edge
 X(v, 1) of the aggregate cross-station tail-copula surface on a level grid:
 tail copulas are homogeneous of degree 1, so the edge determines the whole
-surface.
+surface.  Both count from the exceedance table of :class:`~scedex.tail.TailAtK`.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ import numpy as np
 from .errors import RangeError
 from .panel import PanelSample
 from .tail import TailAtK
+
+# Geometric levels of the tail-copula grid behind the sandwich covariance.
+GRID_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -53,12 +56,8 @@ def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDepe
     """
     tail = TailAtK(p, k)
     # Only days with an exceedance add to E.T @ E, and its entries are whole
-    # counts, exact in any summation order: the at most k rows holding one
-    # give the same bits as all n rows, without a float copy of all n.  The
-    # rows come from the flat indices of the exceedances, ascending, cheaper
-    # than a reduction over every cell (and np.unique would import numpy.ma).
-    rows = np.flatnonzero(tail.exceed) // p.m
-    E = tail.exceed[rows[np.diff(rows, prepend=-1) > 0]].astype(np.float64)
+    # counts, exact in any summation order.
+    E = tail.hits.astype(np.float64)
     divisor = tail.divisor(renormalize)
     return TailDependenceMatrix(entries=(E.T @ E) / divisor, k=tail.k, divisor=divisor,
                                 tie_count=tail.tie_count)
@@ -92,8 +91,8 @@ class EmpiricalTailDependence:
     """Tail-copula estimates on a geometric level grid.
 
     Values are joint exceedance counts at pooled order-statistic thresholds,
-    divided by ``k``, at the ``grid_size`` geometric levels ``s`` over
-    [1/k, 1].
+    divided by ``k``, at the :data:`GRID_LEVELS` geometric levels ``s`` over
+    [1/k, 1]; a cell outside the level-k exceedance table exceeds no level.
 
     :attr:`edge` is the pair (levels, X(s, 1)) for the aggregate surface
     X(s, t) = sum over i != j of r(i, j; s, t), the input of the sandwich
@@ -102,49 +101,42 @@ class EmpiricalTailDependence:
     level (the surfaces vanish at s = 0 or t = 0).
     """
 
-    def __init__(self, p: PanelSample, k: int, grid_size: int = 64):
+    def __init__(self, p: PanelSample, k: int):
         tail = TailAtK(p, k)
         self.k = k = tail.k
         if k < 2:
             raise RangeError(f"a tail-copula level grid needs k >= 2, got k={k}")
-        self.m = p.m
-        self.grid_size = G = int(grid_size)
-        if G < 2:
-            raise RangeError("grid_size must be >= 2")
+        G = GRID_LEVELS
 
         s_nodes = np.geomspace(1.0 / k, 1.0, G)
         # Levels run from 1 to k < n_effective, so every threshold is defined;
-        # they are non-increasing in the grid index.
+        # they are non-increasing in the grid index down to the level-k one.
         _, thresholds = tail.ladder(s_nodes)
 
-        # Observation i exceeds grid level a  <=>  value > thresholds[a].
-        # With thresholds non-increasing, that set of levels is [e, G) where
-        # e = G - #{thresholds < value}.
-        thr_asc = thresholds[::-1]
-        filled = np.where(p.missing_mask, -np.inf, p.values)
-        # kept only for r, which bench/spans.py:161 wraps (ROADMAP item 3)
-        self._first_level = G - np.searchsorted(thr_asc, filled, side="left")
+        # A hit cell exceeds grid level a  <=>  value > thresholds[a], so at
+        # levels [e, G) with e = G - #{thresholds < value}; any other cell is
+        # put at level G.  Kept for r, which bench/spans.py:161 wraps.
+        below = np.searchsorted(thresholds[::-1], p.values[tail.rows], side="left")
+        self._first_level = first = np.where(tail.hits, G - below, G)
         # Grids gain a leading zero row and column at level 0, where every
         # surface vanishes.
         self._nodes = np.concatenate(([0.0], s_nodes))
 
-        # N[r, a] = number of stations in row r above level a (rows above no
-        # level add nothing).  Summed over rows, N(a) N(top) counts every
-        # ordered station pair jointly above (a, top), and N(a) the
-        # same-station pairs among them.
-        first = self._first_level[self._first_level.min(axis=1) < G]
+        # N[r, a] = number of stations in row r above level a.  Summed over
+        # rows, N(a) N(top) counts every ordered station pair jointly above
+        # (a, top), and N(a) the same-station pairs among them.
         rows = first.shape[0]
         hist = np.bincount((np.arange(rows)[:, None] * (G + 1) + first).ravel(),
                            minlength=rows * (G + 1)).reshape(rows, G + 1)
         N = np.cumsum(hist[:, :G], axis=1).astype(float)
         self.edge = (s_nodes, N.T @ (N[:, -1] - 1.0) / k)
 
-        self.c1 = tail.exceed.sum(axis=0) / k
+        self.c1 = tail.hits.sum(axis=0) / k
 
     # bench/spans.py:161 wraps r; no pipeline calls it (ROADMAP item 3)
     def r(self, i: int, j: int, s, t):
         """Interpolated tail-copula surface value(s) r_{ij}(s, t)."""
-        G = self.grid_size
+        G = GRID_LEVELS
         hist, _, _ = np.histogram2d(self._first_level[:, i], self._first_level[:, j],
                                     bins=[np.arange(G + 2), np.arange(G + 2)])
         # row exceeds (a, b) jointly <=> e_i <= a and e_j <= b

@@ -350,11 +350,11 @@ def _score_covariance(gamma: float, moment: float, corner: float) -> np.ndarray:
     return np.array([[t11, t12], [t12, t22]])
 
 
-def sigma_gamma0(gamma: float, c1_values, *, edge=None) -> tuple[np.ndarray, float]:
+def sigma_gamma0(gamma: float, c1, *, edge=None) -> tuple[np.ndarray, float]:
     """Limiting covariance of the pooled GP score in (shape, scale).
 
     Station j's own tail surface is C_j(1) min(s, t), with the tail shares
-    C_j(1) given by ``c1_values``.  ``edge`` is a pair (nodes, values) that
+    C_j(1) given by ``c1``.  ``edge`` is a pair (nodes, values) that
     samples X(v, 1), the edge of the aggregate cross-station surface
     X(s, t) = sum over stations i != j of r_ij(s, t), at nodes increasing to
     exactly 1; X(v, 1) is taken linear between nodes and from 0 at v = 0.
@@ -366,9 +366,9 @@ def sigma_gamma0(gamma: float, c1_values, *, edge=None) -> tuple[np.ndarray, flo
     """
     if gamma <= -0.5:
         raise DomainError(f"shape must exceed -1/2, got {gamma}")
-    c1 = np.asarray(c1_values, dtype=float)
+    c1 = np.asarray(c1, dtype=float)
     if c1.ndim != 1 or c1.size == 0:
-        raise RangeError("c1_values must be a non-empty 1-D collection")
+        raise RangeError("c1 must be a non-empty 1-D collection")
     if np.any(c1 < 0):
         raise RangeError("tail shares must be >= 0")
 
@@ -410,24 +410,19 @@ class AsymptoticCov:
         return float(np.sqrt(self.matrix[1, 1] / self.k))
 
 
-def mle_asymptotic_cov(fit: GpFit, p: PanelSample, c1_values=None, edge=None) -> AsymptoticCov:
+def mle_asymptotic_cov(fit: GpFit, p: PanelSample) -> AsymptoticCov:
     """Sandwich covariance I^{-1} Sigma I^{-1} for a pooled GP fit.
 
-    By default the tail shares and the edge X(v, 1) of the aggregate
-    cross-station surface are estimated from the panel at the fit's ``k``
-    (:class:`EmpiricalTailDependence` with its default level grid); analytic
-    inputs can be supplied instead via ``c1_values``/``edge`` (see
-    :func:`sigma_gamma0`).
+    The tail shares and the edge X(v, 1) of the aggregate cross-station
+    surface are estimated from the panel at the fit's ``k``
+    (:class:`EmpiricalTailDependence`); one station's edge is exactly 0.
+    For analytic inputs call :func:`sigma_gamma0` and
+    :func:`fisher_info_inverse` directly.
     """
     if not fit.converged:
         raise FitConvergenceError("cannot form a covariance from a non-converged fit")
-    if c1_values is None or (edge is None and p.m > 1):
-        dep = EmpiricalTailDependence(p, fit.k)
-        if c1_values is None:
-            c1_values = dep.c1
-        if edge is None and p.m > 1:
-            edge = dep.edge
-    sigma, _ = sigma_gamma0(fit.gamma_hat, c1_values, edge=edge)
+    dep = EmpiricalTailDependence(p, fit.k)
+    sigma, _ = sigma_gamma0(fit.gamma_hat, dep.c1, edge=dep.edge)
     inv = fisher_info_inverse(fit.gamma_hat)
     return AsymptoticCov(
         matrix=inv @ sigma @ inv,

@@ -67,7 +67,7 @@ class ScedasisCurve:
 
 def _curve(tail: TailAtK, j: int, renormalize: bool) -> ScedasisCurve:
     n = tail.panel.n
-    rows = np.flatnonzero(tail.exceed[:, j]) + 1  # 1-based day index
+    rows = tail.rows[tail.hits[:, j]] + 1  # 1-based day index
     return ScedasisCurve(
         station=j,
         k=tail.k,

@@ -4,11 +4,13 @@ All stations are pooled into one sample of size ``n_effective``; thresholds
 are order statistics of the pool.  The panel sorts that sample once
 (:attr:`PanelSample.sorted_values`) and :func:`pool` wraps it.  Every
 estimator takes just the panel and ``k`` and reads the level-k tail from one
-:class:`TailAtK`: the threshold X_{N-k:N}, the ties at it, and the ladder of
-deeper levels ``floor(k s)`` that the tail-copula level grid of
+:class:`TailAtK`: the threshold X_{N-k:N}, the ties at it, the exceedance
+table (the days holding an exceedance and which of their cells exceed), and
+the ladder of deeper levels ``floor(k s)`` that the tail-copula level grid of
 :class:`~scedex.dependence.EmpiricalTailDependence` walks.  Exceedances are
 always strict (``>``), and a missing cell holds NaN, which never exceeds a
-threshold.
+threshold.  Every deeper level's threshold is at least the level-k one, so
+the table holds every cell any estimator counts.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ class TailAtK:
     ``threshold`` is the pooled order statistic X_{N-k:N}; an observation is
     extreme when it strictly exceeds it, and a missing cell (NaN) never does.
     ``n_exceedances`` pooled observations do, so ``tie_count = k -
-    n_exceedances`` of the top k are tied with the threshold.  ``exceed`` is
-    the days x stations exceedance matrix, built on first use.
+    n_exceedances`` of the top k are tied with the threshold.  The
+    exceedance table, built on first use, is :attr:`rows` and :attr:`hits`.
     """
 
     def __init__(self, p: PanelSample, k: int):
@@ -103,5 +105,14 @@ class TailAtK:
         return self.n_exceedances
 
     @cached_property
-    def exceed(self) -> np.ndarray:
-        return self.panel.values > self.threshold
+    def rows(self) -> np.ndarray:
+        """The days holding at least one exceedance, ascending (at most k)."""
+        # Flat indices ascend, so a change of row marks each new day: cheaper
+        # than a reduction over every cell (np.unique would import numpy.ma).
+        flat = np.flatnonzero(self.panel.values > self.threshold) // self.panel.m
+        return flat[np.diff(flat, prepend=-1) > 0]
+
+    @cached_property
+    def hits(self) -> np.ndarray:
+        """``rows`` x stations: which cells of those days exceed."""
+        return self.panel.values[self.rows] > self.threshold

@@ -569,6 +569,21 @@ def test_bad_k_range_is_a_usage_error_even_in_a_dry_run(runner, panel_csv, comma
         assert "--k-" in _stderr(result) + result.output
 
 
+@pytest.mark.parametrize("command, args, flag", [
+    ("fit-gp", ["--k", "100", "--gap", "-1"], "--gap"),
+    ("ingest-check", ["--gap", "-1"], "--gap"),
+    ("test-time", ["--k", "60", "--alpha", "2"], "--alpha"),
+    ("test-time", ["--k", "60", "--alpha", "0"], "--alpha"),
+])
+def test_out_of_range_flag_is_a_usage_error_even_in_a_dry_run(runner, panel_csv, command,
+                                                               args, flag):
+    for extra in ([], ["--dry-run"]):
+        result = runner.invoke(main, [command, "--input", str(panel_csv), *args, *extra])
+        assert result.exit_code == 2, (args, extra)
+        assert flag in _stderr(result) + result.output
+        assert result.stdout == ""
+
+
 # Each panel command's own flags for a run that passes the usage checks and
 # then fails, the error it fails with, the module that raises it, and the
 # params its report must carry.
@@ -729,8 +744,22 @@ def test_mc_rejects_bad_scedasis_descriptors(runner, text):
 
 
 def test_mc_rejects_bad_pair_syntax(runner):
-    result = runner.invoke(main, MC_BASE + ["--harness", "cov", "--pair", "0,1.0"])
-    assert result.exit_code == 2
+    for pairs in (["0,1.0"], ["garbage"], ["0,1.0,1.0:1,0.5,1.0", "0,x,1:1,1,1"]):
+        for extra in ([], ["--dry-run"]):
+            args = [a for text in pairs for a in ("--pair", text)]
+            result = runner.invoke(main, MC_BASE + ["--harness", "cov", *args, *extra])
+            assert result.exit_code == 2, (pairs, extra)
+            assert "--pair" in _stderr(result) + result.output
+            assert result.stdout == ""
+
+
+@pytest.mark.parametrize("level", ["2", "0", "1"])
+def test_mc_level_out_of_range_is_a_usage_error_even_in_a_dry_run(runner, level):
+    for extra in ([], ["--dry-run"]):
+        result = runner.invoke(main, MC_BASE + ["--harness", "size", "--level", level, *extra])
+        assert result.exit_code == 2, extra
+        assert "--level" in _stderr(result) + result.output
+        assert result.stdout == ""
 
 
 @pytest.mark.parametrize("args, params", [
@@ -814,8 +843,21 @@ def test_mc_dry_run_checks_the_simulation_spec(runner):
         "dry_run": True,
         "command": "mc",
         "params": {"harness": "size", "n": 400, "m": 2, "gamma": 0.25,
-                   "dependence": "independent", "k": 30, "reps": 5, "seed": 3},
+                   "dependence": "independent", "k": 30, "reps": 5, "seed": 3,
+                   "which": "space", "station": 0, "level": 0.05, "threads": 1},
     }
+
+    # every flag given is reported, as for the panel commands
+    scedasis_json = '[{"kind": "constant"}, {"kind": "constant"}]'
+    ok = _ok(runner.invoke(main, MC_BASE + [
+        "--harness", "cov", "--dependence", "logistic", "--alpha", "0.6",
+        "--scedasis", scedasis_json, "--pair", "0,1.0,1.0:1,0.5,1.0", "--which", "time",
+        "--station", "1", "--level", "0.1", "--threads", "2", "--dry-run"]))
+    assert json.loads(ok.output)["params"] == {
+        "harness": "cov", "n": 400, "m": 2, "gamma": 0.25, "dependence": "logistic",
+        "alpha": 0.6, "scedasis_json": scedasis_json, "k": 30, "reps": 5, "seed": 3,
+        "which": "time", "station": 1, "level": 0.1,
+        "pairs": [[[0, 1.0, 1.0], [1, 0.5, 1.0]]], "threads": 2}
 
     bad = runner.invoke(
         main, MC_BASE + ["--harness", "size", "--gamma", "-0.9", "--dry-run"])

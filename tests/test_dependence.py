@@ -11,6 +11,7 @@ from scedex import (
     scedasis_all,
     sigma1_matrix,
 )
+from scedex.dependence import GRID_LEVELS
 from scedex.tail import pool
 
 from conftest import make_panel
@@ -89,44 +90,56 @@ def _brute_pair_count(p, k, i, j, si, sj):
     o = pool(p)
     n_eff = o.n_effective
     filled = np.where(p.missing_mask, -np.inf, p.values)
-    out = np.empty((np.size(si), np.size(sj)))
-    for a, sa in enumerate(np.atleast_1d(si)):
-        ka = min(max(int(np.floor(k * sa + 1e-9)), 1), n_eff - 1)
-        ta = o.values[n_eff - ka - 1]
-        for b, sb in enumerate(np.atleast_1d(sj)):
-            kb = min(max(int(np.floor(k * sb + 1e-9)), 1), n_eff - 1)
-            tb = o.values[n_eff - kb - 1]
-            out[a, b] = np.count_nonzero((filled[:, i] > ta) & (filled[:, j] > tb)) / k
-    return out
+
+    def above(col, s):
+        ks = np.clip(np.floor(k * np.atleast_1d(s) + 1e-9).astype(int), 1, n_eff - 1)
+        return (filled[:, col, None] > o.values[n_eff - ks - 1]).astype(float)
+
+    return above(i, si).T @ above(j, sj) / k
+
+
+def _surface_panel(holed=False):
+    """400 days, 3 dependent stations; the holed panel lacks station 0's
+    first 30% of rows and about 5% of all cells."""
+    rng = np.random.default_rng(515)
+    base = rng.pareto(2.0, size=(400, 1))
+    vals = np.hstack([base + rng.pareto(4.0, size=(400, 1)) for _ in range(3)])
+    if not holed:
+        return make_panel(vals)
+    holes = np.random.default_rng(516).random((400, 3)) < 0.05
+    holes[:120, 0] = True
+    return make_panel(vals, missing=holes)
 
 
 @pytest.fixture(scope="module")
 def surface_panel():
-    rng = np.random.default_rng(515)
-    base = rng.pareto(2.0, size=(400, 1))
-    vals = np.hstack([base + rng.pareto(4.0, size=(400, 1)) for _ in range(3)])
-    return make_panel(vals)
+    return _surface_panel()
 
 
-def test_surface_exact_at_grid_nodes(surface_panel):
-    k = 40
-    etd = EmpiricalTailDependence(surface_panel, k, grid_size=8)
-    nodes = np.geomspace(1.0 / k, 1.0, 8)
-    for i, j in [(0, 1), (1, 2), (0, 0)]:
-        want = _brute_pair_count(surface_panel, k, i, j, nodes, nodes)
-        got = np.array([[etd.r(i, j, sa, sb) for sb in nodes] for sa in nodes])
-        assert got == pytest.approx(want, abs=1e-12)
+@pytest.fixture(scope="module", params=["clean", "holed"])
+def any_surface_panel(request):
+    return _surface_panel(holed=request.param == "holed")
+
+
+NODES = np.geomspace(1.0 / 40, 1.0, GRID_LEVELS)
+
+
+def test_surface_exact_at_grid_nodes(any_surface_panel):
+    etd = EmpiricalTailDependence(any_surface_panel, 40)
+    for i, j in [(0, 1), (1, 2), (0, 0), (2, 0)]:
+        want = _brute_pair_count(any_surface_panel, 40, i, j, NODES, NODES)
+        assert np.array_equal(etd.r(i, j, NODES[:, None], NODES[None, :]), want)
 
 
 def test_surface_vanishes_at_zero(surface_panel):
-    etd = EmpiricalTailDependence(surface_panel, 40, grid_size=8)
+    etd = EmpiricalTailDependence(surface_panel, 40)
     assert etd.r(0, 1, 0.0, 0.7) == 0.0
     assert etd.r(0, 1, 0.7, 0.0) == 0.0
     assert etd.r(0, 1, 0.0, 0.0) == 0.0
 
 
 def test_surface_transpose_symmetry(surface_panel):
-    etd = EmpiricalTailDependence(surface_panel, 40, grid_size=8)
+    etd = EmpiricalTailDependence(surface_panel, 40)
     pts = [(0.3, 0.9), (0.05, 0.6), (1.0, 0.5)]
     for s, t in pts:
         assert etd.r(0, 2, s, t) == pytest.approx(etd.r(2, 0, t, s), abs=1e-14)
@@ -135,10 +148,9 @@ def test_surface_transpose_symmetry(surface_panel):
 def test_surface_diagonal_matches_marginal(surface_panel):
     """r_jj(s, s) is the marginal exceedance frequency at level s."""
     k = 40
-    etd = EmpiricalTailDependence(surface_panel, k, grid_size=8)
-    nodes = np.geomspace(1.0 / k, 1.0, 8)
+    etd = EmpiricalTailDependence(surface_panel, k)
     o = pool(surface_panel)
-    for s in nodes:
+    for s in NODES:
         ks = int(np.floor(k * s + 1e-9))
         thr = o.values[o.n_effective - ks - 1]
         marg = np.count_nonzero(surface_panel.values[:, 1] > thr) / k
@@ -146,21 +158,21 @@ def test_surface_diagonal_matches_marginal(surface_panel):
 
 
 def test_surface_monotone_queries(surface_panel):
-    etd = EmpiricalTailDependence(surface_panel, 40, grid_size=16)
+    etd = EmpiricalTailDependence(surface_panel, 40)
     s = np.linspace(0.0, 1.0, 21)
     vals = etd.r(0, 1, s, np.full_like(s, 0.8))
     assert np.all(np.diff(vals) >= -1e-12)
 
 
-def test_cross_is_the_sum_of_pair_counts(surface_panel):
+def test_cross_is_the_sum_of_pair_counts(any_surface_panel):
     """The edge X(v, 1) of the aggregate surface X = sum over i != j of r_ij:
     at every grid level it is the sum of the pairwise surfaces and of the
     brute-force joint counts."""
-    k = 40
-    etd = EmpiricalTailDependence(surface_panel, k, grid_size=8)
+    p = any_surface_panel
+    etd = EmpiricalTailDependence(p, 40)
     nodes, edge = etd.edge
-    assert np.array_equal(nodes, np.geomspace(1.0 / k, 1.0, 8))
-    brute = sum(_brute_pair_count(surface_panel, k, i, j, nodes, [1.0])[:, 0]
+    assert np.array_equal(nodes, NODES)
+    brute = sum(_brute_pair_count(p, 40, i, j, nodes, [1.0])[:, 0]
                 for i in range(3) for j in range(3) if i != j)
     pairwise = sum(etd.r(i, j, nodes, np.ones_like(nodes))
                    for i in range(3) for j in range(3) if i != j)
@@ -175,12 +187,10 @@ def test_surface_needs_two_levels():
     assert EmpiricalTailDependence(make_panel(vals), 2).edge[0][0] == 0.5
 
 
-def test_surface_c1_matches_sigma1(surface_panel):
-    etd = EmpiricalTailDependence(surface_panel, 40)
-    dep = sigma1_matrix(surface_panel, 40)
-    assert etd.c1 == pytest.approx(np.diag(dep.entries), abs=1e-14)
-
-
-def test_surface_grid_size_validated(surface_panel):
-    with pytest.raises(RangeError):
-        EmpiricalTailDependence(surface_panel, 40, grid_size=1)
+def test_surface_c1_matches_sigma1(any_surface_panel):
+    """One exceedance rule: the surface's shares, sigma1's diagonal and the
+    scedasis curves' shares are the same counts, to the bit."""
+    p = any_surface_panel
+    etd = EmpiricalTailDependence(p, 40)
+    assert np.array_equal(etd.c1, np.diag(sigma1_matrix(p, 40).entries))
+    assert etd.c1.tolist() == [c.c1 for c in scedasis_all(p, 40)]

@@ -467,14 +467,21 @@ def test_asymptotic_cov_from_panel():
 
 
 def test_asymptotic_cov_analytic_inputs_bypass_estimation():
+    """Analytic inputs go to sigma_gamma0 and the inverse Fisher information
+    directly.  A one-station panel without ties has share exactly 1 and an
+    edge of exact zeros, so its estimated sandwich is the same to the bit."""
     rng = np.random.default_rng(5)
     vals = rng.uniform(size=(3000, 1)) ** -0.25
     p = make_panel(vals)
     fit = fit_gp_pml(p, k=250)
-    cov = mle_asymptotic_cov(fit, p, c1_values=[1.0])
+    inv = fisher_info_inverse(fit.gamma_hat)
+    analytic = inv @ sigma_gamma0(fit.gamma_hat, [1.0])[0] @ inv
     gp1 = 1.0 + fit.gamma_hat
-    assert cov.matrix[0, 0] == pytest.approx(gp1**2, rel=1e-12)
-    assert cov.matrix[1, 1] == pytest.approx(1.0 + gp1**2, rel=1e-12)
+    assert analytic[0, 0] == pytest.approx(gp1**2, rel=1e-12)
+    assert analytic[1, 1] == pytest.approx(1.0 + gp1**2, rel=1e-12)
+    assert not EmpiricalTailDependence(p, fit.k).edge[1].any()
+    cov = mle_asymptotic_cov(fit, p)
+    assert np.array_equal(cov.matrix, analytic)
     assert cov.se_gamma == pytest.approx(gp1 / math.sqrt(fit.k), rel=1e-12)
 
 

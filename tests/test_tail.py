@@ -207,9 +207,9 @@ def test_every_estimator_sees_the_same_level_k_tail(n, m, k_draw, seed):
     assert np.diag(sigma1_matrix(p, k).entries) * k == pytest.approx(counts, abs=1e-9)
     if k < 2:  # one level is no grid
         with pytest.raises(RangeError, match="k=1"):
-            EmpiricalTailDependence(p, k, grid_size=4)
+            EmpiricalTailDependence(p, k)
     else:
-        assert EmpiricalTailDependence(p, k, grid_size=4).c1 * k == pytest.approx(counts, abs=1e-9)
+        assert EmpiricalTailDependence(p, k).c1 * k == pytest.approx(counts, abs=1e-9)
     for j in range(m):
         if counts[j] == 0:
             with pytest.raises(NoExceedanceError):
