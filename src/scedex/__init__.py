@@ -20,8 +20,8 @@ from .errors import (
     SingularCovarianceError,
 )
 from .panel import (
+    SEASONS,
     PanelSample,
-    SeasonDefinition,
     decluster,
     load_panel,
     split_season,
@@ -87,9 +87,9 @@ __all__ = [
     "PanelSample",
     "PooledOrderStatistics",
     "RangeError",
+    "SEASONS",
     "ScedasisCurve",
     "ScedexError",
-    "SeasonDefinition",
     "SimSpec",
     "SingularCovarianceError",
     "SimSpecError",

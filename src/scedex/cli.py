@@ -88,6 +88,17 @@ def _emit(text: str, output: str | None) -> None:
         raise
 
 
+def _check_output(output: str | None) -> None:
+    """A usage error unless ``output`` can name a file in an existing directory."""
+    if output is None:
+        return
+    target = os.path.abspath(output)
+    if os.path.isdir(target):
+        raise click.UsageError(f"--output is a directory: {output}")
+    if not os.path.isdir(os.path.dirname(target)):
+        raise click.UsageError(f"--output directory not found: {os.path.dirname(target)}")
+
+
 def _render(out) -> str:
     """A dict payload as JSON, a ``(header, rows)`` table as CSV."""
     if isinstance(out, dict):
@@ -141,7 +152,7 @@ def _dry_run_report(command: str, params: dict) -> None:
 
 _input_opt = click.option("--input", "input", required=True, type=str,
                           help="CSV panel: a date column plus one column per station.")
-_season_opt = click.option("--season", type=click.Choice(["winter", "summer", "all"]),
+_season_opt = click.option("--season", type=click.Choice([*panel.SEASONS, "all"]),
                            default="all", show_default=True,
                            help="Keep only this season's days before analysis.")
 _gap_opt = click.option("--gap", type=click.IntRange(min=0), default=2, show_default=True,
@@ -152,10 +163,11 @@ _format_opt = click.option("--format", "fmt", type=click.Choice(["csv", "json"])
                            default="csv", show_default=True)
 _dry_opt = click.option("--dry-run", is_flag=True,
                         help="Validate the configuration and exit without writing.")
-_k_opt = click.option("--k", type=int, required=True)
+_K = click.IntRange(min=1)
+_k_opt = click.option("--k", type=_K, required=True)
 _LEVEL = click.FloatRange(0.0, 1.0, min_open=True, max_open=True)
 _k_range_opts = (
-    click.option("--k-min", type=click.IntRange(min=1), required=True),
+    click.option("--k-min", type=_K, required=True),
     click.option("--k-max", type=int, required=True),
     click.option("--k-step", type=click.IntRange(min=1), default=50, show_default=True),
 )
@@ -171,13 +183,16 @@ def main():
 def _command(name: str, *options):
     """Register ``body(**params)`` as command ``name`` with ``options``.
 
-    The body returns its payload (a dict, emitted as JSON), a CSV table
-    ``(header, rows)``, or None when it has printed what it has to say.  A
-    ``ScedexError`` becomes the structured report on stderr (exit 1).
+    A ``--output`` that names a directory, or a file in a missing one, is a
+    usage error before the body runs, in a dry run too.  The body returns
+    its payload (a dict, emitted as JSON), a CSV table ``(header, rows)``,
+    or None when it has printed what it has to say.  A ``ScedexError``
+    becomes the structured report on stderr (exit 1).
     """
 
     def register(body):
         def run(**params):
+            _check_output(params["output"])
             try:
                 out = body(**params)
             except err.ScedexError as exc:
@@ -213,9 +228,7 @@ def _panel_command(name: str, *options, check=None):
                 return _dry_run_report(name, params)
             raw = p = panel.load_panel(params["input"])
             if params["season"] != "all":
-                season = (panel.SeasonDefinition.winter() if params["season"] == "winter"
-                          else panel.SeasonDefinition.summer())
-                p = panel.split_season(p, season)
+                p = panel.split_season(p, panel.SEASONS[params["season"]])
             # nothing observed, nothing to decluster; the estimators raise on the pool
             if params["gap"] > 0 and not p.missing_mask.all():
                 p = panel.decluster(p, gap_days=params["gap"])
@@ -255,7 +268,7 @@ def _ingest_check(p, raw, input, season, gap, **_):
 
 @_panel_command(
     "scedasis",
-    click.option("--k", type=int, required=True, help="Number of pooled top order statistics."),
+    click.option("--k", type=_K, required=True, help="Number of pooled top order statistics."),
     click.option("--renormalize", is_flag=True,
                  help="Divide by the realised exceedance count instead of k."),
     click.option("--grid", type=click.IntRange(min=1), default=100, show_default=True,

@@ -7,6 +7,7 @@ import datetime as dt
 import re
 import warnings
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -27,38 +28,11 @@ from .errors import (
 # out of both presets as transition months.
 WINTER_MONTHS = frozenset({11, 12, 1, 2, 3})
 SUMMER_MONTHS = frozenset({5, 6, 7, 8, 9})
-
-
-@dataclass(frozen=True)
-class SeasonDefinition:
-    """A set of calendar months plus a completeness floor.
-
-    ``min_days_per_year`` is a sanity floor: calendar years that retain fewer
-    rows than this (but more than zero) trigger a warning, since a sparse
-    season usually signals gaps in the record rather than a short season.
-    """
-
-    included_months: frozenset[int]
-    min_days_per_year: int = 150
-
-    def __post_init__(self):
-        months = frozenset(int(m) for m in self.included_months)
-        if not months:
-            raise DomainError("season must include at least one month")
-        bad = sorted(m for m in months if not 1 <= m <= 12)
-        if bad:
-            raise DomainError(f"invalid month number(s) in season: {bad}")
-        if self.min_days_per_year < 1:
-            raise DomainError("min_days_per_year must be >= 1")
-        object.__setattr__(self, "included_months", months)
-
-    @classmethod
-    def winter(cls) -> "SeasonDefinition":
-        return cls(WINTER_MONTHS)
-
-    @classmethod
-    def summer(cls) -> "SeasonDefinition":
-        return cls(SUMMER_MONTHS)
+# The named seasons, in the order the CLI offers them.
+SEASONS = {"winter": WINTER_MONTHS, "summer": SUMMER_MONTHS}
+# A calendar year that keeps fewer season days than this (but some) is
+# reported: a sparse season usually signals gaps in the record.
+MIN_SEASON_DAYS = 150
 
 
 @dataclass(frozen=True)
@@ -384,23 +358,27 @@ def _parse_rows(reader, date_pos: int, stations: list[str]):
     return np.array(rows, dtype=float), np.array(dates, dtype="datetime64[D]")
 
 
-def split_season(p: PanelSample, season: SeasonDefinition) -> PanelSample:
-    """Rows of ``p`` whose calendar month lies in the season.
+def split_season(p: PanelSample, months: Iterable[int]) -> PanelSample:
+    """Rows of ``p`` whose calendar month (1..12) is in ``months``.
 
     Raises :class:`EmptySeasonError` when nothing survives.  Years retaining
-    fewer than ``season.min_days_per_year`` rows are reported via a warning.
+    fewer than :data:`MIN_SEASON_DAYS` rows are reported via a warning.
     """
-    keep = np.isin(p.months(), list(season.included_months))
+    months = sorted({int(mo) for mo in months})
+    if not months:
+        raise DomainError("season must include at least one month")
+    bad = [mo for mo in months if not 1 <= mo <= 12]
+    if bad:
+        raise DomainError(f"invalid month number(s) in season: {bad}")
+    keep = np.isin(p.months(), months)
     if not keep.any():
-        raise EmptySeasonError(
-            f"season with months {sorted(season.included_months)} matches no rows"
-        )
+        raise EmptySeasonError(f"season with months {months} matches no rows")
     out = p.subset_rows(np.flatnonzero(keep))
     years, counts = np.unique(out.years(), return_counts=True)
-    thin = [int(y) for y, c in zip(years, counts) if c < season.min_days_per_year]
+    thin = [int(y) for y, c in zip(years, counts) if c < MIN_SEASON_DAYS]
     if thin:
         warnings.warn(
-            f"{len(thin)} year(s) retain fewer than {season.min_days_per_year} "
+            f"{len(thin)} year(s) retain fewer than {MIN_SEASON_DAYS} "
             f"season days (e.g. {thin[:5]}); check record completeness",
             stacklevel=2,
         )

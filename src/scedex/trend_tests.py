@@ -16,7 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dependence import sigma1_matrix
-from .errors import NoExceedanceError, RangeError, ScedexError, SingularCovarianceError
+from .errors import (
+    EmptyPoolError,
+    NoExceedanceError,
+    RangeError,
+    ScedexError,
+    SingularCovarianceError,
+)
 from .panel import PanelSample
 from .scedasis import scedasis_curve
 
@@ -136,16 +142,15 @@ def bonferroni(p_values, alpha: float = 0.05) -> BonferroniResult:
     return BonferroniResult(corrected_level=corrected, reject=p < corrected)
 
 
-def _near_duplicate_pairs(sigma: np.ndarray, tol: float = 1e-9) -> list[tuple[int, int]]:
-    """Station pairs whose joint exceedance frequency saturates its bound."""
-    m = sigma.shape[0]
-    out = []
-    for a in range(m):
-        for b in range(a + 1, m):
-            cap = min(sigma[a, a], sigma[b, b])
-            if cap > 0 and sigma[a, b] >= cap * (1 - tol):
-                out.append((a, b))
-    return out
+def _near_duplicate_pairs(sigma: np.ndarray) -> list[tuple[int, int]]:
+    """Station pairs ``(a, b)``, ``a < b``, in row-major order, whose joint
+    exceedance frequency reaches its bound, the smaller of the two stations'
+    own: every exceedance of one is an exceedance of the other.  The entries
+    are whole counts over one divisor, so the comparison is exact."""
+    own = np.diag(sigma)
+    cap = np.minimum.outer(own, own)
+    a, b = np.nonzero(np.triu((sigma >= cap) & (cap > 0), 1))
+    return list(zip(a.tolist(), b.tolist()))
 
 
 def _first(items: list) -> str:
@@ -254,7 +259,8 @@ def k_sweep(
     """Run one test across a range of threshold levels.
 
     Failures at individual levels are recorded in the row and the sweep
-    continues.
+    continues; a panel with nothing observed fails at every level, and its
+    :class:`EmptyPoolError` is raised.
     """
     if which not in ("space", "time"):
         raise RangeError(f"which must be 'space' or 'time', got {which!r}")
@@ -268,6 +274,8 @@ def k_sweep(
             else:
                 res = time_test(p, int(k), station)
             rows.append(SweepRow(k=int(k), statistic=res.statistic, p_value=res.p_value))
+        except EmptyPoolError:
+            raise
         except ScedexError as exc:
             rows.append(SweepRow(k=int(k), statistic=None, p_value=None, error=str(exc)))
     return rows

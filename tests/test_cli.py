@@ -574,6 +574,11 @@ def test_bad_k_range_is_a_usage_error_even_in_a_dry_run(runner, panel_csv, comma
     ("ingest-check", ["--gap", "-1"], "--gap"),
     ("test-time", ["--k", "60", "--alpha", "2"], "--alpha"),
     ("test-time", ["--k", "60", "--alpha", "0"], "--alpha"),
+    ("scedasis", ["--k", "0"], "--k"),
+    ("sigma1", ["--k", "0"], "--k"),
+    ("test-space", ["--k", "0"], "--k"),
+    ("test-time", ["--k", "-3"], "--k"),
+    ("fit-gp", ["--k", "0"], "--k"),
 ])
 def test_out_of_range_flag_is_a_usage_error_even_in_a_dry_run(runner, panel_csv, command,
                                                                args, flag):
@@ -582,6 +587,25 @@ def test_out_of_range_flag_is_a_usage_error_even_in_a_dry_run(runner, panel_csv,
         assert result.exit_code == 2, (args, extra)
         assert flag in _stderr(result) + result.output
         assert result.stdout == ""
+
+
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+@pytest.mark.parametrize("command, args", [
+    ("ingest-check", []),
+    ("test-space", ["--k", "60"]),
+    ("mc", ["--harness", "size", "--n", "400", "--k", "30", "--reps", "5"]),
+])
+def test_unwritable_output_is_a_usage_error_even_in_a_dry_run(runner, panel_csv, tmp_path,
+                                                                where, command, args):
+    output = tmp_path if where == "directory" else tmp_path / "missing" / "x.json"
+    if command != "mc":
+        args = ["--input", str(panel_csv), *args]
+    for extra in ([], ["--dry-run"]):
+        result = runner.invoke(main, [command, *args, "--output", str(output), *extra])
+        assert result.exit_code == 2, extra
+        assert "--output" in _stderr(result) + result.output
+        assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # Each panel command's own flags for a run that passes the usage checks and
@@ -621,7 +645,12 @@ def test_runtime_error_renders_structured_report(runner, panel_csv, tmp_path, co
     assert report["hint"]
 
 
-@pytest.mark.parametrize("command,args", [("ingest-check", []), ("test-space", ["--k", "1"])])
+@pytest.mark.parametrize("command,args", [
+    ("ingest-check", []),
+    ("test-space", ["--k", "1"]),
+    ("sweep", ["--k-min", "1", "--k-max", "2"]),
+    ("sweep", ["--which", "time", "--station", "A", "--k-min", "1", "--k-max", "2"]),
+])
 def test_panel_with_no_observed_value_renders_structured_report(runner, tmp_path,
                                                                  command, args):
     """ingest-check describes the file at every --gap; an analysis command
@@ -637,7 +666,8 @@ def test_panel_with_no_observed_value_renders_structured_report(runner, tmp_path
         return
     result = runner.invoke(main, [command, "--input", str(f), *args])
     assert result.exit_code == 1
-    report = json.loads(_stderr(result) or result.output)
+    assert result.stdout == ""
+    report = json.loads(_stderr(result))
     assert (report["error"], report["module"]) == ("EmptyPoolError", "panel")
     assert report["params"]["gap"] == 2
 
@@ -764,7 +794,8 @@ def test_mc_level_out_of_range_is_a_usage_error_even_in_a_dry_run(runner, level)
 
 @pytest.mark.parametrize("args, params", [
     (["--harness", "size", "--which", "time", "--station", "7"], {"station": 7}),
-    (["--harness", "cov", "--k", "0"], {"k": 0}),       # checked before simulating
+    (["--harness", "cov", "--pair", "0,3,1:1,1,1"],      # checked before simulating
+     {"pairs": [[[0, 3.0, 1.0], [1, 1.0, 1.0]]]}),
 ])
 def test_mc_runtime_error_names_the_mc_module(runner, args, params):
     result = runner.invoke(main, MC_BASE + args)
@@ -774,6 +805,15 @@ def test_mc_runtime_error_names_the_mc_module(runner, args, params):
     assert report["module"] == "mc"
     assert report["command"] == "mc"
     assert params.items() <= report["params"].items()
+
+
+@pytest.mark.parametrize("harness", ["size", "cov", "mle"])
+def test_mc_k_below_one_is_a_usage_error_even_in_a_dry_run(runner, harness):
+    for extra in ([], ["--dry-run"]):
+        result = runner.invoke(main, MC_BASE + ["--harness", harness, "--k", "0", *extra])
+        assert result.exit_code == 2, extra
+        assert "--k" in _stderr(result) + result.output
+        assert result.stdout == ""
 
 
 def test_mc_reps_must_be_positive(runner):

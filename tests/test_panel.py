@@ -15,14 +15,14 @@ from scedex import (
     EmptySeasonError,
     PanelFormatError,
     PanelSample,
+    SEASONS,
     ScedexError,
-    SeasonDefinition,
     decluster,
     load_panel,
     split_season,
 )
 from scedex import panel as panel_module
-from scedex.panel import SUMMER_MONTHS, WINTER_MONTHS
+from scedex.panel import MIN_SEASON_DAYS, SUMMER_MONTHS, WINTER_MONTHS
 
 from conftest import make_panel
 
@@ -468,41 +468,53 @@ def test_fault_free_panels_skip_the_row_parser(tmp_path_factory, case):
 
 def test_builtin_seasons_are_disjoint():
     assert not (WINTER_MONTHS & SUMMER_MONTHS)
-    assert SeasonDefinition.winter().included_months == WINTER_MONTHS
-    assert SeasonDefinition.summer().included_months == SUMMER_MONTHS
+    assert list(SEASONS.items()) == [("winter", WINTER_MONTHS), ("summer", SUMMER_MONTHS)]
 
 
 def test_split_season_keeps_only_matching_months():
-    n = 200  # Jan 1 - Jul 18: only 91 winter days, so the thin-year warning fires
+    n = 200  # Jan 1 - Jul 18: 91 winter and 79 summer days, so the thin-year warning fires
     p = make_panel(np.arange(n, dtype=float).reshape(-1, 1) + 1, start="2000-01-01")
-    with pytest.warns(UserWarning, match="fewer than 150"):
-        w = split_season(p, SeasonDefinition.winter())
+    with pytest.warns(UserWarning, match="1 year\\(s\\) retain fewer than 150 season days"):
+        w = split_season(p, SEASONS["winter"])
     assert set(w.months().tolist()) <= WINTER_MONTHS
-    s = split_season(p, SeasonDefinition(SUMMER_MONTHS, min_days_per_year=1))
+    with pytest.warns(UserWarning, match="fewer than 150"):
+        s = split_season(p, SEASONS["summer"])
     assert set(s.months().tolist()) <= SUMMER_MONTHS
     assert w.n + s.n < n  # April dropped from both
 
 
 def test_split_season_full_year_no_warning():
     # a complete year keeps 152 winter days (Jan-Mar + Nov-Dec), above the floor
+    assert MIN_SEASON_DAYS == 150
     p = make_panel(np.ones((366, 1)), start="2000-01-01")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        w = split_season(p, SeasonDefinition.winter())
+        w = split_season(p, SEASONS["winter"])
     assert w.n == 152
+
+
+def test_split_season_takes_any_collection_of_months():
+    p = make_panel(np.ones((366, 1)), start="2000-01-01")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = split_season(p, WINTER_MONTHS)
+        for months in ([3, 1, 2, 12, 11], (11, 12, 1, 2, 3, 3), np.array([1, 2, 3, 11, 12])):
+            got = split_season(p, months)
+            assert np.array_equal(got.day_labels, expected.day_labels)
 
 
 def test_split_season_empty_raises():
     p = make_panel(np.ones((3, 1)), start="2000-06-01")
-    with pytest.raises(EmptySeasonError):
-        split_season(p, SeasonDefinition(frozenset({2})))
+    with pytest.raises(EmptySeasonError, match=re.escape("months [2] matches no rows")):
+        split_season(p, frozenset({2}))
 
 
 def test_season_validation():
-    with pytest.raises(DomainError):
-        SeasonDefinition(frozenset())
-    with pytest.raises(DomainError):
-        SeasonDefinition(frozenset({0, 5}))
+    p = make_panel(np.ones((3, 1)), start="2000-06-01")
+    with pytest.raises(DomainError, match="^season must include at least one month$"):
+        split_season(p, frozenset())
+    with pytest.raises(DomainError, match=re.escape("invalid month number(s) in season: [0, 13]")):
+        split_season(p, [13, 6, 0])
 
 
 # ---------------------------------------------------------------------------

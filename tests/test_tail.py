@@ -20,7 +20,6 @@ from scedex import (
     NoExceedanceError,
     PanelSample,
     RangeError,
-    SeasonDefinition,
     decluster,
     fit_gp_pml,
     gamma_path,
@@ -79,7 +78,9 @@ def test_derived_panels_pool_their_own_rows():
     missing = rng.random((60, 3)) < 0.1
     p = make_panel(vals, missing=missing)
     whole = pool(p).values  # sorted before the derived panels exist
-    for derived in (decluster(p, 1), split_season(p, SeasonDefinition({2}, 1))):
+    with pytest.warns(UserWarning, match="fewer than 150 season days"):
+        february = split_season(p, {2})
+    for derived in (decluster(p, 1), february):
         assert derived.n < p.n
         assert np.array_equal(pool(derived).values,
                               np.sort(derived.values[~derived.missing_mask]))

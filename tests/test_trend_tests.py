@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import special, stats
 
 from scedex import (
+    EmptyPoolError,
     NoExceedanceError,
     SimSpec,
     RangeError,
@@ -156,6 +157,21 @@ def test_singular_report_stays_short_at_tens_of_stations():
     assert len(message) < 300
 
 
+def test_near_duplicate_pairs_at_tens_of_stations():
+    # three planted duplicates among 32 dependent stations, listed row-major
+    spec = SimSpec(n=24000, m=32, gamma=0.1, dependence="logistic", alpha=0.6, seed=1)
+    base = simulate_panel(spec)
+    values = np.array(base.values)
+    for a, b in [(3, 17), (20, 5), (30, 31)]:
+        values[:, b] = values[:, a]
+    p = make_panel(values)
+    with pytest.raises(SingularCovarianceError) as exc:
+        space_test(p, k=1000)
+    assert exc.value.suspects == [(3, 17), (5, 20), (30, 31)]
+    assert ("3 near-duplicate station pair(s): (3, 17), (5, 20), (30, 31); "
+            "fewest exceedances at a station: 24, at station(s) 0") in str(exc.value)
+
+
 def test_space_test_needs_two_stations():
     p = make_panel(np.arange(1.0, 9.0).reshape(-1, 1))
     with pytest.raises(RangeError):
@@ -259,6 +275,13 @@ def test_k_sweep_records_errors_and_continues():
     p = make_panel(np.column_stack([col, col]))
     rows = k_sweep(p, [3, 4], which="space")
     assert all(r.statistic is None and r.error for r in rows)
+
+
+def test_k_sweep_raises_on_a_panel_with_nothing_observed():
+    p = make_panel(np.ones((8, 2)), missing=np.ones((8, 2), dtype=bool))
+    for which, station in (("space", None), ("time", 0)):
+        with pytest.raises(EmptyPoolError, match="no non-missing observations"):
+            k_sweep(p, [1, 2], which=which, station=station)
 
 
 def test_k_sweep_time_requires_station(small_panel):
