@@ -58,8 +58,6 @@ from .mc import (
     analytic_cross_surface,
     analytic_r_lookup,
     analytic_sigma,
-    constant_scedasis,
-    linear_scedasis,
     logistic_tail_copula,
     mc_covariance_check,
     mc_mle_variance,
@@ -101,7 +99,6 @@ __all__ = [
     "analytic_sigma",
     "bonferroni",
     "chi2_pvalue",
-    "constant_scedasis",
     "decluster",
     "fisher_info",
     "fisher_info_inverse",
@@ -110,7 +107,6 @@ __all__ = [
     "gamma_path",
     "k_sweep",
     "kolmogorov_pvalue",
-    "linear_scedasis",
     "load_panel",
     "logistic_tail_copula",
     "mc_covariance_check",

@@ -423,6 +423,7 @@ def _gamma_path(p, k_min, k_max, k_step, fmt, **_):
 
 
 def _parse_scedasis_spec(text: str | None, m: int):
+    """The ``--scedasis`` descriptors as the ``(start, end)`` lines of a SimSpec."""
     if text is None:
         return None
     try:
@@ -432,19 +433,19 @@ def _parse_scedasis_spec(text: str | None, m: int):
     if not isinstance(descriptors, list) or len(descriptors) != m:
         raise click.UsageError(f"--scedasis must be a JSON list of {m} descriptors")
     usage = 'use {"kind": "constant", "level": v} or {"kind": "linear", "start": a, "end": b}'
-    funcs = []
+    lines = []
     for d in descriptors:
         kind = d.get("kind") if isinstance(d, dict) else None
         if kind not in ("constant", "linear"):
             raise click.UsageError(f"unknown scedasis descriptor {d!r}; {usage}")
         try:
-            funcs.append(mc.constant_scedasis(float(d.get("level", 1.0))) if kind == "constant"
-                         else mc.linear_scedasis(float(d["start"]), float(d["end"])))
+            ends = (d.get("level", 1.0),) * 2 if kind == "constant" else (d["start"], d["end"])
+            lines.append(tuple(map(float, ends)))
         except (KeyError, TypeError, ValueError):
             raise click.UsageError(
                 f"missing or non-numeric values in scedasis descriptor {d!r}; {usage}"
             ) from None
-    return tuple(funcs)
+    return tuple(lines)
 
 
 def _parse_pairs(ctx, param, texts):

@@ -3,7 +3,7 @@
 The simulator draws each day's station uniforms from a chosen copula
 (independent, logistic, or comonotone) and maps them through marginals whose
 upper tail is exactly generalized Pareto, modulated by a per-station
-frequency function c(u, j):
+frequency c(u, j), linear in the time fraction u:
 
     P(X_{i,j} > x) = c(i/n, j) * (1 - F0(x))        for x above a threshold,
 
@@ -63,7 +63,7 @@ def logistic_tail_copula(alpha: float) -> Callable:
 @functools.cache
 def _nodes() -> tuple:
     """The 200-node Gauss-Legendre rule on [0, 1], read-only (nodes, weights):
-    every integral in this module uses it.  Built on first use."""
+    every quadrature in this module uses it.  Built on first use."""
     x, w = np.polynomial.legendre.leggauss(200)
     rule = ((x + 1.0) / 2.0, w / 2.0)
     for a in rule:
@@ -76,23 +76,19 @@ def _nodes() -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def constant_scedasis(level: float = 1.0) -> Callable:
-    return lambda u: np.full_like(np.asarray(u, dtype=float), float(level))
-
-
-def linear_scedasis(start: float, end: float) -> Callable:
-    return lambda u: start + (end - start) * np.asarray(u, dtype=float)
-
-
 @dataclass(frozen=True)
 class SimSpec:
     """Recipe for a synthetic panel.
 
-    ``scedasis`` is one frequency function per station (u in [0, 1] ->
-    positive level); None means constant 1 everywhere.  Functions are
-    jointly rescaled at construction so their average integral is exactly 1,
-    preserving the ratios between stations.  ``seed`` is a non-negative
-    integer; with the replication number it keys the panel's random stream.
+    ``scedasis`` holds one frequency line per station, a ``(start, end)``
+    pair: station j's frequency at time fraction u in [0, 1] is proportional
+    to ``start + (end - start) u``, so a constant level c is ``(c, c)``.
+    None means ``(1, 1)`` everywhere.  Both ends must be finite and positive.
+    The lines are stored as given; :meth:`level` rescales them jointly so
+    their average integral is exactly 1, preserving the ratios between
+    stations.  ``alpha`` is the logistic parameter and is only taken with
+    ``dependence="logistic"``.  ``seed`` is a non-negative integer; with the
+    replication number it keys the panel's random stream.
     """
 
     n: int
@@ -108,8 +104,8 @@ class SimSpec:
             raise SimSpecError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise SimSpecError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.gamma <= -0.5:
-            raise SimSpecError(f"shape must exceed -1/2, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > -0.5):
+            raise SimSpecError(f"shape must be finite and exceed -1/2, got {self.gamma}")
         if self.dependence not in _DEPENDENCES:
             raise SimSpecError(
                 f"dependence must be one of {_DEPENDENCES}, got {self.dependence!r}"
@@ -119,39 +115,38 @@ class SimSpec:
                 raise SimSpecError(
                     f"logistic dependence needs alpha in (0, 1], got {self.alpha}"
                 )
-        funcs = self.scedasis
-        if funcs is None:
-            funcs = tuple(constant_scedasis(1.0) for _ in range(self.m))
-        else:
-            funcs = tuple(funcs)
-            if len(funcs) != self.m:
-                raise SimSpecError(
-                    f"expected {self.m} frequency functions, got {len(funcs)}"
-                )
-        grid = np.linspace(0.0, 1.0, 2001)
-        raw = np.array([np.asarray(f(grid), dtype=float) for f in funcs])
-        if not np.all((raw > 0) & np.isfinite(raw)):
-            raise SimSpecError("frequency functions must be finite and strictly "
-                               "positive on [0, 1]")
-        if self.scedasis is None:
-            integrals = np.ones(self.m)  # constant 1 integrates to 1 exactly
-        else:
-            u, w = _nodes()
-            integrals = np.array([math.fsum(np.asarray(f(u), dtype=float) * w) for f in funcs])
-        if not np.all((integrals > 0) & np.isfinite(integrals)):
-            raise SimSpecError("every frequency function must have finite positive mass")
-        rho = self.m / integrals.sum()
-        levels = rho * raw
-        if levels.max() * TAIL_MASS > 1.0:
+        elif self.alpha is not None:
             raise SimSpecError(
-                f"frequency level {levels.max():.3g} too extreme: the exact-tail "
+                f"alpha is the logistic parameter, but dependence is {self.dependence!r}"
+            )
+        try:
+            ends = np.array(((1.0, 1.0),) * self.m if self.scedasis is None else self.scedasis,
+                            dtype=float)
+        except (TypeError, ValueError):
+            ends = np.empty(0)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise SimSpecError("each frequency line must be a (start, end) pair of numbers")
+        if len(ends) != self.m:
+            raise SimSpecError(f"expected {self.m} frequency lines, got {len(ends)}")
+        # a line is positive on [0, 1] exactly when both its ends are
+        if not np.all((ends > 0) & np.isfinite(ends)):
+            raise SimSpecError("frequency lines must be finite and strictly positive "
+                               "at both ends")
+        masses = ends.sum(axis=1) / 2.0
+        rho = self.m / masses.sum()
+        if rho * ends.max() * TAIL_MASS > 1.0:
+            raise SimSpecError(
+                f"frequency level {rho * ends.max():.3g} too extreme: the exact-tail "
                 f"construction needs max level <= {1.0 / TAIL_MASS:.3g}"
             )
-        normalized = tuple(
-            (lambda u, _f=f, _r=rho: _r * np.asarray(_f(u), dtype=float)) for f in funcs
-        )
-        object.__setattr__(self, "scedasis", normalized)
-        object.__setattr__(self, "_c1", tuple(rho * integrals / self.m))
+        object.__setattr__(self, "scedasis", tuple(map(tuple, ends.tolist())))
+        object.__setattr__(self, "_rho", rho)
+        object.__setattr__(self, "_c1", tuple(rho * masses / self.m))
+
+    def level(self, j: int, u) -> np.ndarray:
+        """Station j's normalised frequency level c(u, j) at time fractions u."""
+        start, end = self.scedasis[j]
+        return self._rho * (start + (end - start) * np.asarray(u, dtype=float))
 
     @property
     def c1(self) -> np.ndarray:
@@ -164,7 +159,7 @@ class SimSpec:
         read-only: the days x stations frequency levels c(i/n, j), the tail
         masses c TAIL_MASS and 1 - c TAIL_MASS, and the filler's top x0."""
         u_rows = np.arange(1, self.n + 1) / self.n
-        c_mat = np.column_stack([self.scedasis[j](u_rows) for j in range(self.m)])
+        c_mat = np.column_stack([self.level(j, u_rows) for j in range(self.m)])
         tail_mass = c_mat * TAIL_MASS
         body_mass = 1.0 - tail_mass
         for a in (c_mat, tail_mass, body_mass):
@@ -272,8 +267,7 @@ def _tail_integral(spec: SimSpec, i: int, j: int, s, t, upper: float = 1.0):
     else:
         R = logistic_tail_copula(spec.alpha)
     u, w = _nodes()
-    vals = R(s[..., None] * spec.scedasis[i](upper * u),
-             t[..., None] * spec.scedasis[j](upper * u))
+    vals = R(s[..., None] * spec.level(i, upper * u), t[..., None] * spec.level(j, upper * u))
     out = upper * (vals @ w) / spec.m
     return float(out) if out.ndim == 0 else out
 
@@ -291,15 +285,14 @@ def analytic_cross_surface(spec: SimSpec) -> Callable:
     """Exact aggregate cross-station surface X(s, t) = sum over i != j of
     r(i, j; s, t), whose edge X(v, 1) is the input of :func:`sigma_gamma0`.
 
-    Stations whose frequency functions agree on the quadrature nodes have the
-    same surfaces, so r is evaluated once per ordered pair of such groups and
-    weighted by the number of ordered station pairs it stands for.
+    Stations on the same frequency line have the same surfaces, so r is
+    evaluated once per ordered pair of such groups and weighted by the number
+    of ordered station pairs it stands for.
     """
     r = analytic_r_lookup(spec)
-    u = _nodes()[0]
-    groups: dict[bytes, list[int]] = {}
-    for j in range(spec.m):
-        groups.setdefault(np.asarray(spec.scedasis[j](u), dtype=float).tobytes(), []).append(j)
+    groups: dict[tuple, list[int]] = {}
+    for j, line in enumerate(spec.scedasis):
+        groups.setdefault(line, []).append(j)
     terms = []
     for a in groups.values():
         for b in groups.values():

@@ -30,8 +30,9 @@ WINTER_MONTHS = frozenset({11, 12, 1, 2, 3})
 SUMMER_MONTHS = frozenset({5, 6, 7, 8, 9})
 # The named seasons, in the order the CLI offers them.
 SEASONS = {"winter": WINTER_MONTHS, "summer": SUMMER_MONTHS}
-# A calendar year that keeps fewer season days than this (but some) is
-# reported: a sparse season usually signals gaps in the record.
+# A calendar year that keeps fewer season days than this (but some), and
+# fewer than the record spans in it, is reported: a sparse season usually
+# signals gaps in the record.
 MIN_SEASON_DAYS = 150
 
 
@@ -361,8 +362,10 @@ def _parse_rows(reader, date_pos: int, stations: list[str]):
 def split_season(p: PanelSample, months: Iterable[int]) -> PanelSample:
     """Rows of ``p`` whose calendar month (1..12) is in ``months``.
 
-    Raises :class:`EmptySeasonError` when nothing survives.  Years retaining
-    fewer than :data:`MIN_SEASON_DAYS` rows are reported via a warning.
+    Raises :class:`EmptySeasonError` when nothing survives.  A year is
+    reported via a warning when it keeps fewer than :data:`MIN_SEASON_DAYS`
+    rows and fewer than the calendar holds between the record's first and
+    last day, so a record that starts or ends mid-year is not a gap.
     """
     months = sorted({int(mo) for mo in months})
     if not months:
@@ -375,7 +378,11 @@ def split_season(p: PanelSample, months: Iterable[int]) -> PanelSample:
         raise EmptySeasonError(f"season with months {months} matches no rows")
     out = p.subset_rows(np.flatnonzero(keep))
     years, counts = np.unique(out.years(), return_counts=True)
-    thin = [int(y) for y, c in zip(years, counts) if c < MIN_SEASON_DAYS]
+    span = np.arange(p.day_labels[0], p.day_labels[-1] + 1)
+    in_season = np.isin(span.astype("datetime64[M]").astype(np.int64) % 12 + 1, months)
+    held = dict(zip(*np.unique(span[in_season].astype("datetime64[Y]").astype(np.int64) + 1970,
+                               return_counts=True)))
+    thin = [int(y) for y, c in zip(years, counts) if c < min(MIN_SEASON_DAYS, held[y])]
     if thin:
         warnings.warn(
             f"{len(thin)} year(s) retain fewer than {MIN_SEASON_DAYS} "

@@ -160,15 +160,15 @@ def test_null_rejection_rate_is_nominal(dep, alpha, which, seed):
 
 def test_time_test_power_under_linear_trend():
     spec = mc.SimSpec(n=5000, m=1, gamma=0.25,
-                      scedasis=(mc.linear_scedasis(0.5, 1.5),), seed=103)
+                      scedasis=((0.5, 1.5),), seed=103)
     rate = mc.mc_test_size(spec, 250, which="time", reps=500).rejection_rate
     _gate("time-test power, linear trend", rate > 0.5,
           f"rejection rate {rate:.4f} (> 0.5 required)")
 
 
 def test_space_test_power_under_two_groups():
-    funcs = tuple(mc.constant_scedasis(v) for v in (4 / 3, 4 / 3, 2 / 3, 2 / 3))
-    spec = mc.SimSpec(n=5000, m=4, gamma=0.25, scedasis=funcs, seed=104)
+    lines = tuple((v, v) for v in (4 / 3, 4 / 3, 2 / 3, 2 / 3))
+    spec = mc.SimSpec(n=5000, m=4, gamma=0.25, scedasis=lines, seed=104)
     rate = mc.mc_test_size(spec, 250, which="space", reps=500).rejection_rate
     _gate("space-test power, 2:1 groups", rate > 0.8,
           f"rejection rate {rate:.4f} (> 0.8 required)")

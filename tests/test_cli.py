@@ -6,13 +6,14 @@ import stat
 from collections import Counter
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import scedex
-from scedex import panel, scedasis, trend_tests
+from scedex import mc, panel, scedasis, trend_tests
 from scedex.cli import main
 
 COMMANDS = ["ingest-check", "scedasis", "sigma1", "test-space", "test-time",
@@ -184,8 +185,10 @@ def test_ingest_check_reads_a_byte_order_mark(runner, panel_csv, tmp_path):
 def test_ingest_check_season_filter(runner, panel_csv):
     full = json.loads(_ok(runner.invoke(
         main, ["ingest-check", "--input", str(panel_csv), "--gap", "0"])).output)
-    # the record stops mid-2001, so the last year's winter is short
-    with pytest.warns(UserWarning, match="fewer than 150"):
+    # the record stops mid-2001 with no day missing: a short last winter is
+    # where the record ends, not a gap, so nothing is reported
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         wint = json.loads(_ok(runner.invoke(
             main, ["ingest-check", "--input", str(panel_csv), "--gap", "0",
                    "--season", "winter"])).output)
@@ -836,6 +839,26 @@ def test_mc_nan_frequency_level_is_a_spec_error(runner):
     assert report["error"] == "SimSpecError"
     assert report["module"] == "mc"
     assert "replications" not in report["message"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--gamma", "nan"], "shape must be finite and exceed -1/2, got nan"),
+    (["--gamma", "inf"], "shape must be finite and exceed -1/2, got inf"),
+    (["--alpha", "0.3"], "alpha is the logistic parameter, but dependence is 'independent'"),
+    (["--dependence", "comonotone", "--alpha", "0.3"], "dependence is 'comonotone'"),
+])
+def test_mc_bad_spec_fails_before_any_replication(runner, monkeypatch, args, message):
+    def refuse(*a, **kw):
+        raise AssertionError("simulated a spec that should have been refused")
+
+    monkeypatch.setattr(mc, "simulate_panel", refuse)
+    for extra in ([], ["--dry-run"]):
+        result = runner.invoke(main, MC_BASE + ["--harness", "size", *args, *extra])
+        assert result.exit_code == 1, result.output
+        report = json.loads(_stderr(result) or result.output)
+        assert report["error"] == "SimSpecError"
+        assert report["module"] == "mc"
+        assert message in report["message"]
 
 
 def test_mc_negative_seed_is_a_spec_error(runner):

@@ -23,8 +23,6 @@ from scedex import (
     analytic_cross_surface,
     analytic_r_lookup,
     analytic_sigma,
-    constant_scedasis,
-    linear_scedasis,
     logistic_tail_copula,
     mc_covariance_check,
     mc_mle_variance,
@@ -81,14 +79,12 @@ def test_logistic_copula_vectorised():
 
 
 def test_spec_normalises_frequencies_preserving_ratios():
-    spec = SimSpec(
-        n=100, m=2, gamma=0.25,
-        scedasis=(constant_scedasis(2.0), constant_scedasis(1.0)),
-    )
+    spec = SimSpec(n=100, m=2, gamma=0.25, scedasis=((2, 2), (1.0, 1.0)))
+    assert spec.scedasis == ((2.0, 2.0), (1.0, 1.0))  # stored as given, as floats
     assert spec.c1 == pytest.approx([2 / 3, 1 / 3], abs=1e-12)
     assert spec.c1.sum() == pytest.approx(1.0, abs=1e-12)
-    lv0 = spec.scedasis[0](np.array([0.3]))[0]
-    lv1 = spec.scedasis[1](np.array([0.3]))[0]
+    lv0 = spec.level(0, np.array([0.3]))[0]
+    lv1 = spec.level(1, np.array([0.3]))[0]
     assert lv0 / lv1 == pytest.approx(2.0, abs=1e-12)
     # average integral is one: levels are 4/3 and 2/3
     assert lv0 == pytest.approx(4 / 3, abs=1e-12)
@@ -96,10 +92,13 @@ def test_spec_normalises_frequencies_preserving_ratios():
 
 def test_spec_default_scedasis_is_flat():
     spec = SimSpec(n=10, m=3, gamma=0.0)
+    assert spec.scedasis == ((1.0, 1.0),) * 3
     assert spec.c1 == pytest.approx([1 / 3] * 3, abs=1e-12)
     u = np.linspace(0, 1, 7)
     for j in range(3):
-        assert spec.scedasis[j](u) == pytest.approx(np.ones(7), abs=1e-12)
+        assert spec.level(j, u) == pytest.approx(np.ones(7), abs=1e-12)
+    assert spec == SimSpec(n=10, m=3, gamma=0.0, scedasis=[(1, 1)] * 3)  # compared by value
+    assert hash(spec) == hash(SimSpec(n=10, m=3, gamma=0.0, scedasis=[(1, 1)] * 3))
 
 
 def test_spec_validation():
@@ -113,14 +112,49 @@ def test_spec_validation():
         SimSpec(n=10, m=2, gamma=0.2, dependence="logistic")  # alpha missing
     with pytest.raises(SimSpecError):
         SimSpec(n=10, m=2, gamma=0.2, dependence="logistic", alpha=1.5)
-    with pytest.raises(SimSpecError):
-        SimSpec(n=10, m=2, gamma=0.2, scedasis=(constant_scedasis(1.0),))
-    with pytest.raises(SimSpecError):
-        SimSpec(n=10, m=1, gamma=0.2, scedasis=(lambda u: np.asarray(u) * 1.0,))
-    with pytest.raises(SimSpecError):
-        # a narrow spike: normalised level tops 10, beyond the exact-tail cap
-        spike = lambda u: np.where(np.asarray(u) < 0.01, 100.0, 0.01)
-        SimSpec(n=10, m=1, gamma=0.2, scedasis=(spike,))
+    with pytest.raises(SimSpecError, match="expected 2 frequency lines, got 1"):
+        SimSpec(n=10, m=2, gamma=0.2, scedasis=((1.0, 1.0),))
+    with pytest.raises(SimSpecError, match="expected 2 frequency lines, got 3"):
+        SimSpec(n=10, m=2, gamma=0.2, scedasis=((1.0, 1.0),) * 3)
+    # one busy station among many: its normalised level 30 * 20 / 49 tops 10,
+    # beyond the exact-tail cap
+    with pytest.raises(SimSpecError, match="frequency level 12.2 too extreme"):
+        SimSpec(n=10, m=30, gamma=0.2, scedasis=((20, 20),) + ((1, 1),) * 29)
+    SimSpec(n=10, m=30, gamma=0.2, scedasis=((14, 14),) + ((1, 1),) * 29)  # level 9.77
+    # a line is capped at its top end: its mean level 10 * 15.5 / 24.5 = 6.3
+    # is under the cap, its end level 10 * 30 / 24.5 = 12.2 is not
+    with pytest.raises(SimSpecError, match="frequency level 12.2 too extreme"):
+        SimSpec(n=10, m=10, gamma=0.2, scedasis=((1, 30),) + ((1, 1),) * 9)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+def test_spec_rejects_a_shape_that_is_not_finite(gamma):
+    # NaN fails every comparison, so a "<= -1/2" check let it through to
+    # every replication
+    with pytest.raises(SimSpecError, match="shape must be finite and exceed -1/2"):
+        SimSpec(n=10, m=2, gamma=gamma)
+
+
+@pytest.mark.parametrize("dependence", ["independent", "comonotone"])
+def test_spec_rejects_alpha_without_logistic_dependence(dependence):
+    with pytest.raises(SimSpecError, match="alpha is the logistic parameter"):
+        SimSpec(n=10, m=2, gamma=0.2, dependence=dependence, alpha=0.3)
+
+
+@pytest.mark.parametrize("lines", [
+    ((1.0, 1.0), 2.0),                     # a number, not a pair
+    ((1.0, 1.0), (1.0, 2.0, 3.0)),         # three ends
+    ((1.0, 1.0), (1.0,)),                  # one end
+    ((1.0, 1.0), lambda u: u + 1.0),       # a callable
+    ((1.0, 1.0), ("low", "high")),         # not numbers
+    ((1.0, 1.0), (1.0, 1j)),
+    lambda u: u + 1.0,                     # one callable for every station
+    (1.0, 2.0),                            # one bare pair
+], ids=["number", "triple", "single", "callable", "strings", "complex", "bare-callable",
+        "bare-pair"])
+def test_spec_rejects_a_line_that_is_not_a_pair_of_numbers(lines):
+    with pytest.raises(SimSpecError, match=r"must be a \(start, end\) pair of numbers"):
+        SimSpec(n=10, m=2, gamma=0.2, scedasis=lines)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, "3", None])
@@ -138,30 +172,26 @@ def test_spec_accepts_numpy_integer_seeds():
 
 
 def test_spec_rejects_nan_frequencies_before_simulating():
-    # NaN fails every comparison, so "<= 0" checks let it through
-    with pytest.raises(SimSpecError, match="finite and strictly positive"):
-        SimSpec(n=10, m=2, gamma=0.2,
-                scedasis=(constant_scedasis(math.nan), constant_scedasis(1.0)))
-    # NaN on the quadrature nodes, finite on the 2001-point level grid
-    blind = lambda u: np.full(np.shape(u), 1.0 if np.size(u) == 2001 else math.nan)
-    with pytest.raises(SimSpecError, match="finite positive mass"):
-        SimSpec(n=10, m=2, gamma=0.2, scedasis=(blind, constant_scedasis(1.0)))
-    with pytest.raises(SimSpecError, match="finite and strictly positive"):
-        SimSpec(n=10, m=2, gamma=0.2,
-                scedasis=(constant_scedasis(math.inf), constant_scedasis(1.0)))
+    # NaN fails every comparison, so "<= 0" checks let it through; a line is
+    # positive on [0, 1] exactly when both its ends are finite and positive
+    for bad in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0):
+        for line in ((bad, 1.0), (1.0, bad), (bad, bad)):
+            with pytest.raises(SimSpecError, match="finite and strictly positive"):
+                SimSpec(n=10, m=2, gamma=0.2, scedasis=(line, (1.0, 1.0)))
 
 
 @pytest.mark.parametrize("funcs", [
-    (constant_scedasis(2.0), constant_scedasis(1.0)),
-    (linear_scedasis(0.5, 1.5), constant_scedasis(1.0), linear_scedasis(2.0, 0.25)),
+    ((2.0, 2.0), (1.0, 1.0)),
+    ((0.5, 1.5), (1.0, 1.0), (2.0, 0.25)),
 ])
 def test_spec_integrals_match_adaptive_quadrature(funcs):
     spec = SimSpec(n=10, m=len(funcs), gamma=0.2, scedasis=funcs)
-    integrals = np.array([quad(f, 0.0, 1.0)[0] for f in funcs])
+    lines = [lambda u, a=a, b=b: a + (b - a) * u for a, b in funcs]
+    integrals = np.array([quad(f, 0.0, 1.0)[0] for f in lines])
     assert spec.c1 == pytest.approx(integrals / integrals.sum(), abs=1e-14)
     u = np.linspace(0.0, 1.0, 11)
-    for f, level in zip(funcs, spec.scedasis):
-        assert level(u) == pytest.approx(len(funcs) / integrals.sum() * f(u), abs=1e-14)
+    for j, f in enumerate(lines):
+        assert spec.level(j, u) == pytest.approx(len(funcs) / integrals.sum() * f(u), abs=1e-14)
 
 
 def test_spec_quantile_functions():
@@ -220,7 +250,7 @@ def test_simulate_marginal_exceedance_rates():
 def test_simulate_linear_trend_shifts_exceedances():
     spec = SimSpec(
         n=100_000, m=1, gamma=0.0, seed=13,
-        scedasis=(linear_scedasis(0.5, 1.5),),
+        scedasis=((0.5, 1.5),),
     )
     p = simulate_panel(spec)
     thr = float(spec.intermediate_quantile(10.0))
@@ -234,8 +264,7 @@ def test_simulate_linear_trend_shifts_exceedances():
 
 @pytest.mark.parametrize("spec", [
     SimSpec(n=3000, m=3, gamma=0.2, dependence="logistic", alpha=0.5, seed=4,
-            scedasis=(linear_scedasis(1.0, 2.0), constant_scedasis(1.0),
-                      linear_scedasis(2.0, 1.0))),
+            scedasis=((1.0, 2.0), (1.0, 1.0), (2.0, 1.0))),
     SimSpec(n=2000, m=2, gamma=0.0, seed=8),
 ])
 def test_simulate_matches_the_direct_quantile_transform(spec):
@@ -245,7 +274,7 @@ def test_simulate_matches_the_direct_quantile_transform(spec):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((spec.seed, 2))))
     v = _draw_uniforms(spec, rng)
     u = np.arange(1, spec.n + 1) / spec.n
-    c = np.column_stack([f(u) for f in spec.scedasis])
+    c = np.column_stack([spec.level(j, u) for j in range(spec.m)])
     tail = v <= c * TAIL_MASS
     frac = (v - c * TAIL_MASS) / (1.0 - c * TAIL_MASS)
     want = np.where(tail, spec.tail_quantile(np.where(tail, v / c, TAIL_MASS)),
@@ -253,7 +282,7 @@ def test_simulate_matches_the_direct_quantile_transform(spec):
     assert np.array_equal(simulate_panel(spec, 2).values, want)
 
 
-_TREND3 = (linear_scedasis(0.5, 1.5), linear_scedasis(1.0, 1.0), linear_scedasis(1.5, 0.5))
+_TREND3 = ((0.5, 1.5), (1.0, 1.0), (1.5, 0.5))
 _PINNED_SPECS = {
     "independent": SimSpec(n=400, m=3, gamma=0.2, seed=11),
     "logistic": SimSpec(n=400, m=3, gamma=0.2, dependence="logistic", alpha=0.6, seed=11),
@@ -288,7 +317,7 @@ def test_spec_frame_is_read_only_and_survives_replications(threads):
     c_mat, tail_mass, body_mass, x0 = spec._frame
     before = [a.copy() for a in (c_mat, tail_mass, body_mass)]
     u = np.arange(1, spec.n + 1) / spec.n
-    assert np.array_equal(c_mat, np.column_stack([f(u) for f in spec.scedasis]))
+    assert np.array_equal(c_mat, np.column_stack([spec.level(j, u) for j in range(spec.m)]))
     assert np.array_equal(tail_mass, c_mat * TAIL_MASS)
     assert np.array_equal(body_mass, 1.0 - tail_mass)
     assert x0 == float(spec.tail_quantile(TAIL_MASS))
@@ -349,14 +378,13 @@ def test_analytic_r_logistic_flat():
 def test_analytic_r_matches_direct_quadrature_with_trend():
     spec = SimSpec(
         n=100, m=2, gamma=0.0, dependence="logistic", alpha=0.6,
-        scedasis=(linear_scedasis(0.5, 1.5), constant_scedasis(1.0)),
+        scedasis=((0.5, 1.5), (1.0, 1.0)),
     )
     r = analytic_r_lookup(spec)
     R = logistic_tail_copula(0.6)
-    c0, c1f = spec.scedasis
 
     def oracle(s, t):
-        val, _ = quad(lambda u: float(R(s * float(c0(u)), t * float(c1f(u)))), 0, 1)
+        val, _ = quad(lambda u: float(R(s * spec.level(0, u), t * spec.level(1, u))), 0, 1)
         return val / 2.0
 
     for s, t in [(1.0, 1.0), (0.3, 0.7)]:
@@ -373,11 +401,11 @@ def test_analytic_r_broadcasts():
 
 
 def test_analytic_cross_surface_sums_the_pairs():
-    """Two stations share a frequency function and one trends, so the pair
-    sum is regrouped as a group of 2 and a group of 1."""
+    """Two stations share a frequency line and one trends, so the pair sum
+    is regrouped as a group of 2 and a group of 1."""
     spec = SimSpec(
         n=100, m=3, gamma=0.1, dependence="logistic", alpha=0.6,
-        scedasis=(constant_scedasis(1.0), linear_scedasis(0.5, 1.5), constant_scedasis(1.0)),
+        scedasis=((1.0, 1.0), (0.5, 1.5), (1.0, 1.0)),
     )
     r = analytic_r_lookup(spec)
     cross = analytic_cross_surface(spec)
@@ -415,16 +443,15 @@ def test_analytic_sigma_logistic_pair():
 
 
 def _sigma_by_quad(spec, R, j1, j2, s1, s2, upper, **opts):
-    c1, c2 = spec.scedasis[j1], spec.scedasis[j2]
-    val, _ = quad(lambda u: float(R(s1 * float(c1(u)), s2 * float(c2(u)))), 0.0, upper,
-                  **opts)
+    val, _ = quad(lambda u: float(R(s1 * spec.level(j1, u), s2 * spec.level(j2, u))), 0.0,
+                  upper, **opts)
     return val / spec.m
 
 
 def test_analytic_sigma_matches_adaptive_quadrature_with_trend():
     spec = SimSpec(
         n=100, m=2, gamma=0.1, dependence="logistic", alpha=0.6,
-        scedasis=(linear_scedasis(0.5, 1.5), constant_scedasis(1.0)),
+        scedasis=((0.5, 1.5), (1.0, 1.0)),
     )
     R = logistic_tail_copula(0.6)
     for s1, s2, t1, t2 in [(1.0, 0.8, 0.6, 0.9), (0.3, 1.0, 0.25, 0.25)]:
@@ -438,7 +465,7 @@ def test_analytic_sigma_at_a_min_kink():
     (measured: 2.9e-6 relative)."""
     spec = SimSpec(
         n=100, m=2, gamma=0.1, dependence="comonotone",
-        scedasis=(linear_scedasis(0.5, 1.5), constant_scedasis(1.0)),
+        scedasis=((0.5, 1.5), (1.0, 1.0)),
     )
     want = _sigma_by_quad(spec, np.minimum, 0, 1, 1.0, 1.0, 1.0, points=[0.5])
     assert want == pytest.approx(0.4375, abs=1e-12)

@@ -472,15 +472,32 @@ def test_builtin_seasons_are_disjoint():
 
 
 def test_split_season_keeps_only_matching_months():
-    n = 200  # Jan 1 - Jul 18: 91 winter and 79 summer days, so the thin-year warning fires
+    # Jan 1 - Jul 18: 91 winter and 79 summer days, every one the record
+    # spans, so the record ending mid-year is no thin year
+    n = 200
     p = make_panel(np.arange(n, dtype=float).reshape(-1, 1) + 1, start="2000-01-01")
-    with pytest.warns(UserWarning, match="1 year\\(s\\) retain fewer than 150 season days"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         w = split_season(p, SEASONS["winter"])
-    assert set(w.months().tolist()) <= WINTER_MONTHS
-    with pytest.warns(UserWarning, match="fewer than 150"):
         s = split_season(p, SEASONS["summer"])
+    assert set(w.months().tolist()) <= WINTER_MONTHS
     assert set(s.months().tolist()) <= SUMMER_MONTHS
-    assert w.n + s.n < n  # April dropped from both
+    assert (w.n, s.n) == (91, 79)  # April dropped from both
+
+
+def test_split_season_warns_about_a_gap_inside_a_year():
+    # Jul 2000 - Jun 2002 with February 2001 missing: the partial first and
+    # last years keep every season day they span; 2001 keeps 123 of 151
+    days = np.arange(np.datetime64("2000-07-01"), np.datetime64("2002-07-01"))
+    days = days[days.astype("datetime64[M]") != np.datetime64("2001-02")]
+    p = PanelSample(values=np.ones((days.size, 1)), day_labels=days, station_ids=("a",))
+    with pytest.warns(UserWarning, match=re.escape(
+            "1 year(s) retain fewer than 150 season days (e.g. [2001])")):
+        w = split_season(p, SEASONS["winter"])
+    assert np.count_nonzero(w.years() == 2001) == 151 - 28
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        split_season(p, SEASONS["summer"])  # no summer day is missing
 
 
 def test_split_season_full_year_no_warning():
