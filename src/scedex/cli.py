@@ -263,6 +263,8 @@ def _ingest_check(p, raw, input, season, gap, **_):
             sid: int(raw.missing_mask[:, j].sum())
             for j, sid in enumerate(raw.station_ids)
         },
+        # n_j: each station's observed cells on the analysed days
+        "observed_by_station": dict(zip(p.station_ids, (~p.missing_mask).sum(axis=0).tolist())),
     }
 
 

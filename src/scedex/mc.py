@@ -132,8 +132,12 @@ class SimSpec:
         if not np.all((ends > 0) & np.isfinite(ends)):
             raise SimSpecError("frequency lines must be finite and strictly positive "
                                "at both ends")
-        masses = ends.sum(axis=1) / 2.0
-        rho = self.m / masses.sum()
+        with np.errstate(over="ignore"):
+            masses = ends.sum(axis=1) / 2.0
+            total = masses.sum()
+        if not np.isfinite(total):
+            raise SimSpecError(f"frequency lines too large: their masses sum to {total}")
+        rho = self.m / total
         if rho * ends.max() * TAIL_MASS > 1.0:
             raise SimSpecError(
                 f"frequency level {rho * ends.max():.3g} too extreme: the exact-tail "

@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import json
+import os
 import re
+import stat
+import tempfile
 import warnings
+import zlib
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -34,6 +39,9 @@ SEASONS = {"winter": WINTER_MONTHS, "summer": SUMMER_MONTHS}
 # fewer than the record spans in it, is reported: a sparse season usually
 # signals gaps in the record.
 MIN_SEASON_DAYS = 150
+# load_panel keeps at most this many parsed panels on disk, one slot file
+# per input path.
+MAX_SLOTS = 16
 
 
 @dataclass(frozen=True)
@@ -181,9 +189,18 @@ def load_panel(path: str | Path) -> PanelSample:
 
     A vectorised parser reads files it can prove valid; anything else
     (quoted fields, blank rows, a bad cell, ...) goes through the row
-    parser, which raises every error.
+    parser, which raises every error.  A parsed regular file is kept in a
+    slot under ``$XDG_CACHE_HOME/scedex`` (default ``~/.cache/scedex``),
+    read back instead of parsing while the file's path, device, inode,
+    size, mtime and ctime and the parser are unchanged (README, "Parsed-panel
+    cache").
     """
-    text = _read_text(Path(path))
+    with open(path, "rb") as f:
+        slot = _slot_for(path, os.fstat(f.fileno()))
+        hit = None if slot is None else _load_slot(slot)
+        if hit is not None:
+            return hit
+        text = _read_text(f)
     reader = csv.reader(m.group() for m in _LINE.finditer(text))
     header = next(reader, None)
     if header is None:
@@ -194,11 +211,14 @@ def load_panel(path: str | Path) -> PanelSample:
         parsed = _parse_rows(reader, date_pos, stations)
     values, labels = parsed
     del text, reader  # free the text before PanelSample copies the values
-    return PanelSample(values=values, day_labels=labels, station_ids=tuple(stations))
+    p = PanelSample(values=values, day_labels=labels, station_ids=tuple(stations))
+    if slot is not None:
+        _store_slot(slot, p)
+    return p
 
 
-def _read_text(path: Path) -> str:
-    data = path.read_bytes()
+def _read_text(f) -> str:
+    data = f.read()
     try:
         # Excel's "CSV UTF-8" starts the file with a byte-order mark
         return data.decode("utf-8").removeprefix("\ufeff")
@@ -207,6 +227,81 @@ def _read_text(path: Path) -> str:
             f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8",
             line=data.count(b"\n", 0, exc.start) + 1,
         ) from None
+
+
+@cache
+def _parser_tag() -> str:
+    """Names this parser: a slot written by other code is never read."""
+    return f"{zlib.crc32(Path(__file__).read_bytes()):08x} numpy {np.__version__}"
+
+
+def _slot_for(path, st: os.stat_result):
+    """``(slot file, record, changed)`` for the open file at ``path`` with
+    fstat ``st``, or None when it is not cached: not a regular file, or
+    neither ``XDG_CACHE_HOME`` (absolute) nor ``HOME`` is set.  The record is
+    what the slot must hold to stand for the file, and ``changed`` the time
+    the file last changed."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        home = os.environ.get("HOME")
+        root = os.path.join(home, ".cache") if home else ""
+    if not (root and stat.S_ISREG(st.st_mode)):
+        return None
+    try:
+        where = os.path.realpath(path)
+        record = json.dumps([where, st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns,
+                             st.st_ctime_ns, _parser_tag()])
+    except OSError:
+        return None
+    name = f"{zlib.crc32(os.fsencode(where)):08x}.slot"
+    return Path(root, "scedex", name), record, max(st.st_mtime_ns, st.st_ctime_ns)
+
+
+def _load_slot(slot) -> PanelSample | None:
+    """The panel held for ``slot`` (from :func:`_slot_for`), or None on any
+    mismatch or damage.
+
+    A slot written no later than the file last changed is not trusted: a
+    write in that same clock tick would leave the file's times unchanged.
+    """
+    where, record, changed = slot
+    try:
+        with open(where, "rb") as f:
+            if os.fstat(f.fileno()).st_mtime_ns <= changed or np.load(f).tolist() != record:
+                return None
+            ids = json.loads(np.load(f).tolist())
+            values = np.load(f)  # read from the file straight into the array
+            labels = np.load(f)
+    except (OSError, ValueError, EOFError):
+        return None
+    return PanelSample(values=values, day_labels=labels, station_ids=tuple(ids))
+
+
+def _store_slot(slot, p: PanelSample) -> None:
+    """Write ``p`` for ``slot`` (from :func:`_slot_for`) by an atomic rename,
+    then remove the oldest slots beyond :data:`MAX_SLOTS`; a failure writes
+    nothing."""
+    where, record, _ = slot
+    try:
+        where.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=where.parent)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                for member in (np.array(record), np.array(json.dumps(p.station_ids)),
+                               p.values, p.day_labels):
+                    np.save(f, member)
+            os.replace(tmp, where)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        others = []
+        for entry in os.scandir(where.parent):
+            if entry.name.endswith(".slot") and entry.path != str(where):
+                others.append((entry.stat().st_mtime_ns, entry.path))
+        for _, old in sorted(others)[:max(0, len(others) + 1 - MAX_SLOTS)]:
+            os.unlink(old)
+    except OSError:
+        pass
 
 
 def _columns(header: list[str]) -> tuple[int, list[str]]:

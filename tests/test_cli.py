@@ -7,6 +7,7 @@ from collections import Counter
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from click.testing import CliRunner
 import scedex
 from scedex import mc, panel, scedasis, trend_tests
 from scedex.cli import main
+
+from conftest import wait_for_clock
 
 COMMANDS = ["ingest-check", "scedasis", "sigma1", "test-space", "test-time",
             "sweep", "fit-gp", "gamma-path", "mc"]
@@ -168,6 +171,27 @@ def test_ingest_check_reports_shape(runner, panel_csv):
     assert payload["date_max"] == str(np.datetime64("2000-01-01") + 549)
     assert payload["missing_cells"] == 2
     assert payload["missing_by_station"] == {"stn_a": 1, "stn_b": 0, "stn_c": 1}
+
+
+def test_ingest_check_counts_observed_cells_per_station(runner, tmp_path):
+    # n_j: the cells each station observes after the season split and declustering
+    rng = np.random.default_rng(8)
+    values = 10.0 * rng.pareto(2.5, size=(400, 3))
+    holes = set(zip(rng.integers(0, 400, 80).tolist(), rng.integers(0, 3, 80).tolist()))
+    f = tmp_path / "holes.csv"
+    names = _write_panel(f, values, missing=holes)
+    for season, gap in (("all", 0), ("all", 2), ("winter", 3)):
+        payload = json.loads(_ok(runner.invoke(
+            main, ["ingest-check", "--input", str(f), "--season", season, "--gap", str(gap)])).stdout)
+        p = panel.load_panel(f)
+        if season != "all":
+            p = panel.split_season(p, panel.SEASONS[season])
+        if gap:
+            p = panel.decluster(p, gap_days=gap)
+        observed = np.count_nonzero(~np.isnan(p.values), axis=0)
+        assert payload["observed_by_station"] == dict(zip(names, observed.tolist()))
+        if gap == 0 and season == "all":
+            assert observed.tolist() == [400 - payload["missing_by_station"][s] for s in names]
 
 
 def test_ingest_check_reads_a_byte_order_mark(runner, panel_csv, tmp_path):
@@ -846,6 +870,8 @@ def test_mc_nan_frequency_level_is_a_spec_error(runner):
     (["--gamma", "inf"], "shape must be finite and exceed -1/2, got inf"),
     (["--alpha", "0.3"], "alpha is the logistic parameter, but dependence is 'independent'"),
     (["--dependence", "comonotone", "--alpha", "0.3"], "dependence is 'comonotone'"),
+    (["--scedasis", '[{"kind": "constant", "level": 1e308}, {"kind": "constant", "level": 1e308}]'],
+     "frequency lines too large: their masses sum to inf"),
 ])
 def test_mc_bad_spec_fails_before_any_replication(runner, monkeypatch, args, message):
     def refuse(*a, **kw):
@@ -897,6 +923,74 @@ def test_one_thread_loads_no_thread_pool(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[False,", "False,", "True]"]
+
+
+def test_the_panel_cache_loads_no_hash_library(tmp_path, cache_home):
+    """hashlib loads OpenSSL, about 3 MB of a process's peak RSS: the cache
+    keys its slots by file status, never by a digest of the contents."""
+    f = tmp_path / "panel.csv"
+    f.write_text("date,A,B\n2000-01-01,1.5,\n2000-01-02,na,2\n")
+    wait_for_clock(f)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys\n"
+        "import scedex.cli\n"
+        "from scedex import panel\n"
+        "panel.load_panel(sys.argv[1])\n"
+        "panel._read_text = None  # the second load must not parse\n"
+        "panel.load_panel(sys.argv[1])\n"
+        "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, str(f)], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["[]"]
+    assert len(list(cache_home.glob("*.slot"))) == 1
+
+
+def test_a_cached_panel_gives_every_command_the_same_output(runner, panel_csv, tmp_path):
+    f = tmp_path / "panel.csv"
+    f.write_bytes(panel_csv.read_bytes())
+    wait_for_clock(f)
+    panel.load_panel(f)
+
+    def refuse(*args):
+        raise AssertionError("parsed a panel that has a slot")
+
+    for command, runs in _SCIPY_FREE_RUNS.items():
+        for extra in runs if command != "mc" else ():
+            args = [command, "--input", str(f), *extra]
+            with mock.patch.object(panel, "_slot_for", lambda *args: None):
+                parsed = _ok(runner.invoke(main, args)).stdout
+            with mock.patch.object(panel, "_read_text", refuse):
+                assert _ok(runner.invoke(main, args)).stdout == parsed, args
+
+
+@pytest.mark.parametrize("env", [
+    {"XDG_CACHE_HOME": "{blocked}"},
+    {"XDG_CACHE_HOME": None, "HOME": None},
+    {"XDG_CACHE_HOME": "relative/cache", "HOME": None},
+], ids=["unwritable", "no-home", "relative-no-home"])
+def test_an_unusable_cache_changes_nothing(runner, panel_csv, tmp_path, monkeypatch, env):
+    monkeypatch.chdir(tmp_path)  # where a relative cache directory would go
+    args = ["ingest-check", "--input", str(panel_csv)]
+    want = _ok(runner.invoke(main, args)).stdout
+    # a regular file where the cache directory's parent should be: even root
+    # cannot create the directory
+    (tmp_path / "file").write_text("")
+    for name, value in env.items():
+        if value is None:
+            monkeypatch.delenv(name, raising=False)
+        else:
+            monkeypatch.setenv(name, value.format(blocked=tmp_path / "file" / "cache"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(2):
+            result = _ok(runner.invoke(main, args))
+            assert (result.stdout, _stderr(result)) == (want, "")
+    assert not (tmp_path / "relative").exists()
 
 
 def test_mc_dry_run_checks_the_simulation_spec(runner):

@@ -8,6 +8,7 @@ mixing variable.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,19 @@ def test_spec_rejects_nan_frequencies_before_simulating():
         for line in ((bad, 1.0), (1.0, bad), (bad, bad)):
             with pytest.raises(SimSpecError, match="finite and strictly positive"):
                 SimSpec(n=10, m=2, gamma=0.2, scedasis=(line, (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("lines", [
+    ((1e308, 1e308), (1e308, 1e308)),       # each line's mass overflows
+    ((8e307, 8e307),) * 3,                  # finite masses whose sum overflows
+])
+def test_spec_rejects_lines_whose_masses_overflow(lines):
+    # an infinite mass sum made rho 0 and c1 NaN (under a RuntimeWarning),
+    # so every frequency level read 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimSpecError, match="frequency lines too large: their masses sum to inf"):
+            SimSpec(n=10, m=len(lines), gamma=0.2, scedasis=lines)
 
 
 @pytest.mark.parametrize("funcs", [

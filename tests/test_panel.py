@@ -1,5 +1,10 @@
+import os
 import re
+import stat
+import threading
+import time
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -22,9 +27,9 @@ from scedex import (
     split_season,
 )
 from scedex import panel as panel_module
-from scedex.panel import MIN_SEASON_DAYS, SUMMER_MONTHS, WINTER_MONTHS
+from scedex.panel import MAX_SLOTS, MIN_SEASON_DAYS, SUMMER_MONTHS, WINTER_MONTHS
 
-from conftest import make_panel
+from conftest import make_panel, wait_for_clock
 
 
 # ---------------------------------------------------------------------------
@@ -178,8 +183,15 @@ def test_load_panel_rejects_year_zero(tmp_path):
         load_panel(f)
 
 
+def _uncached():
+    """Loads inside parse the file: no slot is read or written."""
+    return mock.patch.object(panel_module, "_slot_for", lambda *args: None)
+
+
+@contextmanager
 def _row_parser_only():
-    return mock.patch.object(panel_module, "_parse_fast", lambda *args: None)
+    with _uncached(), mock.patch.object(panel_module, "_parse_fast", lambda *args: None):
+        yield
 
 
 def test_clean_panel_skips_the_row_parser(tmp_path):
@@ -326,7 +338,7 @@ def _refuse_rows(*args):
 
 def _agrees_on_the_fast_path(f):
     """The panel at ``f`` loads without the row parser, to its arrays."""
-    with mock.patch.object(panel_module, "_parse_rows", _refuse_rows):
+    with _uncached(), mock.patch.object(panel_module, "_parse_rows", _refuse_rows):
         got = _load_outcome(f)
     with _row_parser_only():
         assert got == _load_outcome(f)
@@ -459,6 +471,124 @@ def test_fault_free_panels_skip_the_row_parser(tmp_path_factory, case):
 
     with mock.patch.object(panel_module, "_parse_rows", refuse):
         load_panel(f)
+
+
+# ---------------------------------------------------------------------------
+# Parsed-panel cache
+# ---------------------------------------------------------------------------
+
+_HOLED = "date,A,B\n2000-01-01,1.5,\n2000-01-02,na,2.25\n2000-01-04,nan,0\n"
+
+
+def _load_counting(path):
+    """``(_load_outcome(path), whether the file was read and parsed)``."""
+    with mock.patch.object(panel_module, "_read_text", wraps=panel_module._read_text) as read:
+        return _load_outcome(path), read.called
+
+
+def test_a_hit_returns_the_parsed_panel_to_the_bit(tmp_path, cache_home):
+    f = _write(tmp_path, _HOLED)
+    wait_for_clock(f)
+    parsed, was_parsed = _load_counting(f)
+    assert was_parsed
+    (slot,) = cache_home.glob("*.slot")
+    assert stat.S_IMODE(cache_home.stat().st_mode) == 0o700
+    assert stat.S_IMODE(slot.stat().st_mode) == 0o600
+    # values.tobytes() holds the NaN payloads
+    assert _load_counting(f) == (parsed, False)
+    with _row_parser_only():
+        assert _load_outcome(f) == parsed
+    assert np.__version__ in panel_module._parser_tag()
+
+
+def test_a_file_rewritten_to_the_same_size_is_parsed_again(tmp_path, cache_home):
+    f = _write(tmp_path, "date,A\n2000-01-01,1\n")
+    wait_for_clock(f)
+    load_panel(f)
+    (slot,) = cache_home.glob("*.slot")
+    before = f.stat()
+    f.write_text("date,A\n2000-01-01,2\n")
+    # the old mtime back, as `touch -r` or `cp -p` leave it: the ctime moves
+    os.utime(f, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = f.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    # a slot on a finer clock than the file's may look newer than the
+    # rewrite: the record alone must tell
+    os.utime(slot, ns=(after.st_ctime_ns + 10**9,) * 2)
+    assert load_panel(f).values.tolist() == [[2.0]]
+
+
+def test_a_slot_from_the_tick_of_the_files_last_change_is_not_trusted(tmp_path, cache_home):
+    # a rewrite later in that tick would leave the file's times as recorded
+    f = _write(tmp_path, _HOLED)
+    wait_for_clock(f)
+    want, _ = _load_counting(f)
+    (slot,) = cache_home.glob("*.slot")
+    changed = f.stat().st_ctime_ns
+    os.utime(slot, ns=(changed, changed))
+    assert _load_counting(f) == (want, True)
+    assert _load_counting(f) == (want, False)  # the slot written now is later
+
+
+@pytest.mark.parametrize("damage", ["empty", "half", "last byte", "garbage", "another panel"])
+def test_a_damaged_slot_is_parsed_again_and_rewritten(tmp_path, cache_home, damage):
+    other = _write(tmp_path, "date,A,B\n2000-01-01,1.5,2\n", name="other.csv")
+    f = _write(tmp_path, _HOLED)
+    wait_for_clock(f)
+    load_panel(other)
+    (other_slot,) = cache_home.glob("*.slot")
+    want, _ = _load_counting(f)
+    (slot,) = set(cache_home.glob("*.slot")) - {other_slot}
+    data = slot.read_bytes()
+    slot.write_bytes({"empty": b"", "half": data[:len(data) // 2], "last byte": data[:-1],
+                      "garbage": os.urandom(len(data)),
+                      "another panel": other_slot.read_bytes()}[damage])
+    assert _load_counting(f) == (want, True)
+    assert _load_counting(f) == (want, False)
+
+
+def test_a_slot_from_another_parser_is_not_read(tmp_path):
+    f = _write(tmp_path, _HOLED)
+    wait_for_clock(f)
+    with mock.patch.object(panel_module, "_parser_tag", lambda: "another parser"):
+        want, _ = _load_counting(f)
+        assert _load_counting(f) == (want, False)
+    assert _load_counting(f) == (want, True)
+    assert _load_counting(f) == (want, False)
+
+
+def test_a_file_that_fails_to_parse_leaves_no_slot(tmp_path, cache_home):
+    f = _write(tmp_path, "date,A\n2000-01-01,1\n2000-01-02,oops\n")
+    wait_for_clock(f)
+    for _ in range(2):
+        with pytest.raises(PanelFormatError, match="line 3"):
+            load_panel(f)
+    assert not cache_home.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_pipe_is_read_but_never_cached(tmp_path, cache_home):
+    pipe = tmp_path / "panel.pipe"
+    os.mkfifo(pipe)
+    for _ in range(2):
+        writer = threading.Thread(target=pipe.write_text, args=(_HOLED,), daemon=True)
+        writer.start()
+        assert load_panel(pipe).n == 3
+        writer.join(10)
+    assert not cache_home.exists()
+
+
+def test_the_seventeenth_panel_evicts_the_oldest_slot(tmp_path, cache_home):
+    files = [_write(tmp_path, _HOLED, name=f"p{i:02d}.csv") for i in range(MAX_SLOTS + 1)]
+    wait_for_clock(files[-1])
+    for f in files:
+        load_panel(f)
+        # a later slot gets a later time, so "oldest" is well defined
+        wait_for_clock(max(cache_home.glob("*.slot"), key=lambda s: s.stat().st_mtime_ns))
+    assert len(list(cache_home.glob("*.slot"))) == MAX_SLOTS
+    # newest first: the one miss writes a slot and evicts the next oldest
+    parsed = [_load_counting(f)[1] for f in reversed(files)]
+    assert parsed == [False] * MAX_SLOTS + [True]
 
 
 # ---------------------------------------------------------------------------
