@@ -3,10 +3,11 @@
 The central object is the matrix of joint exceedance frequencies at the
 pooled threshold, which doubles as the covariance estimate used to
 studentise the spatial homogeneity test.  For the sandwich covariance of the
-pooled GP fit, :class:`EmpiricalTailDependence` estimates the edge
-X(v, 1) of the aggregate cross-station tail-copula surface on a level grid:
-tail copulas are homogeneous of degree 1, so the edge determines the whole
-surface.  Both count from the exceedance table of :class:`~scedex.tail.TailAtK`.
+pooled GP fit, :class:`EmpiricalTailDependence` sums two numbers of the
+edge X(v, 1) of the aggregate cross-station tail-copula surface exactly, its
+moment and its corner: tail copulas are homogeneous of degree 1, so the
+edge determines the whole surface.  Both read the exceedance table of
+:class:`~scedex.tail.TailAtK`.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import numpy as np
 from .errors import RangeError
 from .panel import PanelSample
 from .tail import TailAtK
-
-# Geometric levels of the tail-copula grid behind the sandwich covariance.
-GRID_LEVELS = 64
 
 
 @dataclass(frozen=True)
@@ -63,82 +61,50 @@ def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDepe
                                 tie_count=tail.tie_count)
 
 
-# ---------------------------------------------------------------------------
-# Gridded tail-copula estimates (for the sandwich covariance)
-# ---------------------------------------------------------------------------
-
-
-# _cell and _bilinear serve only r, which bench/spans.py:161 wraps (ROADMAP item 3)
-def _cell(nodes: np.ndarray, x: np.ndarray):
-    """Index of the grid cell holding each ``x`` and the fractional position
-    inside it; the first and last cells extend beyond the grid."""
-    i = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, nodes.size - 2)
-    return i, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
-
-
-def _bilinear(nodes: np.ndarray, grid: np.ndarray, s, t):
-    """Bilinear interpolation of ``grid`` on ``nodes`` x ``nodes`` at the
-    broadcast points (s, t); a float for scalar queries."""
-    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    i, ds = _cell(nodes, s)
-    j, dt = _cell(nodes, t)
-    out = (grid[i, j] * (1.0 - ds) * (1.0 - dt) + grid[i, j + 1] * (1.0 - ds) * dt
-           + grid[i + 1, j] * ds * (1.0 - dt) + grid[i + 1, j + 1] * ds * dt)
-    return float(out) if out.ndim == 0 else out
-
-
 class EmpiricalTailDependence:
-    """Tail-copula estimates on a geometric level grid.
+    """The tail-copula counts of the level-k exceedance table.
 
-    Values are joint exceedance counts at pooled order-statistic thresholds,
-    divided by ``k``, at the :data:`GRID_LEVELS` geometric levels ``s`` over
-    [1/k, 1]; a cell outside the level-k exceedance table exceeds no level.
+    Each cell c of the table gets the rank l_c = #{pooled values >= x_c}: it
+    exceeds the level-l pooled threshold X_{N-l:N} exactly when l_c <= l,
+    and a cell that does not exceed the level-k one ranks k + 1.  Every
+    deeper threshold is at least the level-k one, so the table holds every
+    cell any level counts.  With N_d the number of stations exceeding on
+    exceedance day d, the aggregate surface X(s, t) = sum over i != j of
+    r_ij(s, t) has the step edge X(v, 1) = (1/k) sum_d (N_d - 1)
+    #{c in d: l_c <= kv}, and the sandwich covariance needs two numbers of it:
 
-    :attr:`edge` is the pair (levels, X(s, 1)) for the aggregate surface
-    X(s, t) = sum over i != j of r(i, j; s, t), the input of the sandwich
-    covariance.  :meth:`r` is one station pair's surface on the full grid,
-    interpolated bilinearly and decaying linearly to 0 below the smallest
-    level (the surfaces vanish at s = 0 or t = 0).
+    - :attr:`moment` = int_0^1 X(v, 1) / v dv
+      = (1/k) sum_d (N_d - 1) sum_{c in d} log(k / l_c);
+    - :attr:`corner` = X(1, 1) = (1/k) sum_d N_d (N_d - 1).
+
+    Both are 0 for one station.  :attr:`c1` holds the stations' tail shares.
     """
 
     def __init__(self, p: PanelSample, k: int):
         tail = TailAtK(p, k)
         self.k = k = tail.k
-        if k < 2:
-            raise RangeError(f"a tail-copula level grid needs k >= 2, got k={k}")
-        G = GRID_LEVELS
-
-        s_nodes = np.geomspace(1.0 / k, 1.0, G)
-        # Levels run from 1 to k < n_effective, so every threshold is defined;
-        # they are non-increasing in the grid index down to the level-k one.
-        _, thresholds = tail.ladder(s_nodes)
-
-        # A hit cell exceeds grid level a  <=>  value > thresholds[a], so at
-        # levels [e, G) with e = G - #{thresholds < value}; any other cell is
-        # put at level G.  Kept for r, which bench/spans.py:161 wraps.
-        below = np.searchsorted(thresholds[::-1], p.values[tail.rows], side="left")
-        self._first_level = first = np.where(tail.hits, G - below, G)
-        # Grids gain a leading zero row and column at level 0, where every
-        # surface vanishes.
-        self._nodes = np.concatenate(([0.0], s_nodes))
-
-        # N[r, a] = number of stations in row r above level a.  Summed over
-        # rows, N(a) N(top) counts every ordered station pair jointly above
-        # (a, top), and N(a) the same-station pairs among them.
-        rows = first.shape[0]
-        hist = np.bincount((np.arange(rows)[:, None] * (G + 1) + first).ravel(),
-                           minlength=rows * (G + 1)).reshape(rows, G + 1)
-        N = np.cumsum(hist[:, :G], axis=1).astype(float)
-        self.edge = (s_nodes, N.T @ (N[:, -1] - 1.0) / k)
-
+        # a hit exceeds X_{N-k:N}, so every pooled value at least as large
+        # is among the top k
+        top = tail.pooled.values[-k:]
+        self._ranks = np.full(tail.hits.shape, k + 1)
+        self._ranks[tail.hits] = k - np.searchsorted(top, p.values[tail.rows][tail.hits])
+        N = tail.hits.sum(axis=1)
+        # log(k / l_c) on the hits; min() puts the other cells at log 1 = 0
+        depth = np.log(k / np.minimum(self._ranks, k)).sum(axis=1)
+        self.moment = float((N - 1) @ depth) / k
+        self.corner = float(N @ (N - 1)) / k
         self.c1 = tail.hits.sum(axis=0) / k
 
     # bench/spans.py:161 wraps r; no pipeline calls it (ROADMAP item 3)
     def r(self, i: int, j: int, s, t):
-        """Interpolated tail-copula surface value(s) r_{ij}(s, t)."""
-        G = GRID_LEVELS
-        hist, _, _ = np.histogram2d(self._first_level[:, i], self._first_level[:, j],
-                                    bins=[np.arange(G + 2), np.arange(G + 2)])
-        # row exceeds (a, b) jointly <=> e_i <= a and e_j <= b
-        counts = np.cumsum(np.cumsum(hist, axis=0), axis=1)[:G, :G] / self.k
-        return _bilinear(self._nodes, np.pad(counts, ((1, 0), (1, 0))), s, t)
+        """The empirical step surface r_ij(s, t) = (1/k) #{days: l_di <= floor(ks)
+        and l_dj <= floor(kt)} at the broadcast points (s, t) in [0, 1]; a
+        float for scalar queries.  Past 1 the table holds too few cells."""
+        s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+        if not np.all((0.0 <= s) & (s <= 1.0) & (0.0 <= t) & (t <= 1.0)):
+            raise RangeError("tail fractions s and t must lie in [0, 1]")
+        # l <= floor(ks) <=> l <= ks; 1e-9 reads s = l / k as level l despite rounding
+        a = self._ranks[:, i, None] <= self.k * s.ravel() + 1e-9
+        b = self._ranks[:, j, None] <= self.k * t.ravel() + 1e-9
+        out = np.count_nonzero(a & b, axis=0).reshape(s.shape) / self.k
+        return float(out) if out.ndim == 0 else out

@@ -309,18 +309,6 @@ def fisher_info_inverse(gamma: float) -> np.ndarray:
     return np.array([[gp1 ** 2, -gp1], [-gp1, 2.0 * gp1]])
 
 
-def _edge_moment(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Integral of E(v) / v over (0, 1] for the E that is linear between
-    consecutive ``nodes`` and runs linearly from E(0) = 0 up to the first;
-    exact cell by cell."""
-    a, b = nodes[:-1], nodes[1:]
-    ea, eb = values[:-1], values[1:]
-    log_ratio = np.log(b / a)
-    # on [a, b]: E(v) = ea + (eb - ea) (v - a) / (b - a)
-    cells = ea * log_ratio + (eb - ea) * (1.0 - a * log_ratio / (b - a))
-    return float(values[0] + cells.sum())
-
-
 def _score_covariance(gamma: float, moment: float, corner: float) -> np.ndarray:
     """Score covariance in (shape, scale) of a pooled tail whose aggregate
     tail-copula surface T has edge moment ``moment`` = int_0^1 E(v) / v dv and
@@ -350,40 +338,36 @@ def _score_covariance(gamma: float, moment: float, corner: float) -> np.ndarray:
     return np.array([[t11, t12], [t12, t22]])
 
 
-def sigma_gamma0(gamma: float, c1, *, edge=None) -> tuple[np.ndarray, float]:
+def sigma_gamma0(gamma: float, c1, *, moment: float = 0.0,
+                 corner: float = 0.0) -> tuple[np.ndarray, float]:
     """Limiting covariance of the pooled GP score in (shape, scale).
 
     Station j's own tail surface is C_j(1) min(s, t), with the tail shares
-    C_j(1) given by ``c1``.  ``edge`` is a pair (nodes, values) that
-    samples X(v, 1), the edge of the aggregate cross-station surface
-    X(s, t) = sum over stations i != j of r_ij(s, t), at nodes increasing to
-    exactly 1; X(v, 1) is taken linear between nodes and from 0 at v = 0.
-    ``edge=None`` treats stations as tail independent (all cross terms
-    vanish).  The cost does not depend on the number of stations.
+    C_j(1) given by ``c1``.  ``moment`` = int_0^1 X(v, 1) / v dv and
+    ``corner`` = X(1, 1) are the two numbers of the aggregate cross-station
+    surface X(s, t) = sum over stations i != j of r_ij(s, t) that the
+    covariance depends on; both 0 treats stations as tail independent.  The
+    cost does not depend on the number of stations.
 
     Returns the 2x2 matrix and its integration error, which is 0.0: every
-    entry is closed-form in the edge (see :func:`_score_covariance`).
+    entry is closed-form (see :func:`_score_covariance`).
     """
     if gamma <= -0.5:
         raise DomainError(f"shape must exceed -1/2, got {gamma}")
     c1 = np.asarray(c1, dtype=float)
     if c1.ndim != 1 or c1.size == 0:
         raise RangeError("c1 must be a non-empty 1-D collection")
-    if np.any(c1 < 0):
-        raise RangeError("tail shares must be >= 0")
+    if not np.all(np.isfinite(c1) & (c1 >= 0)):
+        raise RangeError("tail shares must be finite and >= 0")
+    for name, x in (("moment", moment), ("corner", corner)):
+        if not (math.isfinite(x) and x >= 0):
+            raise RangeError(f"{name} must be finite and >= 0, got {x}")
 
-    # the same-station surfaces sum to C min(s, t), whose edge is C v
-    moment = corner = float(c1.sum())
-    if edge is not None:
-        nodes, values = (np.asarray(x, dtype=float) for x in edge)
-        if (nodes.ndim != 1 or nodes.size == 0 or values.shape != nodes.shape
-                or nodes[0] <= 0 or nodes[-1] != 1.0 or np.any(np.diff(nodes) <= 0)):
-            raise RangeError("edge nodes must increase from above 0 to exactly 1, "
-                             "with one value per node")
-        moment += _edge_moment(nodes, values)
-        corner += float(values[-1])
+    # the same-station surfaces sum to C min(s, t), whose edge C v has
+    # moment and corner C
+    total = float(c1.sum())
     # bench/spans.py:91 reads the 0.0 as result[1] (ROADMAP item 3)
-    return _score_covariance(gamma, moment, corner), 0.0
+    return _score_covariance(gamma, total + moment, total + corner), 0.0
 
 
 @dataclass(frozen=True)
@@ -413,16 +397,19 @@ class AsymptoticCov:
 def mle_asymptotic_cov(fit: GpFit, p: PanelSample) -> AsymptoticCov:
     """Sandwich covariance I^{-1} Sigma I^{-1} for a pooled GP fit.
 
-    The tail shares and the edge X(v, 1) of the aggregate cross-station
-    surface are estimated from the panel at the fit's ``k``
-    (:class:`EmpiricalTailDependence`); one station's edge is exactly 0.
-    For analytic inputs call :func:`sigma_gamma0` and
+    The tail shares and the moment and corner of the aggregate cross-station
+    edge X(v, 1) are counted from the panel at the fit's ``k``
+    (:class:`EmpiricalTailDependence`); one station's moment and corner are
+    0.  The shape entry does not depend on the moment: it is
+    (1 + gamma)^2 sum_d N_d^2 / k, with N_d the number of stations that
+    exceed on exceedance day d.  For analytic inputs call :func:`sigma_gamma0` and
     :func:`fisher_info_inverse` directly.
     """
     if not fit.converged:
         raise FitConvergenceError("cannot form a covariance from a non-converged fit")
     dep = EmpiricalTailDependence(p, fit.k)
-    sigma, _ = sigma_gamma0(fit.gamma_hat, dep.c1, edge=dep.edge)
+    sigma, _ = sigma_gamma0(fit.gamma_hat, dep.c1, moment=dep.moment,
+                            corner=dep.corner)
     inv = fisher_info_inverse(fit.gamma_hat)
     return AsymptoticCov(
         matrix=inv @ sigma @ inv,

@@ -287,7 +287,8 @@ def analytic_r_lookup(spec: SimSpec) -> Callable:
 
 def analytic_cross_surface(spec: SimSpec) -> Callable:
     """Exact aggregate cross-station surface X(s, t) = sum over i != j of
-    r(i, j; s, t), whose edge X(v, 1) is the input of :func:`sigma_gamma0`.
+    r(i, j; s, t), whose edge X(v, 1) gives :func:`sigma_gamma0` its moment
+    and corner.
 
     Stations on the same frequency line have the same surfaces, so r is
     evaluated once per ordered pair of such groups and weighted by the number
@@ -510,6 +511,18 @@ def _analytic_edge(spec: SimSpec) -> tuple:
                               for i in range(0, v.size, _EDGE_BLOCK)])
 
 
+def _edge_moment(nodes: np.ndarray, values: np.ndarray) -> float:
+    """Integral of E(v) / v over (0, 1] for the E that is linear between
+    consecutive ``nodes`` and runs linearly from E(0) = 0 up to the first;
+    exact cell by cell."""
+    a, b = nodes[:-1], nodes[1:]
+    ea, eb = values[:-1], values[1:]
+    log_ratio = np.log(b / a)
+    # on [a, b]: E(v) = ea + (eb - ea) (v - a) / (b - a)
+    cells = ea * log_ratio + (eb - ea) * (1.0 - a * log_ratio / (b - a))
+    return float(values[0] + cells.sum())
+
+
 def mc_mle_variance(
     spec: SimSpec,
     k: int,
@@ -518,8 +531,9 @@ def mc_mle_variance(
 ) -> McReport:
     """Bias and scaled variance of the pooled GP fit against the sandwich
     prediction computed from the spec's exact tail-copula surfaces (their
-    aggregate edge sampled at 4000 geometric nodes from 1e-6 to 1; on a
-    logistic surface that moves the prediction by about 4e-7 relative)."""
+    aggregate edge sampled at 4000 geometric nodes from 1e-6 to 1 and taken
+    linear between them; on a logistic surface that moves the prediction by
+    about 4e-7 relative)."""
     if k < 10:
         raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {k}")
     if reps < 3:
@@ -544,8 +558,11 @@ def mc_mle_variance(
     k_var_gamma = float(k * gammas.var(ddof=1))
     k_var_scale = float(k * rel_scales.var(ddof=1))
 
-    edge = _analytic_edge(spec) if spec.m > 1 else None
-    sigma, _ = sigma_gamma0(spec.gamma, spec.c1, edge=edge)
+    moment = corner = 0.0
+    if spec.m > 1:
+        v, edge = _analytic_edge(spec)
+        moment, corner = _edge_moment(v, edge), float(edge[-1])
+    sigma, _ = sigma_gamma0(spec.gamma, spec.c1, moment=moment, corner=corner)
     inv = fisher_info_inverse(spec.gamma)
     sandwich = inv @ sigma @ inv
     rel_se = math.sqrt(2.0 / (vals.shape[0] - 1))  # relative MC error of a variance

@@ -4,13 +4,14 @@ All stations are pooled into one sample of size ``n_effective``; thresholds
 are order statistics of the pool.  The panel sorts that sample once
 (:attr:`PanelSample.sorted_values`) and :func:`pool` wraps it.  Every
 estimator takes just the panel and ``k`` and reads the level-k tail from one
-:class:`TailAtK`: the threshold X_{N-k:N}, the ties at it, the exceedance
-table (the days holding an exceedance and which of their cells exceed), and
-the ladder of deeper levels ``floor(k s)`` that the tail-copula level grid of
-:class:`~scedex.dependence.EmpiricalTailDependence` walks.  Exceedances are
-always strict (``>``), and a missing cell holds NaN, which never exceeds a
-threshold.  Every deeper level's threshold is at least the level-k one, so
-the table holds every cell any estimator counts.
+:class:`TailAtK`: the threshold X_{N-k:N}, the ties at it, and the
+exceedance table (the days holding an exceedance and which of their cells
+exceed).  Exceedances are always strict (``>``), and a missing cell holds
+NaN, which never exceeds a threshold.  The tail-copula counts of
+:class:`~scedex.dependence.EmpiricalTailDependence` rank the table's cells
+against the pool to place them at deeper levels; every deeper level's
+threshold is at least the level-k one, so the table holds every cell any
+estimator counts.
 """
 
 from __future__ import annotations
@@ -78,22 +79,6 @@ class TailAtK:
             o.n_effective - np.searchsorted(o.values, self.threshold, side="right"))
         self.tie_count = self.k - self.n_exceedances
         self.panel = p
-
-    def ladder(self, s):
-        """Levels ``floor(k * s)`` of the tail fractions ``s`` and the pooled
-        order statistics ``X_{N - floor(k s):N}`` at those levels.
-
-        Levels come back as integral floats; s in [1/k, 1] gives levels 1 to
-        k, the range of the tail-copula level grid, and the thresholds do not
-        increase with s.  Levels are not range-checked: level 0 maps to the
-        pooled maximum, and a level past n_effective - 1 to the minimum.
-        """
-        o = self.pooled
-        n = o.n_effective
-        s = np.asarray(s, dtype=float)
-        # 1e-9 guards floor() against representation error at exact grid points.
-        levels = np.floor(self.k * s + 1e-9)
-        return levels, o.values[(n - 1 - np.clip(levels, 0, n - 1)).astype(int)]
 
     def divisor(self, renormalize: bool) -> int:
         """``k``, or with ``renormalize`` the realised exceedance count, which

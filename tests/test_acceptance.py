@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from scedex import PanelSample, dependence, gp_mle, mc, scedasis, tail, trend_tests
+from scedex import PanelSample, dependence, gp_mle, mc, scedasis, trend_tests
 
 
 def _panel(values, start="2000-01-01"):
@@ -50,8 +50,9 @@ def test_exact_identities():
     dep = dependence.sigma1_matrix(p, k)
     diag_exact = all(dep.entries[j, j] == curves[j].c1 for j in range(p.m))
 
-    level_k = tail.TailAtK(p, k)
-    rung_at_one = float(level_k.ladder(1.0)[1])
+    # the tail-copula ranks against the threshold rule at level k
+    etd = dependence.EmpiricalTailDependence(p, k)
+    ranks_exact = all(etd.r(j, j, 1, 1) == curves[j].c1 for j in range(p.m))
 
     fisher_defect = max(
         float(np.max(np.abs(
@@ -61,10 +62,10 @@ def test_exact_identities():
     )
 
     ok = (abs(share_sum - 1.0) < 1e-12 and diag_exact
-          and rung_at_one == level_k.threshold and fisher_defect < 1e-12)
+          and ranks_exact and fisher_defect < 1e-12)
     _gate("exact identities", ok,
           f"sum shares={share_sum!r}, sigma1 diag exact={diag_exact}, "
-          f"ladder(1)={rung_at_one!r} vs threshold={level_k.threshold!r}, "
+          f"r_jj(1, 1) == c1 exact={ranks_exact}, "
           f"fisher identity defect={fisher_defect:.2e}")
 
 
@@ -226,8 +227,9 @@ def test_sandwich_se_matches_analytic_on_logistic_panels():
                       seed=5)
     k, reps = 3200, 20
     v = np.geomspace(1e-6, 1.0, 4000)
-    sigma, _ = gp_mle.sigma_gamma0(spec.gamma, spec.c1,
-                                   edge=(v, mc.analytic_cross_surface(spec)(v, 1.0)))
+    edge = mc.analytic_cross_surface(spec)(v, 1.0)
+    sigma, _ = gp_mle.sigma_gamma0(spec.gamma, spec.c1, moment=mc._edge_moment(v, edge),
+                                   corner=edge[-1])
     inv = gp_mle.fisher_info_inverse(spec.gamma)
     analytic = math.sqrt((inv @ sigma @ inv)[0, 0] / k)
     start = time.perf_counter()

@@ -32,8 +32,9 @@ from scedex import (
 )
 from scedex import gp_mle as gp_mle_module
 from scedex.dependence import EmpiricalTailDependence
-from scedex.gp_mle import _edge_moment, _loglik_terms, _score_covariance
+from scedex.gp_mle import _loglik_terms, _score_covariance
 from scedex.mc import SimSpec, logistic_tail_copula, simulate_panel
+from scedex.tail import TailAtK
 
 from conftest import make_panel
 
@@ -277,11 +278,10 @@ def test_fisher_domain():
 
 
 def _min_edge(c=1.0):
-    """Edge of the aggregate surface c min(s, t): c v, linear, so any nodes
-    ending at 1 carry it exactly.  c = 1 is two comonotone stations (1/2 min
-    on each ordered pair)."""
-    nodes = np.geomspace(1e-3, 1.0, 7)
-    return nodes, c * nodes
+    """Moment and corner of the aggregate surface c min(s, t), whose edge c v
+    has both equal to c.  c = 1 is two comonotone stations (1/2 min on each
+    ordered pair)."""
+    return {"moment": c, "corner": c}
 
 
 def _same_station_coeffs(g):
@@ -298,30 +298,15 @@ def test_cross_taus_closed_form_under_complete_dependence(gamma):
     """With X(s,t) = C min(s,t) every cross integral equals the same-station
     coefficient scaled by C."""
     a, b, c = _same_station_coeffs(gamma)
-    assert _edge_moment(*_min_edge(0.5)) == pytest.approx(0.5, rel=1e-14)
-    (t11, t12), (_, t22) = sigma_gamma0(gamma, [0.0, 0.0], edge=_min_edge(0.5))[0]
+    (t11, t12), (_, t22) = sigma_gamma0(gamma, [0.0, 0.0], **_min_edge(0.5))[0]
     assert t11 == pytest.approx(0.5 * a, rel=1e-12)
     assert t22 == pytest.approx(0.5 * b, rel=1e-12)
     assert t12 == pytest.approx(0.5 * c, rel=1e-12)
 
 
 def test_cross_taus_vanish_without_dependence():
-    nodes = np.geomspace(1e-3, 1.0, 7)
-    dependent, _ = sigma_gamma0(0.3, [0.5, 0.5], edge=(nodes, np.zeros_like(nodes)))
+    dependent, _ = sigma_gamma0(0.3, [0.5, 0.5], moment=0.0, corner=0.0)
     assert np.array_equal(dependent, sigma_gamma0(0.3, [0.5, 0.5])[0])
-
-
-def test_edge_moment_is_exact_for_piecewise_linear_edges():
-    """int_0^1 E(v)/v dv cell by cell.  The hat through (0, 0), (1/2, 1) and
-    (1, 0) is E = 2v on [0, 1/2], contributing 1, and E = 2 - 2v on [1/2, 1],
-    contributing 2 log 2 - 1."""
-    nodes = np.array([0.5, 1.0])
-    assert _edge_moment(nodes, np.array([1.0, 0.0])) == pytest.approx(
-        2.0 * math.log(2.0), rel=1e-14)
-    v = np.geomspace(1e-4, 1.0, 50)
-    want, _ = integrate.quad(lambda x: np.interp(x, np.r_[0.0, v], np.r_[0.0, v ** 0.5]) / x,
-                             0.0, 1.0, points=v[v > 1e-3], limit=500)
-    assert _edge_moment(v, v ** 0.5) == pytest.approx(want, rel=1e-7)
 
 
 @pytest.mark.parametrize("gamma", [-0.2, 0.25])
@@ -361,13 +346,13 @@ def test_sigma_continuous_through_zero_shape():
     """Nothing in the closed form divides by gamma: across +-1e-7 (where the
     score weights used to switch to their series) and through 0 the entries
     move by their first-order change only."""
-    edge = (np.geomspace(1e-3, 1.0, 9), 2.5 * np.geomspace(1e-3, 1.0, 9) ** 1.3)
-    at = lambda g: sigma_gamma0(g, [0.3, 0.7], edge=edge)[0]
+    edge = {"moment": 2.5 / 1.3, "corner": 2.5}  # of the edge 2.5 v^1.3
+    at = lambda g: sigma_gamma0(g, [0.3, 0.7], **edge)[0]
     slope = (at(1e-4) - at(-1e-4)) / 2e-4
     for g in (-1.01e-7, -1e-7, -0.99e-7, 0.0, 0.99e-7, 1e-7, 1.01e-7):
         assert np.allclose(at(g), at(0.0) + g * slope, rtol=1e-12, atol=1e-13)
     with pytest.raises(DomainError):
-        sigma_gamma0(-0.5, [0.3, 0.7], edge=edge)
+        sigma_gamma0(-0.5, [0.3, 0.7], **edge)
 
 
 @pytest.mark.parametrize("gamma", [-0.43, -0.1, 0.0, 0.25, 1.0])
@@ -391,25 +376,25 @@ def test_sigma_comonotone_duplicates_double_the_single_station(gamma):
     copies each of the m (m - 1) ordered pairs adds min's share 1/m, so
     X = (m - 1) min and the covariance is m times the single station's."""
     single, _ = sigma_gamma0(gamma, [1.0])
-    double, _ = sigma_gamma0(gamma, [0.5, 0.5], edge=_min_edge())
+    double, _ = sigma_gamma0(gamma, [0.5, 0.5], **_min_edge())
     assert np.allclose(double, 2.0 * single, atol=1e-9)
-    quadruple, _ = sigma_gamma0(gamma, [0.25] * 4, edge=_min_edge(3.0))
+    quadruple, _ = sigma_gamma0(gamma, [0.25] * 4, **_min_edge(3.0))
     assert np.allclose(quadruple, 4.0 * single, atol=1e-9)
 
 
 def test_sigma_depends_on_stations_only_through_shares_and_edge():
     """The station count enters only through the tail shares' sum and the
-    aggregate edge, so its cost does not grow with the number of pairs."""
-    nodes = np.geomspace(1e-3, 1.0, 9)
-    edge = (nodes, 0.7 * nodes ** 1.2)
-    two, _ = sigma_gamma0(0.25, [0.5] * 2, edge=edge)
-    many, _ = sigma_gamma0(0.25, [1.0 / 32] * 32, edge=edge)
+    aggregate edge's moment and corner, so its cost does not grow with the
+    number of pairs."""
+    edge = {"moment": 0.7 / 1.2, "corner": 0.7}  # of the edge 0.7 v^1.2
+    two, _ = sigma_gamma0(0.25, [0.5] * 2, **edge)
+    many, _ = sigma_gamma0(0.25, [1.0 / 32] * 32, **edge)
     assert np.allclose(two, many, rtol=1e-14, atol=0.0)
 
 
 def test_sigma_independent_stations_match_single():
     one, _ = sigma_gamma0(0.25, [1.0])
-    two, _ = sigma_gamma0(0.25, [0.5, 0.5], edge=None)
+    two, _ = sigma_gamma0(0.25, [0.5, 0.5])
     assert np.array_equal(one, two)
 
 
@@ -420,25 +405,45 @@ def test_sigma_validation():
         sigma_gamma0(0.2, [])
     with pytest.raises(RangeError):
         sigma_gamma0(0.2, [-0.1, 1.1])
-    nodes = np.array([0.25, 0.5, 1.0])
-    for bad in [(nodes[:2], nodes[:2]),                # does not end at 1
-                (np.array([0.0, 0.5, 1.0]), nodes),    # starts at 0
-                (np.array([0.5, 0.25, 1.0]), nodes),   # not increasing
-                (nodes, nodes[:2]),                    # length mismatch
-                (np.array([]), np.array([]))]:         # no node
+    for bad in ({"moment": -0.1}, {"corner": -1e-300}):
         with pytest.raises(RangeError):
-            sigma_gamma0(0.2, [0.5, 0.5], edge=bad)
+            sigma_gamma0(0.2, [0.5, 0.5], **bad)
     with pytest.raises(TypeError):
-        sigma_gamma0(0.2, [0.5, 0.5], (nodes, nodes))  # the edge is keyword-only
+        sigma_gamma0(0.2, [0.5, 0.5], 1.0, 0.5)  # the moment and corner are keyword-only
+
+
+@pytest.mark.parametrize("bad", [
+    {"c1": [math.nan, 0.5]}, {"c1": [math.inf, 0.5]}, {"c1": [0.5, -math.inf]},
+    {"moment": math.nan}, {"moment": math.inf}, {"corner": math.nan},
+    {"corner": math.inf},
+])
+def test_sigma_rejects_non_finite_inputs(bad):
+    """A NaN or infinite share, moment or corner used to come back as a NaN
+    or infinite matrix without an error."""
+    args = {"c1": [0.5, 0.5], **bad}
+    with pytest.raises(RangeError, match="finite"):
+        sigma_gamma0(0.2, args.pop("c1"), **args)
 
 
 def test_sigma_near_boundary_is_exact():
     """At gamma = -0.49 the entries are of order 1/(1 + 2 gamma)^2 = 2500, and
     the comonotone doubling still holds to rounding."""
     single, _ = sigma_gamma0(-0.49, [1.0])
-    double, _ = sigma_gamma0(-0.49, [0.5, 0.5], edge=_min_edge())
+    double, _ = sigma_gamma0(-0.49, [0.5, 0.5], **_min_edge())
     assert single[1, 1] == pytest.approx((0.51 / 0.02) ** 2, rel=1e-12)
     assert np.allclose(double, 2.0 * single, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("gamma", [-0.3, 0.0, 0.1, 0.5, 1.2])
+@pytest.mark.parametrize("moment", [0.0, 1.0, 10.0])
+def test_shape_variance_ignores_the_moment(gamma, moment):
+    """With I^-1 = [[u^2, -u], [-u, 2u]], u = 1 + gamma, the moment terms
+    cancel in the (shape, shape) entry of I^-1 Sigma I^-1, which leaves
+    u^2 (sum c1 + corner)."""
+    c1, corner = [0.2, 0.3, 0.5], 0.8
+    inv = fisher_info_inverse(gamma)
+    sigma, _ = sigma_gamma0(gamma, c1, moment=moment, corner=corner)
+    assert (inv @ sigma @ inv)[0, 0] == pytest.approx((1.0 + gamma) ** 2 * 1.8, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +466,17 @@ def test_asymptotic_cov_from_panel():
     ref = (1.0 + fit.gamma_hat) / math.sqrt(fit.k)
     assert 0.5 * ref < cov.se_gamma < 2.0 * ref
     dep = EmpiricalTailDependence(p, fit.k)
-    assert np.array_equal(cov.sigma, sigma_gamma0(fit.gamma_hat, dep.c1, edge=dep.edge)[0])
+    assert np.array_equal(cov.sigma, sigma_gamma0(fit.gamma_hat, dep.c1, moment=dep.moment,
+                                                  corner=dep.corner)[0])
     with pytest.raises(ValueError):
         cov.matrix[0, 0] = 0.0
 
 
 def test_asymptotic_cov_analytic_inputs_bypass_estimation():
     """Analytic inputs go to sigma_gamma0 and the inverse Fisher information
-    directly.  A one-station panel without ties has share exactly 1 and an
-    edge of exact zeros, so its estimated sandwich is the same to the bit."""
+    directly.  A one-station panel without ties has share exactly 1 and a
+    moment and corner of exactly 0, so its estimated sandwich is the same to
+    the bit."""
     rng = np.random.default_rng(5)
     vals = rng.uniform(size=(3000, 1)) ** -0.25
     p = make_panel(vals)
@@ -479,10 +486,30 @@ def test_asymptotic_cov_analytic_inputs_bypass_estimation():
     gp1 = 1.0 + fit.gamma_hat
     assert analytic[0, 0] == pytest.approx(gp1**2, rel=1e-12)
     assert analytic[1, 1] == pytest.approx(1.0 + gp1**2, rel=1e-12)
-    assert not EmpiricalTailDependence(p, fit.k).edge[1].any()
+    dep = EmpiricalTailDependence(p, fit.k)
+    assert (dep.moment, dep.corner) == (0.0, 0.0)
     cov = mle_asymptotic_cov(fit, p)
     assert np.array_equal(cov.matrix, analytic)
     assert cov.se_gamma == pytest.approx(gp1 / math.sqrt(fit.k), rel=1e-12)
+
+
+@pytest.mark.parametrize("holed", [False, True])
+def test_se_gamma_is_the_count_form(holed):
+    """se_gamma = (1 + gamma_hat) sqrt(sum_d N_d^2) / k, with N_d the number
+    of stations exceeding on exceedance day d: a day on which N stations
+    exceed counts N^2 times."""
+    spec = SimSpec(n=3000, m=4, gamma=0.1, dependence="logistic", alpha=0.6)
+    p = simulate_panel(spec, 3)
+    if holed:
+        holes = np.random.default_rng(4).random(p.values.shape) < 0.05
+        holes[:900, 0] = True
+        p = make_panel(p.values, missing=holes)
+    fit = fit_gp_pml(p, 300)
+    N = TailAtK(p, fit.k).hits.sum(axis=1)
+    want = (1.0 + fit.gamma_hat) * math.sqrt(N @ N) / fit.k
+    got = mle_asymptotic_cov(fit, p).se_gamma
+    assert abs(got - want) <= 4 * np.spacing(want)
+    assert N.max() > 1
 
 
 def test_asymptotic_cov_default_flags_succeed_on_simulated_panels():

@@ -31,8 +31,8 @@ from scedex import (
     simulate_panel,
 )
 from scedex import mc as mc_module
-from scedex.mc import (TAIL_MASS, _analytic_edge, _draw_uniforms, _positive_stable,
-                       _replicate)
+from scedex.mc import (TAIL_MASS, _analytic_edge, _draw_uniforms, _edge_moment,
+                       _positive_stable, _replicate)
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +439,19 @@ def test_blocked_edge_is_the_one_shot_edge_to_the_bit(spec):
     v, edge = _analytic_edge(spec)
     assert np.array_equal(v, np.geomspace(1e-6, 1.0, 4000))
     assert np.array_equal(edge, analytic_cross_surface(spec)(v, 1.0))
+
+
+def test_edge_moment_is_exact_for_piecewise_linear_edges():
+    """int_0^1 E(v)/v dv cell by cell.  The hat through (0, 0), (1/2, 1) and
+    (1, 0) is E = 2v on [0, 1/2], contributing 1, and E = 2 - 2v on [1/2, 1],
+    contributing 2 log 2 - 1."""
+    nodes = np.array([0.5, 1.0])
+    assert _edge_moment(nodes, np.array([1.0, 0.0])) == pytest.approx(
+        2.0 * math.log(2.0), rel=1e-14)
+    v = np.geomspace(1e-4, 1.0, 50)
+    want, _ = quad(lambda x: np.interp(x, np.r_[0.0, v], np.r_[0.0, v ** 0.5]) / x,
+                             0.0, 1.0, points=v[v > 1e-3], limit=500)
+    assert _edge_moment(v, v ** 0.5) == pytest.approx(want, rel=1e-7)
 
 
 def test_analytic_sigma_truncates_in_time():

@@ -1,10 +1,10 @@
 """Pooled order statistics and the level-k tail.
 
 The small 8x2 fixture pools to N=16 tie-free values; with k=4 the global
-threshold is the 5th largest pooled value (5.0) and every rung of the level
-ladder below is checked by hand.  A property test recounts the
-level-k tail of tied panels with missing cells and checks that every
-estimator sees the same exceedances and ties.
+threshold is the 5th largest pooled value (5.0), checked by hand.  Property
+tests recount the level-k tail of tied panels with missing cells, check
+that every estimator sees the same exceedances and ties, and that the
+tail-copula ranks place every cell at the levels the threshold rule does.
 """
 
 import numpy as np
@@ -134,33 +134,35 @@ def test_global_threshold_is_k_plus_first_largest(small_panel):
     assert int((o.values > thr).sum()) == 4
     assert TailAtK(small_panel, 1).threshold == 8.0
     assert TailAtK(small_panel, 15).threshold == 0.1
-    # the ladder's top rung s = 1 is level k itself, at the threshold
-    levels, thresholds = tail.ladder(1.0)
-    assert (levels, thresholds) == (4.0, 5.0)
-    # floor(k s) = 0 reads the pooled maximum; at s = 2 exactly 8 pooled
-    # values (2, 3, ..., 9) exceed the rung 1.0
-    levels, thresholds = tail.ladder([1.0 / 8, 1.0, 2.0])
-    assert levels.tolist() == [0.0, 4.0, 8.0]
-    assert thresholds.tolist() == [9.0, 5.0, 1.0]
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=4, max_value=40),
     m=st.integers(min_value=1, max_value=4),
+    k_draw=st.integers(min_value=0, max_value=10**6),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-def test_quantile_process_nonincreasing(n, m, seed):
-    """Deeper levels s can only move the ladder's threshold down, never up."""
+def test_quantile_process_nonincreasing(n, m, k_draw, seed):
+    """Deeper levels l <= k can only move the threshold down, never up, and
+    on tied panels with missing cells the tail-copula ranks of the level-k
+    table put each station at every level l exactly where the level-l
+    threshold does: r_jj(l/k, l/k) counts its cells above that threshold."""
     rng = np.random.default_rng(seed)
-    vals = rng.permutation(n * m).reshape(n, m) + 1.0
-    p = make_panel(vals)
-    k = max(1, (n * m) // 4)
-    s = np.linspace(1.0 / (2 * k), (n * m) / k - 1e-6, 9)
-    tail = TailAtK(p, k)
-    _, thresholds = tail.ladder(s)
+    vals = np.floor(rng.pareto(1.0, (n, m)) * 3)
+    missing = rng.random((n, m)) < 0.2
+    N = int(np.count_nonzero(~missing))
+    if N < 2:
+        reject()
+    k = 1 + k_draw % (N - 1)
+    p = make_panel(vals, missing=missing)
+    etd = EmpiricalTailDependence(p, k)
+    thresholds = [TailAtK(p, level).threshold for level in range(1, k + 1)]
     assert np.all(np.diff(thresholds) <= 0)
-    assert tail.ladder(1.0)[1] == tail.threshold
+    for level, thr in zip(range(1, k + 1), thresholds):
+        counts = ((vals > thr) & ~missing).sum(axis=0)
+        for j in range(m):
+            assert etd.r(j, j, level / k, level / k) * k == pytest.approx(counts[j], abs=1e-9)
 
 
 @settings(max_examples=40, deadline=None)
@@ -205,11 +207,7 @@ def test_every_estimator_sees_the_same_level_k_tail(n, m, k_draw, seed):
     assert [c.n_exceedances for c in curves] == counts.tolist()
     assert [c.tie_count for c in curves] == [ties] * m
     assert np.diag(sigma1_matrix(p, k).entries) * k == pytest.approx(counts, abs=1e-9)
-    if k < 2:  # one level is no grid
-        with pytest.raises(RangeError, match="k=1"):
-            EmpiricalTailDependence(p, k)
-    else:
-        assert EmpiricalTailDependence(p, k).c1 * k == pytest.approx(counts, abs=1e-9)
+    assert EmpiricalTailDependence(p, k).c1 * k == pytest.approx(counts, abs=1e-9)
     for j in range(m):
         if counts[j] == 0:
             with pytest.raises(NoExceedanceError):
