@@ -55,8 +55,6 @@ from .gp_mle import (
 from .mc import (
     McReport,
     SimSpec,
-    analytic_cross_surface,
-    analytic_r_lookup,
     analytic_sigma,
     logistic_tail_copula,
     mc_covariance_check,
@@ -94,8 +92,6 @@ __all__ = [
     "SweepRow",
     "TailDependenceMatrix",
     "TestResult",
-    "analytic_cross_surface",
-    "analytic_r_lookup",
     "analytic_sigma",
     "bonferroni",
     "chi2_pvalue",

@@ -293,18 +293,21 @@ def fit_gp_pml(p: PanelSample, k: int) -> GpFit:
 # ---------------------------------------------------------------------------
 
 
+def _check_shape(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > -0.5):
+        raise DomainError(f"shape must be finite and exceed -1/2, got {gamma}")
+
+
 def fisher_info(gamma: float) -> np.ndarray:
     """Fisher information of the GP in (shape, scale) at unit scale."""
-    if gamma <= -0.5:
-        raise DomainError(f"shape must exceed -1/2, got {gamma}")
+    _check_shape(gamma)
     d = 1.0 + 3.0 * gamma + 2.0 * gamma ** 2   # = (1+gamma)(1+2gamma)
     return np.array([[2.0 / d, 1.0 / d], [1.0 / d, 1.0 / (1.0 + 2.0 * gamma)]])
 
 
 def fisher_info_inverse(gamma: float) -> np.ndarray:
     """Closed-form inverse of :func:`fisher_info`."""
-    if gamma <= -0.5:
-        raise DomainError(f"shape must exceed -1/2, got {gamma}")
+    _check_shape(gamma)
     gp1 = 1.0 + gamma
     return np.array([[gp1 ** 2, -gp1], [-gp1, 2.0 * gp1]])
 
@@ -352,8 +355,7 @@ def sigma_gamma0(gamma: float, c1, *, moment: float = 0.0,
     Returns the 2x2 matrix and its integration error, which is 0.0: every
     entry is closed-form (see :func:`_score_covariance`).
     """
-    if gamma <= -0.5:
-        raise DomainError(f"shape must exceed -1/2, got {gamma}")
+    _check_shape(gamma)
     c1 = np.asarray(c1, dtype=float)
     if c1.ndim != 1 or c1.size == 0:
         raise RangeError("c1 must be a non-empty 1-D collection")

@@ -276,39 +276,29 @@ def _tail_integral(spec: SimSpec, i: int, j: int, s, t, upper: float = 1.0):
     return float(out) if out.ndim == 0 else out
 
 
-def analytic_r_lookup(spec: SimSpec) -> Callable:
-    """Exact pairwise tail-copula surfaces of a simulation spec.
+def _analytic_moment_corner(spec: SimSpec) -> tuple:
+    """(moment, corner): int_0^1 X(v, 1) / v dv and X(1, 1) of the spec's exact
+    aggregate cross-station surface X(s, t) = sum over i != j of r(i, j; s, t),
+    the two numbers of it that :func:`sigma_gamma0` reads; (0, 0) for one
+    station or tail independence.
 
-    r(i, j; s, t) = (1/m) int_0^1 R(s c_i(u), t c_j(u)) du with the spec's
-    closed-form pair copula (same-station pairs always use min).
+    The moment is 3 int_0^1 X(w^3, 1) / w dw on :func:`_nodes`: the
+    substitution v = w^3 smooths the power v^(1/alpha - 1) with which a
+    logistic edge leaves 0.  Stations on the same frequency line have the
+    same surfaces, so r is evaluated once per ordered pair of such groups and
+    weighted by the number of ordered station pairs it stands for.
     """
-    return functools.partial(_tail_integral, spec)
-
-
-def analytic_cross_surface(spec: SimSpec) -> Callable:
-    """Exact aggregate cross-station surface X(s, t) = sum over i != j of
-    r(i, j; s, t), whose edge X(v, 1) gives :func:`sigma_gamma0` its moment
-    and corner.
-
-    Stations on the same frequency line have the same surfaces, so r is
-    evaluated once per ordered pair of such groups and weighted by the number
-    of ordered station pairs it stands for.
-    """
-    r = analytic_r_lookup(spec)
+    if spec.m == 1:
+        return 0.0, 0.0
     groups: dict[tuple, list[int]] = {}
     for j, line in enumerate(spec.scedasis):
         groups.setdefault(line, []).append(j)
-    terms = []
-    for a in groups.values():
-        for b in groups.values():
-            pairs = len(a) * (len(b) - (a is b))
-            if pairs:
-                terms.append((pairs, a[0], b[-1]))  # distinct stations when a is b
-
-    def cross(s, t):
-        return sum(pairs * r(i, j, s, t) for pairs, i, j in terms)
-
-    return cross
+    w, weights = _nodes()
+    v = np.append(w ** 3, 1.0)
+    edge = sum(pairs * _tail_integral(spec, a[0], b[-1], v, 1.0)  # distinct when a is b
+               for a in groups.values() for b in groups.values()
+               if (pairs := len(a) * (len(b) - (a is b))))
+    return 3.0 * float(weights @ (edge[:-1] / w)), float(edge[-1])
 
 
 def analytic_sigma(spec: SimSpec, j1: int, j2: int, s1: float, s2: float,
@@ -449,8 +439,8 @@ def mc_covariance_check(
             raise RangeError(f"station index {j} out of range for m={m}")
         if not 0 < t <= 1:
             raise RangeError(f"time fraction must lie in (0, 1], got {t}")
-        if s <= 0:
-            raise RangeError(f"level must be positive, got {s}")
+        if not (math.isfinite(s) and s > 0):
+            raise RangeError(f"level must be finite and positive, got {s}")
         if k * s / N > TAIL_MASS + 1e-12:
             raise RangeError(
                 f"level s={s} leaves the exact-tail region (k*s/N = {k * s / N:.4g} "
@@ -492,37 +482,6 @@ def mc_covariance_check(
     )
 
 
-# Edge nodes per evaluation of the analytic surface.  Each block's quadrature
-# temporaries are (64 x 200) doubles, 100 KiB instead of the 6.4 MB of all
-# 4000 nodes at once: under the 128 KiB at which glibc's malloc maps fresh
-# pages, so every block reuses the heap memory of the one before.  A multiple
-# of 16, so BLAS's matrix-vector kernels group the rows of every block as
-# they group the rows of the whole, and the edge is the same to the bit.
-_EDGE_BLOCK = 64
-
-
-def _analytic_edge(spec: SimSpec) -> tuple:
-    """(v, X(v, 1)): the spec's exact aggregate cross-station edge at 4000
-    geometric nodes v from 1e-6 to 1, evaluated ``_EDGE_BLOCK`` nodes at a
-    time."""
-    v = np.geomspace(1e-6, 1.0, 4000)
-    cross = analytic_cross_surface(spec)
-    return v, np.concatenate([cross(v[i:i + _EDGE_BLOCK], 1.0)
-                              for i in range(0, v.size, _EDGE_BLOCK)])
-
-
-def _edge_moment(nodes: np.ndarray, values: np.ndarray) -> float:
-    """Integral of E(v) / v over (0, 1] for the E that is linear between
-    consecutive ``nodes`` and runs linearly from E(0) = 0 up to the first;
-    exact cell by cell."""
-    a, b = nodes[:-1], nodes[1:]
-    ea, eb = values[:-1], values[1:]
-    log_ratio = np.log(b / a)
-    # on [a, b]: E(v) = ea + (eb - ea) (v - a) / (b - a)
-    cells = ea * log_ratio + (eb - ea) * (1.0 - a * log_ratio / (b - a))
-    return float(values[0] + cells.sum())
-
-
 def mc_mle_variance(
     spec: SimSpec,
     k: int,
@@ -530,10 +489,9 @@ def mc_mle_variance(
     threads: int = 1,
 ) -> McReport:
     """Bias and scaled variance of the pooled GP fit against the sandwich
-    prediction computed from the spec's exact tail-copula surfaces (their
-    aggregate edge sampled at 4000 geometric nodes from 1e-6 to 1 and taken
-    linear between them; on a logistic surface that moves the prediction by
-    about 4e-7 relative)."""
+    prediction computed from the spec's exact tail-copula surfaces, through
+    the moment and corner of their aggregate edge
+    (:func:`_analytic_moment_corner`)."""
     if k < 10:
         raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {k}")
     if reps < 3:
@@ -558,10 +516,7 @@ def mc_mle_variance(
     k_var_gamma = float(k * gammas.var(ddof=1))
     k_var_scale = float(k * rel_scales.var(ddof=1))
 
-    moment = corner = 0.0
-    if spec.m > 1:
-        v, edge = _analytic_edge(spec)
-        moment, corner = _edge_moment(v, edge), float(edge[-1])
+    moment, corner = _analytic_moment_corner(spec)
     sigma, _ = sigma_gamma0(spec.gamma, spec.c1, moment=moment, corner=corner)
     inv = fisher_info_inverse(spec.gamma)
     sandwich = inv @ sigma @ inv

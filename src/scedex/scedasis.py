@@ -56,7 +56,7 @@ class ScedasisCurve:
     def value(self, t):
         """Evaluate the curve at time fraction(s) ``t`` in [0, 1]."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > 1):
+        if not np.all((t >= 0) & (t <= 1)):  # NaN fails both comparisons
             raise RangeError("t must lie in [0, 1]")
         # The curve only moves on the grid i/n: evaluate at floor(n t)/n.
         cut = np.floor(self.n_rows * t + 1e-9) / self.n_rows

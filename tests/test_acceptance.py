@@ -226,10 +226,8 @@ def test_sandwich_se_matches_analytic_on_logistic_panels():
     spec = mc.SimSpec(n=24000, m=16, gamma=0.1, dependence="logistic", alpha=0.6,
                       seed=5)
     k, reps = 3200, 20
-    v = np.geomspace(1e-6, 1.0, 4000)
-    edge = mc.analytic_cross_surface(spec)(v, 1.0)
-    sigma, _ = gp_mle.sigma_gamma0(spec.gamma, spec.c1, moment=mc._edge_moment(v, edge),
-                                   corner=edge[-1])
+    moment, corner = mc._analytic_moment_corner(spec)
+    sigma, _ = gp_mle.sigma_gamma0(spec.gamma, spec.c1, moment=moment, corner=corner)
     inv = gp_mle.fisher_info_inverse(spec.gamma)
     analytic = math.sqrt((inv @ sigma @ inv)[0, 0] / k)
     start = time.perf_counter()

@@ -872,17 +872,22 @@ def test_mc_nan_frequency_level_is_a_spec_error(runner):
     (["--dependence", "comonotone", "--alpha", "0.3"], "dependence is 'comonotone'"),
     (["--scedasis", '[{"kind": "constant", "level": 1e308}, {"kind": "constant", "level": 1e308}]'],
      "frequency lines too large: their masses sum to inf"),
+    # a NaN level used to pass every check, run every replication and only
+    # then fail in the tail copula
+    (["--harness", "cov", "--pair", "0,nan,1:1,1,1"], "level must be finite and positive, got nan"),
 ])
 def test_mc_bad_spec_fails_before_any_replication(runner, monkeypatch, args, message):
     def refuse(*a, **kw):
         raise AssertionError("simulated a spec that should have been refused")
 
     monkeypatch.setattr(mc, "simulate_panel", refuse)
-    for extra in ([], ["--dry-run"]):
+    # the harness checks its coordinates; a dry run stops before the harness
+    coordinates = "--pair" in args
+    for extra in ([],) if coordinates else ([], ["--dry-run"]):
         result = runner.invoke(main, MC_BASE + ["--harness", "size", *args, *extra])
         assert result.exit_code == 1, result.output
         report = json.loads(_stderr(result) or result.output)
-        assert report["error"] == "SimSpecError"
+        assert report["error"] == ("RangeError" if coordinates else "SimSpecError")
         assert report["module"] == "mc"
         assert message in report["message"]
 

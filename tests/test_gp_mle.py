@@ -267,9 +267,11 @@ def test_fisher_is_expected_score_outer_product(gamma):
 
 
 def test_fisher_domain():
+    # a NaN shape passed `gamma <= -0.5` and gave a NaN matrix; inf gave zeros
     for fn in (fisher_info, fisher_info_inverse):
-        with pytest.raises(DomainError):
-            fn(-0.5)
+        for bad in (-0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match="shape must be finite and exceed -1/2"):
+                fn(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +401,9 @@ def test_sigma_independent_stations_match_single():
 
 
 def test_sigma_validation():
-    with pytest.raises(DomainError):
-        sigma_gamma0(-0.5, [1.0])
+    for bad in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="shape must be finite and exceed -1/2"):
+            sigma_gamma0(bad, [1.0])
     with pytest.raises(RangeError):
         sigma_gamma0(0.2, [])
     with pytest.raises(RangeError):

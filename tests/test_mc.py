@@ -21,8 +21,6 @@ from scedex import (
     ScedexError,
     SimSpec,
     SimSpecError,
-    analytic_cross_surface,
-    analytic_r_lookup,
     analytic_sigma,
     logistic_tail_copula,
     mc_covariance_check,
@@ -31,8 +29,8 @@ from scedex import (
     simulate_panel,
 )
 from scedex import mc as mc_module
-from scedex.mc import (TAIL_MASS, _analytic_edge, _draw_uniforms, _edge_moment,
-                       _positive_stable, _replicate)
+from scedex.mc import (TAIL_MASS, _analytic_moment_corner, _draw_uniforms, _positive_stable,
+                       _replicate)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +370,15 @@ def test_simulate_logistic_joint_exceedance_rate():
 # ---------------------------------------------------------------------------
 
 
+def _r(spec):
+    """The pairwise tail-copula surface r(i, j; s, t): the covariance over
+    the whole record."""
+    return lambda i, j, s, t: analytic_sigma(spec, i, j, s, t, 1.0, 1.0)
+
+
 def test_analytic_r_independent():
     spec = SimSpec(n=100, m=2, gamma=0.25)
-    r = analytic_r_lookup(spec)
+    r = _r(spec)
     assert r(0, 1, 0.5, 0.8) == 0.0
     # same-station pairs always use min: (1/m) min(s, t) under flat frequency
     assert r(0, 0, 0.3, 0.8) == pytest.approx(0.15, abs=1e-12)
@@ -383,7 +387,7 @@ def test_analytic_r_independent():
 
 def test_analytic_r_logistic_flat():
     spec = SimSpec(n=100, m=2, gamma=0.25, dependence="logistic", alpha=0.5)
-    r = analytic_r_lookup(spec)
+    r = _r(spec)
     R = logistic_tail_copula(0.5)
     for s, t in [(1.0, 1.0), (0.4, 0.9), (0.05, 0.6)]:
         assert r(0, 1, s, t) == pytest.approx(R(s, t) / 2.0, abs=1e-12)
@@ -394,7 +398,7 @@ def test_analytic_r_matches_direct_quadrature_with_trend():
         n=100, m=2, gamma=0.0, dependence="logistic", alpha=0.6,
         scedasis=((0.5, 1.5), (1.0, 1.0)),
     )
-    r = analytic_r_lookup(spec)
+    r = _r(spec)
     R = logistic_tail_copula(0.6)
 
     def oracle(s, t):
@@ -407,51 +411,73 @@ def test_analytic_r_matches_direct_quadrature_with_trend():
 
 def test_analytic_r_broadcasts():
     spec = SimSpec(n=100, m=2, gamma=0.25, dependence="comonotone")
-    r = analytic_r_lookup(spec)
+    r = _r(spec)
     s = np.array([0.2, 0.5, 1.0])
     out = r(0, 1, s, np.ones(3))
     assert out.shape == (3,)
     assert out == pytest.approx(s / 2.0, abs=1e-12)
 
 
-def test_analytic_cross_surface_sums_the_pairs():
-    """Two stations share a frequency line and one trends, so the pair sum
-    is regrouped as a group of 2 and a group of 1."""
-    spec = SimSpec(
-        n=100, m=3, gamma=0.1, dependence="logistic", alpha=0.6,
-        scedasis=((1.0, 1.0), (0.5, 1.5), (1.0, 1.0)),
-    )
-    r = analytic_r_lookup(spec)
-    cross = analytic_cross_surface(spec)
-    s = np.array([0.05, 0.3, 1.0, 0.7])
-    t = np.array([0.6, 0.3, 1.0, 0.1])
-    want = sum(r(i, j, s, t) for i in range(3) for j in range(3) if i != j)
-    assert cross(s, t) == pytest.approx(want, abs=1e-12)
-    assert cross(0.4, 0.9) == pytest.approx(
-        sum(r(i, j, 0.4, 0.9) for i in range(3) for j in range(3) if i != j), abs=1e-12)
+def _moment_corner_by_quad(spec, R):
+    """Nested adaptive quadrature of the moment int_0^1 X(v, 1) / v dv and the
+    corner X(1, 1) of the cross-station edge X(v, 1) = sum over i != j of
+    r(i, j; v, 1).  Under R = min the integrands kink where v c_i(u) = c_j(u);
+    quad is told where, in u and in v."""
+    pairs = [(i, j) for i in range(spec.m) for j in range(spec.m) if i != j]
+
+    def crossing(i, j, v):
+        d0, d1 = (v * spec.level(i, u) - spec.level(j, u) for u in (0.0, 1.0))
+        return [d0 / (d0 - d1)] if d0 * d1 < 0 else None
+
+    def edge(v):
+        return sum(_sigma_by_quad(spec, R, i, j, v, 1.0, 1.0, points=crossing(i, j, v))
+                   for i, j in pairs)
+
+    kinks = [float(spec.level(j, u) / spec.level(i, u)) for i, j in pairs for u in (0.0, 1.0)]
+    moment, _ = quad(lambda v: edge(v) / v, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200,
+                     points=[v for v in kinks if 0 < v < 1] or None)
+    return moment, edge(1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.6, 0.9, 0.99])
+@pytest.mark.parametrize("lines", [None, _TREND3])
+def test_analytic_moment_corner_matches_nested_quadrature(alpha, lines):
+    spec = SimSpec(n=100, m=3, gamma=0.1, dependence="logistic", alpha=alpha,
+                   scedasis=lines)
+    moment, corner = _analytic_moment_corner(spec)
+    want_moment, want_corner = _moment_corner_by_quad(spec, logistic_tail_copula(alpha))
+    assert moment == pytest.approx(want_moment, rel=1e-12)
+    assert corner == pytest.approx(want_corner, rel=1e-12)
+
+
+def test_analytic_moment_corner_groups_stations_on_one_line():
+    """Two stations share a frequency line and one trends, so the pair sum is
+    regrouped as a group of 2 and a group of 1."""
+    spec = SimSpec(n=100, m=3, gamma=0.1, dependence="logistic", alpha=0.6,
+                   scedasis=((1.0, 1.0), (0.5, 1.5), (1.0, 1.0)))
+    want = _moment_corner_by_quad(spec, logistic_tail_copula(0.6))
+    assert _analytic_moment_corner(spec) == pytest.approx(want, rel=1e-12)
+
+
+def test_analytic_moment_corner_at_min_kinks():
+    """Comonotone stations on different trends: min(v c_i(u), c_j(u)) kinks
+    inside (0, 1), where the fixed rule is not exact (see
+    test_analytic_sigma_at_a_min_kink)."""
+    spec = SimSpec(n=100, m=3, gamma=0.1, dependence="comonotone", scedasis=_TREND3)
+    (moment, corner), (want_moment, want_corner) = (_analytic_moment_corner(spec),
+                                                     _moment_corner_by_quad(spec, np.minimum))
+    assert moment == pytest.approx(want_moment, rel=1e-7)  # measured: 7.7e-9
+    # the corner is analytic_sigma's whole-record value (measured: 4.1e-6)
+    assert corner == pytest.approx(want_corner, rel=1e-5)
 
 
 @pytest.mark.parametrize("spec", [
-    SimSpec(n=100, m=4, gamma=0.1, dependence="logistic", alpha=0.6),
-    SimSpec(n=100, m=3, gamma=0.1, dependence="logistic", alpha=0.3, scedasis=_TREND3),
+    SimSpec(n=100, m=3, gamma=0.1),
+    SimSpec(n=100, m=1, gamma=0.1, dependence="logistic", alpha=0.6),
+    SimSpec(n=100, m=1, gamma=0.1, dependence="comonotone"),
 ])
-def test_blocked_edge_is_the_one_shot_edge_to_the_bit(spec):
-    v, edge = _analytic_edge(spec)
-    assert np.array_equal(v, np.geomspace(1e-6, 1.0, 4000))
-    assert np.array_equal(edge, analytic_cross_surface(spec)(v, 1.0))
-
-
-def test_edge_moment_is_exact_for_piecewise_linear_edges():
-    """int_0^1 E(v)/v dv cell by cell.  The hat through (0, 0), (1/2, 1) and
-    (1, 0) is E = 2v on [0, 1/2], contributing 1, and E = 2 - 2v on [1/2, 1],
-    contributing 2 log 2 - 1."""
-    nodes = np.array([0.5, 1.0])
-    assert _edge_moment(nodes, np.array([1.0, 0.0])) == pytest.approx(
-        2.0 * math.log(2.0), rel=1e-14)
-    v = np.geomspace(1e-4, 1.0, 50)
-    want, _ = quad(lambda x: np.interp(x, np.r_[0.0, v], np.r_[0.0, v ** 0.5]) / x,
-                             0.0, 1.0, points=v[v > 1e-3], limit=500)
-    assert _edge_moment(v, v ** 0.5) == pytest.approx(want, rel=1e-7)
+def test_analytic_moment_corner_is_zero_without_cross_dependence(spec):
+    assert _analytic_moment_corner(spec) == (0.0, 0.0)
 
 
 def test_analytic_sigma_truncates_in_time():
@@ -503,7 +529,7 @@ def test_analytic_sigma_at_a_min_kink():
                          [("independent", None), ("comonotone", None), ("logistic", 0.5)])
 def test_tail_integrals_reject_bad_stations_and_negative_levels(dependence, alpha):
     spec = SimSpec(n=100, m=2, gamma=0.25, dependence=dependence, alpha=alpha)
-    r = analytic_r_lookup(spec)
+    r = _r(spec)
     for i, j in [(-1, 0), (0, -1), (0, 2), (2, 2)]:
         with pytest.raises(RangeError, match="out of range"):
             r(i, j, 1.0, 1.0)
@@ -642,6 +668,9 @@ def test_mc_covariance_check_validation():
         mc_covariance_check(spec, k=50, pairs=[((0, 0.0, 1.0), (1, 1.0, 1.0))], reps=5)
     with pytest.raises(RangeError, match="level"):
         mc_covariance_check(spec, k=50, pairs=[((0, -1.0, 1.0), (1, 1.0, 1.0))], reps=5)
+    for bad in (math.nan, math.inf, -math.inf):  # NaN passed both checks and reached R
+        with pytest.raises(RangeError, match="level must be finite and positive"):
+            mc_covariance_check(spec, k=50, pairs=[((0, 1.0, 1.0), (1, bad, 1.0))], reps=5)
     with pytest.raises(RangeError, match="reps"):
         mc_covariance_check(spec, k=50, pairs=[((0, 1.0, 1.0), (1, 1.0, 1.0))], reps=2)
 

@@ -1,5 +1,7 @@
 """Integrated scedasis curves on hand-checkable panels."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,13 @@ def test_step_curve_evaluation(small_panel):
     for bad in (-0.1, 1.1):
         with pytest.raises(RangeError):
             c.value(bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, [0.5, math.nan], math.inf, [-math.inf, 0.5]])
+def test_curve_value_rejects_non_finite_times(small_panel, bad):
+    # NaN fails both range comparisons: value([0.5, nan]) read C_j(1) at nan
+    with pytest.raises(RangeError, match=r"t must lie in \[0, 1\]"):
+        scedasis_curve(small_panel, k=4, j=0).value(bad)
 
 
 def test_curve_value_matches_c1_at_one(small_panel):
