@@ -208,14 +208,16 @@ def _command(name: str, *options):
     return register
 
 
-def _panel_command(name: str, *options, check=None):
-    """Register ``body(p, raw=..., **params)`` as a command on a station panel.
+def _panel_command(name: str, *options, check=None, raw=False):
+    """Register ``body(p, **params)`` as a command on a station panel.
 
     Before anything is read the runner checks that ``--input`` exists and
     calls ``check(**params)``, which raises ``click.UsageError`` on bad
-    flags; ``--dry-run`` stops there.  Otherwise it loads the panel (the
-    body gets it as ``raw``) and hands the body ``p``, the panel after the
-    season split and declustering.
+    flags; ``--dry-run`` stops there.  Otherwise it loads the panel and hands
+    the body ``p``, the panel after the season split and declustering.  With
+    ``raw=True`` the body also gets the panel as loaded, as ``raw``; without
+    it the loaded panel is freed once ``p`` is made, so the body runs beside
+    one panel, not two.
     """
 
     def register(body):
@@ -226,13 +228,14 @@ def _panel_command(name: str, *options, check=None):
                 check(**params)
             if params["dry_run"]:
                 return _dry_run_report(name, params)
-            raw = p = panel.load_panel(params["input"])
+            p = panel.load_panel(params["input"])
+            loaded = {"raw": p} if raw else {}
             if params["season"] != "all":
                 p = panel.split_season(p, panel.SEASONS[params["season"]])
             # nothing observed, nothing to decluster; the estimators raise on the pool
-            if params["gap"] > 0 and not p.missing_mask.all():
+            if params["gap"] > 0 and not np.isnan(p.values).all():
                 p = panel.decluster(p, gap_days=params["gap"])
-            return body(p, raw=raw, **params)
+            return body(p, **loaded, **params)
 
         run.__doc__ = body.__doc__
         return _command(name, _input_opt, _season_opt, _gap_opt, *options,
@@ -246,7 +249,7 @@ def _check_k_range(k_min, k_max, **_):
         raise click.UsageError("need 0 < --k-min <= --k-max and --k-step >= 1")
 
 
-@_panel_command("ingest-check")
+@_panel_command("ingest-check", raw=True)
 def _ingest_check(p, raw, input, season, gap, **_):
     """Validate a panel file and report its shape, date span, and missing data."""
     return {

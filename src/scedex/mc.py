@@ -247,11 +247,9 @@ def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
     v *= x0
     flat[at] = tail
 
-    return PanelSample(
-        values=v,
-        day_labels=np.datetime64("2000-01-01") + np.arange(n),
-        station_ids=tuple(f"S{j + 1:02d}" for j in range(m)),
-    )
+    # the panel owns the buffer: nothing else holds it
+    return PanelSample._adopt(v, np.datetime64("2000-01-01") + np.arange(n),
+                              tuple(f"S{j + 1:02d}" for j in range(m)))
 
 
 def _tail_integral(spec: SimSpec, i: int, j: int, s, t, upper: float = 1.0):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
 import os
 import re
@@ -15,7 +16,6 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,9 @@ MIN_SEASON_DAYS = 150
 # load_panel keeps at most this many parsed panels on disk, one slot file
 # per input path.
 MAX_SLOTS = 16
+# The fast parser reads a file in blocks of whole lines of about this many
+# bytes, so a parse holds the panel's arrays and one block, not the file.
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,12 @@ class PanelSample:
     missing cell, and :attr:`missing_mask` is derived from it.  Rows are
     strictly calendar-ordered and arrays are frozen after construction, so
     the pooled sample :attr:`sorted_values` is sorted once, on first use.
+
+    The panel owns one read-only copy of its ``values`` and ``day_labels``.
+    The constructor copies what a caller passes, so the caller's arrays stay
+    the caller's: writable, and free to change without touching the panel.
+    The panels scedex makes itself (:func:`load_panel`, :meth:`subset_rows`,
+    ``mc.simulate_panel``) own the arrays they just built, uncopied.
     """
 
     values: np.ndarray
@@ -59,8 +68,23 @@ class PanelSample:
     station_ids: tuple[str, ...]
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        labels = np.array(self.day_labels, dtype="datetime64[D]")
+        self._hold(np.array(self.values, dtype=float),
+                   np.array(self.day_labels, dtype="datetime64[D]"))
+
+    @classmethod
+    def _adopt(cls, values: np.ndarray, day_labels: np.ndarray,
+               station_ids) -> "PanelSample":
+        """The panel over ``values`` and ``day_labels`` themselves, checked as
+        the constructor checks what it copies: for arrays that scedex has just
+        made (a parse, a slot read, a row gather, a simulation) and that no
+        caller holds, so the panel owns them without a second copy."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "station_ids", station_ids)
+        p._hold(np.asarray(values, dtype=float), np.asarray(day_labels, dtype="datetime64[D]"))
+        return p
+
+    def _hold(self, values: np.ndarray, labels: np.ndarray) -> None:
+        """Check ``values`` and ``labels``, freeze them and make them the panel's."""
         ids = tuple(str(s) for s in self.station_ids)
 
         if values.ndim != 2:
@@ -78,9 +102,12 @@ class PanelSample:
                 f"day_labels must be strictly increasing (violated at row {bad}: "
                 f"{labels[bad]} after {labels[bad - 1]})"
             )
-        if np.any(np.isinf(values)):
+        # the extremes ignore NaN and, unlike isinf or a comparison, need no
+        # array the size of the panel
+        low, high = np.fmin.reduce(values, axis=None), np.fmax.reduce(values, axis=None)
+        if np.isinf(low) or np.isinf(high):
             raise DomainError("non-missing values must be finite")
-        if np.any(values < 0):  # NaN compares False
+        if low < 0:  # NaN compares False
             raise DomainError("non-missing values must be >= 0")
 
         values.setflags(write=False)
@@ -132,11 +159,7 @@ class PanelSample:
 
     def subset_rows(self, idx: np.ndarray) -> "PanelSample":
         """New panel with the given rows (indices must be sorted ascending)."""
-        return PanelSample(
-            values=self.values[idx],
-            day_labels=self.day_labels[idx],
-            station_ids=self.station_ids,
-        )
+        return PanelSample._adopt(self.values[idx], self.day_labels[idx], self.station_ids)
 
     def station_index(self, station: str | int) -> int:
         """Resolve a station given either its id or a 0-based column index."""
@@ -166,8 +189,6 @@ _DATE_SLACK = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
 # infinities and signed NaNs match too, to be reported as non-finite.
 _NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
                      re.IGNORECASE | re.ASCII)
-# The rest of a file that holds no row, only blank lines (loadtxt would warn).
-_NO_ROWS = re.compile(r"\n*\Z")
 # One line with its ending, as iterating a file opened with newline="" gives
 # it (an io.StringIO copy of the text would take four bytes a character).
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
@@ -187,31 +208,27 @@ def load_panel(path: str | Path) -> PanelSample:
     blanks allowed) mark missing observations.  Errors carry the physical
     line number of the offending row.
 
-    A vectorised parser reads files it can prove valid; anything else
-    (quoted fields, blank rows, a bad cell, ...) goes through the row
-    parser, which raises every error.  A parsed regular file is kept in a
-    slot under ``$XDG_CACHE_HOME/scedex`` (default ``~/.cache/scedex``),
-    read back instead of parsing while the file's path, device, inode,
-    size, mtime and ctime and the parser are unchanged (README, "Parsed-panel
-    cache").
+    A vectorised parser reads files it can prove valid, a block of lines at
+    a time, straight into the panel's arrays; anything else (quoted fields,
+    a bad cell, ...) goes through the row parser, which raises every error.
+    A parsed regular file is kept in a slot under ``$XDG_CACHE_HOME/scedex``
+    (default ``~/.cache/scedex``), read back instead of parsing while the
+    file's path, device, inode, size, mtime and ctime and the parser are
+    unchanged (README, "Parsed-panel cache").
     """
     with open(path, "rb") as f:
         slot = _slot_for(path, os.fstat(f.fileno()))
         hit = None if slot is None else _load_slot(slot)
         if hit is not None:
             return hit
-        text = _read_text(f)
-    reader = csv.reader(m.group() for m in _LINE.finditer(text))
-    header = next(reader, None)
-    if header is None:
-        raise PanelFormatError("file is empty")
-    date_pos, stations = _columns(header)
-    parsed = _parse_fast(text, date_pos, len(stations))
-    if parsed is None:
-        parsed = _parse_rows(reader, date_pos, stations)
-    values, labels = parsed
-    del text, reader  # free the text before PanelSample copies the values
-    p = PanelSample(values=values, day_labels=labels, station_ids=tuple(stations))
+        # a pipe is read whole: the fast parser reads a file twice
+        src = f if f.seekable() else io.BytesIO(f.read())
+        parsed = _parse_fast(src)
+        if parsed is None:
+            src.seek(0)
+            parsed = _parse_text(_read_text(src))
+    values, labels, stations = parsed
+    p = PanelSample._adopt(values, labels, tuple(stations))
     if slot is not None:
         _store_slot(slot, p)
     return p
@@ -227,6 +244,17 @@ def _read_text(f) -> str:
             f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8",
             line=data.count(b"\n", 0, exc.start) + 1,
         ) from None
+
+
+def _parse_text(text: str):
+    """``(values, day_labels, stations)`` of the whole file's ``text``, by
+    the row parser."""
+    reader = csv.reader(m.group() for m in _LINE.finditer(text))
+    header = next(reader, None)
+    if header is None:
+        raise PanelFormatError("file is empty")
+    date_pos, stations = _columns(header)
+    return (*_parse_rows(reader, date_pos, stations), stations)
 
 
 @cache
@@ -274,7 +302,7 @@ def _load_slot(slot) -> PanelSample | None:
             labels = np.load(f)
     except (OSError, ValueError, EOFError):
         return None
-    return PanelSample(values=values, day_labels=labels, station_ids=tuple(ids))
+    return PanelSample._adopt(values, labels, tuple(ids))
 
 
 def _store_slot(slot, p: PanelSample) -> None:
@@ -320,66 +348,115 @@ def _columns(header: list[str]) -> tuple[int, list[str]]:
     return date_pos, stations
 
 
-def _parse_fast(text: str, date_pos: int, m: int):
-    """``(values, day_labels)`` from one structured ``np.loadtxt``, or None.
+def _parse_fast(f):
+    """``(values, day_labels, stations)`` read from the binary file ``f``, or
+    None; ``f`` is read twice, so it must be seekable.
 
-    The dtype puts an 11-byte date field between the station fields, so
-    loadtxt rejects a row with the wrong field count and skips a blank line,
-    as the row parser does; the date bytes are checked in bulk.  The lines
-    go in a block at a time, rewritten (:func:`_fill_holes`) only when the
-    body holds a hole marker or the first read failed.  None means the file
-    holds what this parser cannot prove valid: a quote, NUL or lone carriage
-    return in a data row, a date outside the grammar or out of order, a
-    signed NaN, an infinite or negative amount, or a cell numpy cannot read.
-    On every file it accepts, the row parser returns the same arrays.
+    A count of the line ends sizes the arrays.  Then each block of whole
+    lines (:func:`_text_blocks`) is decoded and checked, and one structured
+    ``np.loadtxt`` reads its rows into the arrays.  The dtype puts an
+    11-byte date field between the station fields, so loadtxt rejects a row
+    with the wrong field count and skips a blank line, as the row parser
+    does; the date bytes are checked in bulk.  A block's lines are rewritten
+    (:func:`_fill_holes`) only when they hold a hole marker or the first
+    read failed.  None means the file holds what this parser cannot prove
+    valid: bytes that are not UTF-8, a header the row parser should judge, a
+    quote, NUL or lone carriage return in a data row, a date outside the
+    grammar or out of order, a signed NaN, an infinite or negative amount,
+    or a cell numpy cannot read.  On every file it accepts, the row parser
+    returns the same arrays.
     """
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
+    # At most one row per line after the header: the line ends, less the
+    # header's when the last line has its own.
+    n, end = 0, b"\n"
+    while chunk := f.read(_BLOCK):
+        n, end = n + chunk.count(b"\n"), chunk[-1:]
+    n -= end == b"\n"
+    f.seek(0)
+    values = labels = dtype = None
+    rows = 0
+    for text in _text_blocks(f):
+        if text is None:
             return None
-    start = text.find("\n") + 1
-    # A quoted header that spans lines leaves its closing quote in the rows,
-    # and a NUL would end a date field early.
-    if (not start or _NO_ROWS.match(text, start) or text.find('"', start) >= 0
-            or text.find("\0", start) >= 0):
-        return None
-    dtype = [("a", "f8", (date_pos,)), ("date", "S11"), ("b", "f8", (m - date_pos,))]
-    # Every missing-cell spelling but the empty cell holds an "a" or a blank.
-    for fill in (True,) if any(text.find(c, start) >= 0 for c in "aA \t") else (False, True):
-        blocks = _line_blocks(text, start)
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+            if "\r" in text:
+                return None
+        if dtype is None:  # the first block starts with the header
+            text = text.removeprefix("\ufeff")
+            start = text.find("\n") + 1
+            header = text[:start - 1]
+            # a quote may open a cell that spans lines, a NUL may end one
+            if not start or '"' in header or "\0" in header:
+                return None
+            try:
+                date_pos, stations = _columns(header.split(","))
+            except PanelFormatError:
+                return None
+            m = len(stations)
+            dtype = [("a", "f8", (date_pos,)), ("date", "S11"), ("b", "f8", (m - date_pos,))]
+            values, labels = np.empty((n, m)), np.empty(n, dtype="datetime64[D]")
+            text = text[start:]
+        if '"' in text or "\0" in text:
+            return None
+        if not text.strip("\n"):
+            continue  # blank lines only: loadtxt would warn
+        table = _read_rows(text.split("\n"), dtype, any(c in text for c in "aA \t"))
+        if table is None:
+            return None
+        if rows + len(table) > n:  # the file grew after its lines were counted
+            return None
+        if np.any(table["date"].view(("u1", 11)) - _DATE_LOW > _DATE_SLACK):
+            return None
+        new = slice(rows, rows + len(table))
         try:
-            table = np.loadtxt(chain.from_iterable(map(_fill_holes, blocks) if fill else blocks),
-                               dtype=dtype, delimiter=",", comments=None, ndmin=1)
-            break
+            labels[new] = table["date"].astype("datetime64[D]")
+        except ValueError:  # a month or a day out of range
+            return None
+        out = values[new]
+        out[:, :date_pos], out[:, date_pos:] = table["a"], table["b"]
+        dates = labels[max(rows - 1, 0):new.stop]  # with the last date before the block
+        if (
+            labels[0] < np.datetime64("0001-01-01")  # date.fromisoformat has no year 0
+            or np.any(dates[1:] <= dates[:-1])
+            or np.any(np.isinf(out))
+            or np.any(out < 0)
+        ):
+            return None
+        rows = new.stop
+    if not rows:
+        return None
+    return values[:rows], labels[:rows], stations
+
+
+def _read_rows(lines: list[str], dtype, holed: bool):
+    """The structured table of ``lines`` (ending in "", a blank line loadtxt
+    skips), or None when numpy cannot read them; ``holed`` lines are
+    rewritten first, others only when the first read fails.  Every
+    missing-cell spelling but the empty cell holds an "a" or a blank."""
+    for fill in (True,) if holed else (False, True):
+        try:
+            return np.loadtxt(_fill_holes(lines) if fill else lines,
+                              dtype=dtype, delimiter=",", comments=None, ndmin=1)
         except ValueError:
             pass
-    else:
-        return None
-    if np.any(table["date"].view(("u1", 11)) - _DATE_LOW > _DATE_SLACK):
-        return None
-    try:
-        labels = table["date"].astype("datetime64[D]")
-    except ValueError:  # a month or a day out of range
-        return None
-    a, b = table["a"], table["b"]
-    values = a if date_pos == m else b if date_pos == 0 else np.concatenate((a, b), axis=1)
-    if (
-        labels[0] < np.datetime64("0001-01-01")  # date.fromisoformat has no year 0
-        or np.any(labels[1:] <= labels[:-1])
-        or np.any(np.isinf(values))
-        or np.any(values < 0)
-    ):
-        return None
-    return values, labels
+    return None
 
 
-def _line_blocks(text: str, start: int):
-    """The lines of ``text[start:]`` in lists, about a megabyte of text at a
-    time: one list of every line would take more memory than the text."""
-    while start < len(text):
-        end = text.find("\n", start + (1 << 20)) + 1 or len(text)
-        yield text[start:end].split("\n")  # ends in "", a blank line loadtxt skips
-        start = end
+def _text_blocks(f):
+    """The rest of the binary file ``f`` as text, in blocks of whole lines of
+    about :data:`_BLOCK` bytes, ending in None at a block that is not UTF-8.
+    A block's bytes go once they are decoded: its text, lines and table are
+    all that the parse holds beside the panel's arrays."""
+    while True:
+        try:
+            text = (f.read(_BLOCK) + f.readline()).decode("utf-8")
+        except UnicodeDecodeError:
+            yield None
+            return
+        if not text:
+            return
+        yield text
 
 
 def _fill_holes(lines: list[str]) -> list[str]:
@@ -473,11 +550,14 @@ def split_season(p: PanelSample, months: Iterable[int]) -> PanelSample:
         raise EmptySeasonError(f"season with months {months} matches no rows")
     out = p.subset_rows(np.flatnonzero(keep))
     years, counts = np.unique(out.years(), return_counts=True)
-    span = np.arange(p.day_labels[0], p.day_labels[-1] + 1)
-    in_season = np.isin(span.astype("datetime64[M]").astype(np.int64) % 12 + 1, months)
-    held = dict(zip(*np.unique(span[in_season].astype("datetime64[Y]").astype(np.int64) + 1970,
-                               return_counts=True)))
-    thin = [int(y) for y, c in zip(years, counts) if c < min(MIN_SEASON_DAYS, held[y])]
+    # each kept year's season months, as months since 1970-01, and the days
+    # of each that the record spans: the month's length, clipped at its ends
+    month = (years[:, None] - 1970) * 12 + np.array(months) - 1
+    first = np.maximum(month.astype("datetime64[M]").astype("datetime64[D]"), p.day_labels[0])
+    after = np.minimum((month + 1).astype("datetime64[M]").astype("datetime64[D]"),
+                       p.day_labels[-1] + 1)
+    held = np.maximum((after - first).astype(np.int64), 0).sum(axis=1)
+    thin = years[counts < np.minimum(MIN_SEASON_DAYS, held)].tolist()
     if thin:
         warnings.warn(
             f"{len(thin)} year(s) retain fewer than {MIN_SEASON_DAYS} "
@@ -514,19 +594,53 @@ def decluster(p: PanelSample, gap_days: int = 2) -> PanelSample:
         )
 
     rows = np.flatnonzero(usable)
-    day_nums = p.day_numbers()
-    # Rank: maximum descending, then date ascending (earlier day wins ties).
-    order = rows[np.lexsort((day_nums[rows], -row_max[rows]))]
+    return p.subset_rows(rows[_kept_days(row_max[rows], p.day_numbers()[rows], gap_days)])
 
-    # Day d's flag sits at d + gap_days, so its window is [d, d + 2 gap_days]
-    # with no clamp at either end; days are unique, so gap 0 keeps every day.
-    lo_day = int(day_nums[rows].min())
-    kept_flag = bytearray(int(day_nums[rows].max()) - lo_day + 1 + 2 * gap_days)
-    kept: list[int] = []
-    for idx, d in zip(order.tolist(), (day_nums[order] - lo_day).tolist()):
-        if kept_flag.find(1, d, d + 2 * gap_days + 1) < 0:
-            kept_flag[d + gap_days] = 1
-            kept.append(idx)
 
-    kept_idx = np.sort(np.array(kept, dtype=np.int64))
-    return p.subset_rows(kept_idx)
+def _kept_days(peaks: np.ndarray, days: np.ndarray, gap_days: int) -> np.ndarray:
+    """Which of the ``days`` (ascending) :func:`decluster` keeps, as a mask:
+    the walk down the ranking by ``peaks``, largest first, that keeps each
+    day with no kept day within ``gap_days``.
+
+    Array rounds decide most days first.  A round keeps every open day that
+    outranks all open days near it: the walk keeps it, as every day above it
+    near it is dropped already.  Then it drops every open day near a newly
+    kept day, as the walk does.  The walk proper visits only the days still
+    open, which no kept day is near.
+    """
+    n = days.size
+    # Rank: largest first; the stable sort keeps the earlier day first among ties.
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.argsort(-peaks, kind="stable")] = np.arange(n)
+    # The days within gap_days of day i are the days lo[i]:hi[i].
+    lo = np.searchsorted(days, days - gap_days)
+    hi = np.searchsorted(days, days + gap_days, side="right")
+    kept = np.zeros(n, dtype=bool)
+    open_ = np.ones(n, dtype=bool)
+    for _ in range(2):  # two rounds leave about 1% of a daily record open
+        new = open_ & (_window_min(np.where(open_, rank, n), lo, hi) == rank)
+        kept |= new
+        seen = np.concatenate(([0], np.cumsum(new)))
+        open_ &= seen[hi] == seen[lo]
+    flags = bytearray(kept.tobytes())
+    for i in np.flatnonzero(open_)[np.argsort(rank[open_])].tolist():
+        if flags.find(1, lo[i], hi[i]) < 0:
+            flags[i] = 1
+    return np.frombuffer(flags, dtype=bool)
+
+
+def _window_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``min(x[lo[i]:hi[i]])`` for every ``i`` (no window empty), from a
+    sparse table: level ``j`` holds the minima of the windows of length
+    ``2**j``, and two of them cover each window."""
+    levels = [x]
+    level = np.log2(hi - lo).astype(np.int64)  # the floor, exact at powers of two
+    for j in range(1, int(level.max()) + 1):
+        step = 1 << (j - 1)
+        levels.append(np.minimum(levels[-1][:-step], levels[-1][step:]))
+    out = np.empty_like(x)
+    for j, table in enumerate(levels):
+        at = level == j
+        out[at] = np.minimum(table[lo[at]], table[hi[at] - (1 << j)])
+    return out
+

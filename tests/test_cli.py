@@ -7,6 +7,7 @@ from collections import Counter
 import subprocess
 import sys
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 
 import scedex
-from scedex import mc, panel, scedasis, trend_tests
+from scedex import dependence, gp_mle, mc, panel, scedasis, trend_tests
 from scedex.cli import main
 
 from conftest import wait_for_clock
@@ -944,7 +945,7 @@ def test_the_panel_cache_loads_no_hash_library(tmp_path, cache_home):
         "import scedex.cli\n"
         "from scedex import panel\n"
         "panel.load_panel(sys.argv[1])\n"
-        "panel._read_text = None  # the second load must not parse\n"
+        "panel._parse_fast = None  # the second load must not parse\n"
         "panel.load_panel(sys.argv[1])\n"
         "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
     )
@@ -969,8 +970,48 @@ def test_a_cached_panel_gives_every_command_the_same_output(runner, panel_csv, t
             args = [command, "--input", str(f), *extra]
             with mock.patch.object(panel, "_slot_for", lambda *args: None):
                 parsed = _ok(runner.invoke(main, args)).stdout
-            with mock.patch.object(panel, "_read_text", refuse):
+            with mock.patch.object(panel, "_parse_fast", refuse):
                 assert _ok(runner.invoke(main, args)).stdout == parsed, args
+
+
+# The first call each panel command's body makes.
+_FIRST_CALLS = {
+    "scedasis": (scedasis, "scedasis_all"),
+    "sigma1": (dependence, "sigma1_matrix"),
+    "test-space": (trend_tests, "space_test"),
+    "test-time": (trend_tests, "time_test"),
+    "sweep": (trend_tests, "k_sweep"),
+    "fit-gp": (gp_mle, "fit_gp_pml"),
+    "gamma-path": (gp_mle, "gamma_path"),
+}
+
+
+@pytest.mark.parametrize("selection", [["--season", "winter", "--gap", "0"], ["--gap", "2"]],
+                         ids=["season", "decluster"])
+@pytest.mark.parametrize("command", sorted(_FIRST_CALLS))
+def test_the_loaded_panel_is_freed_before_the_body_runs(runner, panel_csv, monkeypatch,
+                                                        command, selection):
+    """Only ingest-check reads the panel as loaded: every other body runs
+    with the selected panel alone in memory."""
+    assert set(_FIRST_CALLS) == set(main.commands) - {"ingest-check", "mc"}
+    load, (module, name) = panel.load_panel, _FIRST_CALLS[command]
+    first = getattr(module, name)
+    loaded, freed = [], []
+
+    def watch(path):
+        p = load(path)
+        loaded.append(weakref.ref(p))
+        return p
+
+    def probe(*args, **kwargs):
+        freed.append(loaded[0]() is None)
+        return first(*args, **kwargs)
+
+    monkeypatch.setattr(panel, "load_panel", watch)
+    monkeypatch.setattr(module, name, probe)
+    args = [command, "--input", str(panel_csv), *_SCIPY_FREE_RUNS[command][0], *selection]
+    _ok(runner.invoke(main, args))
+    assert freed and all(freed)
 
 
 @pytest.mark.parametrize("env", [

@@ -3,6 +3,7 @@ import re
 import stat
 import threading
 import time
+import tracemalloc
 import warnings
 from contextlib import contextmanager
 from unittest import mock
@@ -68,6 +69,17 @@ def test_panel_rejects_negative_and_nonfinite():
     assert p.missing_mask.flags.writeable is False
     with pytest.raises(ValueError, match="read-only"):
         p.missing_mask[0, 0] = True
+
+
+def test_the_constructor_copies_what_a_caller_passes():
+    values = np.array([[1.0, 2.0], [3.0, np.nan]])
+    days = np.datetime64("2000-01-01") + np.arange(2)
+    p = PanelSample(values=values, day_labels=days, station_ids=("A", "B"))
+    assert values.flags.writeable and days.flags.writeable
+    values[0, 0], days[1] = 9.0, np.datetime64("1999-01-01")
+    assert p.values.tolist()[0] == [1.0, 2.0]
+    assert str(p.day_labels[1]) == "2000-01-02"
+    assert not (p.values.flags.writeable or p.day_labels.flags.writeable)
 
 
 def test_months_and_years():
@@ -377,6 +389,54 @@ def test_panel_longer_than_one_block_of_lines(tmp_path):
     assert load_panel(f).missing_mask[:, 0].sum() == len(range(0, n, 7))
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=_csv_panels())
+def test_fast_parser_agrees_with_row_parser_across_blocks(tmp_path_factory, case):
+    f = tmp_path_factory.mktemp("blocks") / "panel.csv"
+    f.write_bytes(case.encode())
+    with mock.patch.object(panel_module, "_BLOCK", 24):  # a line or two a block
+        got = _load_outcome(f)
+    with _row_parser_only():
+        assert got == _load_outcome(f)
+
+
+# A fault, or a line the fast parser reads, on line 40 of 60: in a later
+# block than the header's.  None marks a file that loads.
+_LATER_LINE = {
+    "utf-8": (b"2000-02-08,\xff,1", "line 40: cannot decode byte 0xff as UTF-8"),
+    "hole": (b"2000-02-08, NA ,", None),
+    "crlf": (b"2000-02-08,1,2\r", None),
+    # a lone carriage return ends a physical line
+    "lone cr": (b"2000-02-08,1,2\r2000-02-08,3,4", "line 41: dates must be strictly increasing"),
+    "quote": (b'2000-02-08,"1",2', None),
+    "nul": (b"2000-02-08,1\x00,2", "line 40: cannot parse value '1\\x00' for station 'A'"),
+    "date order": (b"2000-02-07,1,2", "line 40: dates must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("fault", _LATER_LINE)
+@pytest.mark.parametrize("block", [24, 512])
+def test_a_later_block_gets_the_row_parsers_outcome(tmp_path, fault, block):
+    line, error = _LATER_LINE[fault]
+    days = np.datetime64("2000-01-01") + np.arange(59)
+    lines = [b"date,A,B"] + [f"{d},{i},{i / 4}".encode() for i, d in enumerate(days)]
+    lines[39] = line
+    f = tmp_path / "panel.csv"
+    f.write_bytes(b"\n".join(lines) + b"\n")
+    with _uncached(), mock.patch.object(panel_module, "_BLOCK", block):
+        got = _load_outcome(f)
+    with _row_parser_only():
+        assert got == _load_outcome(f)
+    if fault in ("hole", "crlf"):  # lines the fast parser reads itself
+        with _uncached(), mock.patch.object(panel_module, "_BLOCK", block), \
+                mock.patch.object(panel_module, "_parse_rows", _refuse_rows):
+            load_panel(f)
+    if error is None:
+        assert got[0] == (59, 2)
+    else:
+        assert got[0] in (PanelFormatError, DateOrderError) and got[1].startswith(error)
+
+
 @pytest.mark.parametrize("date", ["2000-01-010", "2000-01-0100", "2000-01-01x"])
 def test_long_date_field_gets_the_row_parsers_error(tmp_path, date):
     # an 11-byte field holds an eleventh character, so a longer date is never
@@ -482,7 +542,7 @@ _HOLED = "date,A,B\n2000-01-01,1.5,\n2000-01-02,na,2.25\n2000-01-04,nan,0\n"
 
 def _load_counting(path):
     """``(_load_outcome(path), whether the file was read and parsed)``."""
-    with mock.patch.object(panel_module, "_read_text", wraps=panel_module._read_text) as read:
+    with mock.patch.object(panel_module, "_parse_fast", wraps=panel_module._parse_fast) as read:
         return _load_outcome(path), read.called
 
 
@@ -592,6 +652,63 @@ def test_the_seventeenth_panel_evicts_the_oldest_slot(tmp_path, cache_home):
 
 
 # ---------------------------------------------------------------------------
+# Memory: a load holds the panel once
+# ---------------------------------------------------------------------------
+
+# What a load may trace beyond the panel's arrays: one block of text with its
+# lines and table, the checks' small temporaries and the slot's members.
+_ALLOWANCE = 1.5e6
+
+
+def _traced(fn):
+    """``(fn(), the peak of the memory traced while it ran)``."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _wide_panel(tmp_path, date_pos, holed):
+    """A 20000 x 8 panel file (1.28 MB of values) with its date column at
+    ``date_pos``: a dozen blocks of lines."""
+    rng = np.random.default_rng(8)
+    cells = np.char.mod("%.6g", rng.pareto(3.0, (20000, 8)) * 10).astype(object)
+    if holed:
+        cells[rng.random(cells.shape) < 0.02] = "na"
+        cells[::5, 3] = ""
+    days = np.datetime_as_string(np.datetime64("1950-01-01") + np.arange(20000))
+    rows = [[f"S{j}" for j in range(8)]] + cells.tolist()
+    for row, day in zip(rows, ["date", *days.tolist()]):
+        row.insert(date_pos, day)
+    return _write(tmp_path, "\n".join(map(",".join, rows)) + "\n")
+
+
+@pytest.mark.parametrize("holed", [False, True], ids=["clean", "holed"])
+@pytest.mark.parametrize("date_pos", [0, 4, 8], ids=["date-first", "date-middle", "date-last"])
+def test_a_parse_holds_the_panel_once_and_one_block(tmp_path, date_pos, holed):
+    f = _wide_panel(tmp_path, date_pos, holed)
+    with mock.patch.object(panel_module, "_parse_rows", _refuse_rows):
+        p, peak = _traced(lambda: load_panel(f))
+    assert p.values.flags.c_contiguous and p.n == 20000
+    assert peak <= p.values.nbytes + p.day_labels.nbytes + _ALLOWANCE
+
+
+def test_a_slot_hit_holds_the_panel_once(tmp_path):
+    f = _wide_panel(tmp_path, 0, True)
+    wait_for_clock(f)
+    parsed = _load_outcome(f)
+
+    def refuse(*args):
+        raise AssertionError("parsed a panel that has a slot")
+
+    with mock.patch.object(panel_module, "_parse_fast", refuse):
+        p, peak = _traced(lambda: load_panel(f))
+    assert (p.values.shape, p.values.tobytes()) == parsed[:2]
+    assert peak <= p.values.nbytes + p.day_labels.nbytes + _ALLOWANCE
+
+
+# ---------------------------------------------------------------------------
 # Seasons
 # ---------------------------------------------------------------------------
 
@@ -628,6 +745,51 @@ def test_split_season_warns_about_a_gap_inside_a_year():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         split_season(p, SEASONS["summer"])  # no summer day is missing
+
+
+def test_split_season_counts_season_days_without_a_calendar():
+    # two rows eight millennia apart: a day-by-day calendar between them
+    # would take 3.65 million days
+    p = PanelSample(values=[[1.0], [2.0]], station_ids=("a",),
+                    day_labels=np.array(["0001-01-01", "9999-12-31"], dtype="datetime64[D]"))
+    with pytest.warns(UserWarning, match=re.escape(
+            "2 year(s) retain fewer than 150 season days (e.g. [1, 9999]); "
+            "check record completeness")):
+        w, peak = _traced(lambda: split_season(p, SEASONS["winter"]))
+    assert w.n == 2
+    assert peak < 100_000
+
+
+def _thin_years_by_calendar(p, months):
+    """The years ``split_season`` reports, counted day by day over the
+    calendar the record spans."""
+    def season_years(days):
+        kept = days[np.isin(days.astype("datetime64[M]").astype(np.int64) % 12 + 1, months)]
+        return kept.astype("datetime64[Y]").astype(np.int64) + 1970
+
+    span = np.arange(p.day_labels[0], p.day_labels[-1] + 1)
+    held = dict(zip(*np.unique(season_years(span), return_counts=True)))
+    years, counts = np.unique(season_years(p.day_labels), return_counts=True)
+    return [int(y) for y, c in zip(years, counts) if c < min(MIN_SEASON_DAYS, held[y])]
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.integers(-800, 800), n=st.integers(1, 900), seed=st.integers(0, 2**32 - 1),
+       months=st.sets(st.integers(1, 12), min_size=1))
+def test_split_season_reports_the_years_a_calendar_walk_reports(start, n, seed, months):
+    days = np.datetime64("2000-01-01") + start + np.arange(n)
+    kept = days[np.random.default_rng(seed).random(n) < 0.9] if n > 1 else days
+    p = PanelSample(values=np.ones((kept.size, 1)), day_labels=kept, station_ids=("a",))
+    thin = _thin_years_by_calendar(p, sorted(months))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            split_season(p, months)
+        except EmptySeasonError:
+            return
+    assert [str(w.message) for w in caught] == ([
+        f"{len(thin)} year(s) retain fewer than {MIN_SEASON_DAYS} season days "
+        f"(e.g. {thin[:5]}); check record completeness"] if thin else [])
 
 
 def test_split_season_full_year_no_warning():
@@ -729,6 +891,33 @@ def test_decluster_respects_calendar_gaps():
 def test_decluster_negative_gap():
     with pytest.raises(DomainError):
         decluster(make_panel(np.ones((2, 1))), gap_days=-1)
+
+
+def test_decluster_walks_a_rising_record():
+    # rising maxima: each array round settles only the last open day and
+    # the days just before it, so the walk, not the rounds, decides nearly
+    # every day
+    p = make_panel(np.arange(1.0, 201.0).reshape(-1, 1))
+    out = decluster(p, gap_days=2)
+    assert out.values[:, 0].tolist() == np.arange(2.0, 201.0, 3).tolist()
+    assert out.day_labels.tolist() == p.day_labels[1::3].tolist()
+
+
+def test_decluster_walks_the_days_the_rounds_leave_open():
+    # a long record with tied maxima, calendar gaps and wide windows, where
+    # the rounds leave days open: the walk must finish them as the rule does
+    rng = np.random.default_rng(4)
+    values = rng.choice([0.0, 1.0, 2.0, 3.0, 5.0], size=(600, 2))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    values[0] = 1.0
+    p = PanelSample(values=values, station_ids=("a", "b"),
+                    day_labels=np.datetime64("1990-01-01") + np.cumsum(rng.integers(1, 4, 600)))
+    for gap in (1, 3, 7, 40):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # days with every station missing
+            out = decluster(p, gap_days=gap)
+        want = p.day_labels[_decluster_by_definition(p, gap)]
+        assert out.day_labels.tolist() == want.tolist()
 
 
 @settings(max_examples=60, deadline=None)
