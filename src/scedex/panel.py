@@ -6,6 +6,7 @@ import csv
 import datetime as dt
 import io
 import json
+import math
 import os
 import re
 import stat
@@ -16,6 +17,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,10 +42,11 @@ SEASONS = {"winter": WINTER_MONTHS, "summer": SUMMER_MONTHS}
 # signals gaps in the record.
 MIN_SEASON_DAYS = 150
 # load_panel keeps at most this many parsed panels on disk, one slot file
-# per input path.
+# per input path, and at most this many bytes of them (but the newest slot).
 MAX_SLOTS = 16
-# The fast parser reads a file in blocks of whole lines of about this many
-# bytes, so a parse holds the panel's arrays and one block, not the file.
+MAX_SLOT_BYTES = 256 << 20
+# The parser reads a file in blocks of whole lines of about this many bytes,
+# so a parse holds the panel's arrays and one block, not the file.
 _BLOCK = 1 << 17
 
 
@@ -189,9 +192,6 @@ _DATE_SLACK = np.array([9, 9, 9, 9, 0, 9, 9, 0, 9, 9, 0], dtype=np.uint8)
 # infinities and signed NaNs match too, to be reported as non-finite.
 _NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)",
                      re.IGNORECASE | re.ASCII)
-# One line with its ending, as iterating a file opened with newline="" gives
-# it (an io.StringIO copy of the text would take four bytes a character).
-_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 # A missing cell ("", "nan" or "na" in any case, padded with blanks) with the
 # comma before it, in a line framed by commas.  The literal comma lets the
 # search jump from cell to cell, and a numeric cell fails at its first
@@ -208,53 +208,26 @@ def load_panel(path: str | Path) -> PanelSample:
     blanks allowed) mark missing observations.  Errors carry the physical
     line number of the offending row.
 
-    A vectorised parser reads files it can prove valid, a block of lines at
-    a time, straight into the panel's arrays; anything else (quoted fields,
-    a bad cell, ...) goes through the row parser, which raises every error.
-    A parsed regular file is kept in a slot under ``$XDG_CACHE_HOME/scedex``
-    (default ``~/.cache/scedex``), read back instead of parsing while the
-    file's path, device, inode, size, mtime and ctime and the parser are
-    unchanged (README, "Parsed-panel cache").
+    One forward pass reads the file into the panel's arrays: a vectorised
+    parser reads each block of lines it can prove valid, and from the first
+    block it cannot (quoted fields, a bad cell, ...) the row parser reads the
+    rest of the file and raises the first error in file order.  A parsed
+    regular file is kept in a slot under ``$XDG_CACHE_HOME/scedex`` (default
+    ``~/.cache/scedex``), read back instead of parsing while the file's path,
+    device, inode, size, mtime and ctime and the parser are unchanged
+    (README, "Parsed-panel cache").
     """
     with open(path, "rb") as f:
         slot = _slot_for(path, os.fstat(f.fileno()))
         hit = None if slot is None else _load_slot(slot)
         if hit is not None:
             return hit
-        # a pipe is read whole: the fast parser reads a file twice
-        src = f if f.seekable() else io.BytesIO(f.read())
-        parsed = _parse_fast(src)
-        if parsed is None:
-            src.seek(0)
-            parsed = _parse_text(_read_text(src))
-    values, labels, stations = parsed
+        # a pipe is read whole: the parser reads a file twice
+        values, labels, stations = _parse_fast(f if f.seekable() else io.BytesIO(f.read()))
     p = PanelSample._adopt(values, labels, tuple(stations))
     if slot is not None:
         _store_slot(slot, p)
     return p
-
-
-def _read_text(f) -> str:
-    data = f.read()
-    try:
-        # Excel's "CSV UTF-8" starts the file with a byte-order mark
-        return data.decode("utf-8").removeprefix("\ufeff")
-    except UnicodeDecodeError as exc:
-        raise PanelFormatError(
-            f"cannot decode byte 0x{data[exc.start]:02x} as UTF-8",
-            line=data.count(b"\n", 0, exc.start) + 1,
-        ) from None
-
-
-def _parse_text(text: str):
-    """``(values, day_labels, stations)`` of the whole file's ``text``, by
-    the row parser."""
-    reader = csv.reader(m.group() for m in _LINE.finditer(text))
-    header = next(reader, None)
-    if header is None:
-        raise PanelFormatError("file is empty")
-    date_pos, stations = _columns(header)
-    return (*_parse_rows(reader, date_pos, stations), stations)
 
 
 @cache
@@ -307,8 +280,8 @@ def _load_slot(slot) -> PanelSample | None:
 
 def _store_slot(slot, p: PanelSample) -> None:
     """Write ``p`` for ``slot`` (from :func:`_slot_for`) by an atomic rename,
-    then remove the oldest slots beyond :data:`MAX_SLOTS`; a failure writes
-    nothing."""
+    then remove the oldest other slots while there are more than
+    :data:`MAX_SLOTS` or :data:`MAX_SLOT_BYTES`; a failure writes nothing."""
     where, record, _ = slot
     try:
         where.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
@@ -322,12 +295,12 @@ def _store_slot(slot, p: PanelSample) -> None:
         except BaseException:
             os.unlink(tmp)
             raise
-        others = []
-        for entry in os.scandir(where.parent):
-            if entry.name.endswith(".slot") and entry.path != str(where):
-                others.append((entry.stat().st_mtime_ns, entry.path))
-        for _, old in sorted(others)[:max(0, len(others) + 1 - MAX_SLOTS)]:
-            os.unlink(old)
+        # the oldest first, and the new slot last, whatever its time
+        slots = sorted((e.path == str(where), e.stat().st_mtime_ns, e.stat().st_size, e.path)
+                       for e in os.scandir(where.parent) if e.name.endswith(".slot"))
+        while len(slots) > 1 and (len(slots) > MAX_SLOTS
+                                  or sum(slot[2] for slot in slots) > MAX_SLOT_BYTES):
+            os.unlink(slots.pop(0)[3])
     except OSError:
         pass
 
@@ -349,114 +322,126 @@ def _columns(header: list[str]) -> tuple[int, list[str]]:
 
 
 def _parse_fast(f):
-    """``(values, day_labels, stations)`` read from the binary file ``f``, or
-    None; ``f`` is read twice, so it must be seekable.
+    """``(values, day_labels, stations)`` read from the binary file ``f`` in
+    one pass after a count of its line ends, so ``f`` must be seekable;
+    raises the error of the first bad row, with its line number.
 
-    A count of the line ends sizes the arrays.  Then each block of whole
-    lines (:func:`_text_blocks`) is decoded and checked, and one structured
-    ``np.loadtxt`` reads its rows into the arrays.  The dtype puts an
-    11-byte date field between the station fields, so loadtxt rejects a row
-    with the wrong field count and skips a blank line, as the row parser
-    does; the date bytes are checked in bulk.  A block's lines are rewritten
-    (:func:`_fill_holes`) only when they hold a hole marker or the first
-    read failed.  None means the file holds what this parser cannot prove
-    valid: bytes that are not UTF-8, a header the row parser should judge, a
-    quote, NUL or lone carriage return in a data row, a date outside the
-    grammar or out of order, a signed NaN, an infinite or negative amount,
-    or a cell numpy cannot read.  On every file it accepts, the row parser
-    returns the same arrays.
+    Each block of whole lines (:func:`_line_blocks`) that decodes and holds
+    no quote, NUL or lone carriage return goes to :func:`_read_block`.  From
+    the first block refused, the row parser (:func:`_parse_rows`) reads the
+    rest of the file into the same arrays, and the header too when the first
+    block is refused before it is read.  The row parser alone gives the same
+    result.
     """
-    # At most one row per line after the header: the line ends, less the
-    # header's when the last line has its own.
-    n, end = 0, b"\n"
+    # At most one row per line end, as the row parser splits lines: the
+    # header's end and a CRLF split between two reads only make spare rows.
+    n = 0
     while chunk := f.read(_BLOCK):
-        n, end = n + chunk.count(b"\n"), chunk[-1:]
-    n -= end == b"\n"
+        n += chunk.count(b"\n")
+        if b"\r" in chunk:  # a lone carriage return ends a line too
+            n += chunk.count(b"\r") - chunk.count(b"\r\n")
     f.seek(0)
-    values = labels = dtype = None
-    rows = 0
-    for text in _text_blocks(f):
-        if text is None:
-            return None
+    f.seek(3 if f.read(3) == b"\xef\xbb\xbf" else 0)  # Excel's "CSV UTF-8" starts with a BOM
+    blocks = _line_blocks(f)
+    values = None
+    rows, line = 0, 1  # the rows read, and the physical line the next block starts on
+    for raw in blocks:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            break
         if "\r" in text:
             text = text.replace("\r\n", "\n")
-            if "\r" in text:
-                return None
-        if dtype is None:  # the first block starts with the header
-            text = text.removeprefix("\ufeff")
-            start = text.find("\n") + 1
-            header = text[:start - 1]
-            # a quote may open a cell that spans lines, a NUL may end one
-            if not start or '"' in header or "\0" in header:
-                return None
-            try:
-                date_pos, stations = _columns(header.split(","))
-            except PanelFormatError:
-                return None
-            m = len(stations)
-            dtype = [("a", "f8", (date_pos,)), ("date", "S11"), ("b", "f8", (m - date_pos,))]
-            values, labels = np.empty((n, m)), np.empty(n, dtype="datetime64[D]")
-            text = text[start:]
-        if '"' in text or "\0" in text:
-            return None
-        if not text.strip("\n"):
-            continue  # blank lines only: loadtxt would warn
-        table = _read_rows(text.split("\n"), dtype, any(c in text for c in "aA \t"))
-        if table is None:
-            return None
-        if rows + len(table) > n:  # the file grew after its lines were counted
-            return None
-        if np.any(table["date"].view(("u1", 11)) - _DATE_LOW > _DATE_SLACK):
-            return None
-        new = slice(rows, rows + len(table))
-        try:
-            labels[new] = table["date"].astype("datetime64[D]")
-        except ValueError:  # a month or a day out of range
-            return None
-        out = values[new]
-        out[:, :date_pos], out[:, date_pos:] = table["a"], table["b"]
-        dates = labels[max(rows - 1, 0):new.stop]  # with the last date before the block
-        if (
-            labels[0] < np.datetime64("0001-01-01")  # date.fromisoformat has no year 0
-            or np.any(dates[1:] <= dates[:-1])
-            or np.any(np.isinf(out))
-            or np.any(out < 0)
-        ):
-            return None
-        rows = new.stop
-    if not rows:
-        return None
+        # a quote may open a cell that spans lines, and an 11-byte date field
+        # cannot tell a NUL from its padding
+        if "\r" in text or '"' in text or "\0" in text:
+            break
+        if values is None:  # the first block starts with the header; csv reads "" as []
+            header, _, text = text.partition("\n")
+            date_pos, stations = _columns(header.split(",") if header else [])
+            values, labels = np.empty((n, len(stations))), np.empty(n, dtype="datetime64[D]")
+            raw, line = raw.partition(b"\n")[2], 2
+        read = _read_block(text, values, labels, rows, date_pos)
+        if read is None:
+            break
+        rows, line = rows + read[0], line + read[1]
+    else:
+        if rows:
+            return values[:rows], labels[:rows], stations
+        raw = b""  # the row parser reports the empty file or body
+    reader = csv.reader(_text_lines(chain((raw,), blocks), line))
+    if values is None:
+        header = next(reader, None)
+        if header is None:
+            raise PanelFormatError("file is empty")
+        date_pos, stations = _columns(header)
+        values, labels = np.empty((n, len(stations))), np.empty(n, dtype="datetime64[D]")
+    rows = _parse_rows(reader, line - 1, values, labels, rows, date_pos, stations)
     return values[:rows], labels[:rows], stations
 
 
-def _read_rows(lines: list[str], dtype, holed: bool):
-    """The structured table of ``lines`` (ending in "", a blank line loadtxt
-    skips), or None when numpy cannot read them; ``holed`` lines are
-    rewritten first, others only when the first read fails.  Every
-    missing-cell spelling but the empty cell holds an "a" or a blank."""
-    for fill in (True,) if holed else (False, True):
+def _line_blocks(f):
+    """The rest of the binary file ``f`` in blocks of whole physical lines of
+    about :data:`_BLOCK` bytes.  A block ends at the last line end of a read,
+    but not at a final carriage return, which the next read may continue
+    with a line feed."""
+    parts = []
+    while chunk := f.read(_BLOCK):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield b"".join([*parts, memoryview(chunk)[:cut]])
+            parts = []
+        parts.append(chunk[cut:])
+    if tail := b"".join(parts):
+        yield tail
+
+
+def _read_block(text: str, values, labels, rows: int, date_pos: int):
+    """``(rows read, line ends)`` of the lines ``text``, read by one structured
+    ``np.loadtxt`` into ``values`` and ``labels`` from row ``rows`` on; None
+    when they hold a date outside the grammar or out of order, a signed NaN,
+    an infinite or negative amount or a cell numpy cannot read.
+
+    The dtype puts an 11-byte date field between the station fields, so
+    loadtxt rejects a row with the wrong field count and skips a blank line,
+    as the row parser does.  Lines are rewritten (:func:`_fill_holes`) first
+    when the text holds an "a" or a blank, as every missing-cell spelling
+    but the empty cell does, and otherwise only when the first read fails.
+    """
+    if not text.strip("\n"):
+        return 0, len(text)  # blank lines only: loadtxt would warn
+    dtype = [("a", "f8", (date_pos,)), ("date", "S11"),
+             ("b", "f8", (values.shape[1] - date_pos,))]
+    lines, table = text.split("\n"), None
+    for fill in (True,) if any(c in text for c in "aA \t") else (False, True):
         try:
-            return np.loadtxt(_fill_holes(lines) if fill else lines,
-                              dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(_fill_holes(lines) if fill else lines,
+                               dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            break
         except ValueError:
             pass
-    return None
-
-
-def _text_blocks(f):
-    """The rest of the binary file ``f`` as text, in blocks of whole lines of
-    about :data:`_BLOCK` bytes, ending in None at a block that is not UTF-8.
-    A block's bytes go once they are decoded: its text, lines and table are
-    all that the parse holds beside the panel's arrays."""
-    while True:
-        try:
-            text = (f.read(_BLOCK) + f.readline()).decode("utf-8")
-        except UnicodeDecodeError:
-            yield None
-            return
-        if not text:
-            return
-        yield text
+    if (
+        table is None
+        or rows + len(table) > len(values)  # the file grew after its lines were counted
+        or np.any(table["date"].view(("u1", 11)) - _DATE_LOW > _DATE_SLACK)
+    ):
+        return None
+    new = slice(rows, rows + len(table))
+    try:
+        labels[new] = table["date"].astype("datetime64[D]")
+    except ValueError:  # a month or a day out of range
+        return None
+    out = values[new]
+    out[:, :date_pos], out[:, date_pos:] = table["a"], table["b"]
+    dates = labels[max(rows - 1, 0):new.stop]  # with the last date before the block
+    if (
+        labels[0] < np.datetime64("0001-01-01")  # date.fromisoformat has no year 0
+        or np.any(dates[1:] <= dates[:-1])
+        or np.any(np.isinf(out))
+        or np.any(out < 0)
+    ):
+        return None
+    return len(table), len(lines) - 1
 
 
 def _fill_holes(lines: list[str]) -> list[str]:
@@ -477,18 +462,37 @@ def _fill_holes(lines: list[str]) -> list[str]:
     return lines
 
 
-def _parse_rows(reader, date_pos: int, stations: list[str]):
-    """``(values, day_labels)`` parsed row by row; raises the error of the
-    first bad row, with its line number."""
+def _text_lines(blocks, line: int):
+    """The physical lines of ``blocks`` (bytes of whole lines), each decoded
+    as the row parser reaches it; a byte that is not UTF-8 is reported on its
+    line, counting ``\\n`` line ends only from ``line``, the first one's."""
+    for raw in blocks:
+        for b in raw.splitlines(keepends=True):
+            try:
+                text = b.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise PanelFormatError(f"cannot decode byte 0x{b[exc.start]:02x} as UTF-8",
+                                       line=line) from None
+            yield text
+            line += b.endswith(b"\n")
+
+
+def _parse_rows(reader, base: int, values, labels, rows: int, date_pos: int,
+                stations: list[str]) -> int:
+    """Parse the rows of the ``csv.reader`` ``reader`` one at a time into
+    ``values`` and ``labels`` after their first ``rows``, and return the rows
+    now held; raises the error of the first bad row, with its line number
+    (``base`` plus the reader's)."""
     n_fields = len(stations) + 1
-    dates: list[dt.date] = []
-    rows: list[list[float]] = []
-    end = reader.line_num  # the header's last physical line
+    last = labels[rows - 1].item() if rows else None
+    end = base + reader.line_num  # the last physical line read
     for row in reader:
         # a quoted cell may span lines: the row starts after the last one ended
-        line_no, end = end + 1, reader.line_num
+        line_no, end = end + 1, base + reader.line_num
         if not row or all(not c.strip() for c in row):
             continue  # tolerate blank lines
+        if rows == len(values):  # more rows than the line ends counted
+            raise PanelFormatError("file changed while it was read", line=line_no)
         if len(row) != n_fields:
             raise PanelFormatError(f"expected {n_fields} fields, got {len(row)}", line=line_no)
         raw_date = row.pop(date_pos).strip()
@@ -500,35 +504,31 @@ def _parse_rows(reader, date_pos: int, stations: list[str]):
             raise PanelFormatError(
                 f"cannot parse date {raw_date!r} (expected YYYY-MM-DD)", line=line_no
             ) from None
-        if dates and date <= dates[-1]:
+        if last is not None and date <= last:
             raise DateOrderError(
                 f"line {line_no}: dates must be strictly increasing "
-                f"({date.isoformat()} after {dates[-1].isoformat()})"
+                f"({date.isoformat()} after {last.isoformat()})"
             )
-        vals: list[float] = []
-        for s, cell in zip(stations, row):
+        for j, (s, cell) in enumerate(zip(stations, row)):
             cell = cell.strip()
             if cell == "" or cell.lower() in {"nan", "na"}:
-                vals.append(np.nan)
-                continue
-            if not _NUMBER.fullmatch(cell):
+                values[rows, j] = np.nan
+            elif not _NUMBER.fullmatch(cell):
                 raise PanelFormatError(
                     f"cannot parse value {cell!r} for station {s!r}", line=line_no
                 )
-            x = float(cell)
-            if not np.isfinite(x):
+            elif not math.isfinite(x := float(cell)):
                 raise PanelFormatError(
                     f"non-finite value {cell!r} for station {s!r}", line=line_no
                 )
-            if x < 0:
+            elif x < 0:
                 raise DomainError(f"line {line_no}: negative amount {x} for station {s!r}")
-            vals.append(x)
-        dates.append(date)
-        rows.append(vals)
-
+            else:
+                values[rows, j] = x
+        labels[rows], last, rows = date, date, rows + 1
     if not rows:
         raise PanelFormatError("no data rows")
-    return np.array(rows, dtype=float), np.array(dates, dtype="datetime64[D]")
+    return rows
 
 
 def split_season(p: PanelSample, months: Iterable[int]) -> PanelSample:

@@ -28,7 +28,7 @@ from scedex import (
     split_season,
 )
 from scedex import panel as panel_module
-from scedex.panel import MAX_SLOTS, MIN_SEASON_DAYS, SUMMER_MONTHS, WINTER_MONTHS
+from scedex.panel import MAX_SLOT_BYTES, MAX_SLOTS, MIN_SEASON_DAYS, SUMMER_MONTHS, WINTER_MONTHS
 
 from conftest import make_panel, wait_for_clock
 
@@ -168,6 +168,21 @@ def test_load_panel_non_utf8_byte_reports_its_line(tmp_path):
         load_panel(f)
 
 
+@pytest.mark.parametrize("data, error", [
+    (b"date,A\n2000-01-01,x\n2000-01-02,\xff\n", "line 2: cannot parse value 'x'"),
+    (b"date,A,A\n2000-01-01,\xff,1\n", "line 1: duplicate column name"),
+    (b"date,A\n2000-01-01,\xff\n2000-01-01,x\n", "line 2: cannot decode byte 0xff"),
+])
+def test_the_first_fault_in_file_order_wins(tmp_path, data, error):
+    # a byte that is not UTF-8 is a fault of its line, not of the whole file
+    f = tmp_path / "panel.csv"
+    f.write_bytes(data)
+    with pytest.raises(PanelFormatError, match=error):
+        load_panel(f)
+    with _row_parser_only(), pytest.raises(PanelFormatError, match=error):
+        load_panel(f)
+
+
 def test_load_panel_drops_a_byte_order_mark(tmp_path):
     text = "date,A,B\n2000-01-01,1.5,\n2000-01-02,na,2\n"
     plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
@@ -202,8 +217,29 @@ def _uncached():
 
 @contextmanager
 def _row_parser_only():
-    with _uncached(), mock.patch.object(panel_module, "_parse_fast", lambda *args: None):
+    """Loads inside parse the file and the row parser reads every data row:
+    the vectorised parser splits the header and refuses every block after
+    it."""
+    with _uncached(), mock.patch.object(panel_module, "_read_block", lambda *args: None):
         yield
+
+
+@pytest.mark.parametrize("reader", ["vectorised", "rows"])
+def test_a_file_that_grows_while_it_is_read_names_the_line(tmp_path, reader):
+    # the arrays hold a row per line end counted before the parse, the
+    # header's included: a row more is an error, not a fresh read of the file
+    f = _write(tmp_path, "date,A\n2000-01-01,1\n2000-01-02,2\n")
+    blocks = panel_module._line_blocks
+
+    def growing(src):
+        with open(f, "a") as out:
+            out.write("\n2000-01-03,3\n2000-01-04,4\n")
+        yield from blocks(src)
+
+    rows = _row_parser_only() if reader == "rows" else _uncached()
+    with rows, mock.patch.object(panel_module, "_line_blocks", growing), \
+            pytest.raises(PanelFormatError, match="line 6: file changed while it was read"):
+        load_panel(f)
 
 
 def test_clean_panel_skips_the_row_parser(tmp_path):
@@ -411,7 +447,18 @@ _LATER_LINE = {
     "quote": (b'2000-02-08,"1",2', None),
     "nul": (b"2000-02-08,1\x00,2", "line 40: cannot parse value '1\\x00' for station 'A'"),
     "date order": (b"2000-02-07,1,2", "line 40: dates must be strictly increasing"),
+    # a quoted line end: more lines than rows, and at a block of 24 bytes the
+    # row spans two blocks
+    "quoted line end": (b'2000-02-08,"1\n",2', None),
+    "quoted line end, then a fault": (b'2000-02-08,"1\n",2\n2000-02-08,3,4',
+                                      "line 42: dates must be strictly increasing"),
+    # every line ends in a lone carriage return, or in CRLF
+    "lone cr file": (b"2000-02-08,38,9.5", None),
+    "crlf file": (b"2000-02-08,38,9.5", None),
+    # a byte that is not UTF-8 is numbered by its "\n" line ends only
+    "lone cr file, utf-8": (b"2000-02-08,\xff,1", "line 1: cannot decode byte 0xff as UTF-8"),
 }
+_LINE_END = {"lone cr file": b"\r", "crlf file": b"\r\n", "lone cr file, utf-8": b"\r"}
 
 
 @pytest.mark.parametrize("fault", _LATER_LINE)
@@ -421,18 +468,25 @@ def test_a_later_block_gets_the_row_parsers_outcome(tmp_path, fault, block):
     days = np.datetime64("2000-01-01") + np.arange(59)
     lines = [b"date,A,B"] + [f"{d},{i},{i / 4}".encode() for i, d in enumerate(days)]
     lines[39] = line
+    eol = _LINE_END.get(fault, b"\n")
+    data = eol.join(lines) + eol
     f = tmp_path / "panel.csv"
-    f.write_bytes(b"\n".join(lines) + b"\n")
+    f.write_bytes(data)
     with _uncached(), mock.patch.object(panel_module, "_BLOCK", block):
         got = _load_outcome(f)
     with _row_parser_only():
         assert got == _load_outcome(f)
-    if fault in ("hole", "crlf"):  # lines the fast parser reads itself
+    if fault in ("hole", "crlf", "crlf file"):  # lines the fast parser reads itself
         with _uncached(), mock.patch.object(panel_module, "_BLOCK", block), \
                 mock.patch.object(panel_module, "_parse_rows", _refuse_rows):
             load_panel(f)
     if error is None:
         assert got[0] == (59, 2)
+        with _uncached(), mock.patch.object(panel_module, "_BLOCK", block):
+            held = load_panel(f).values.base.shape[0]
+        # a row per line end, the header's included, with a CRLF counted
+        # once, or twice where it straddles two reads of _BLOCK bytes
+        assert 0 <= held - len(data.splitlines()) <= len(data) // block
     else:
         assert got[0] in (PanelFormatError, DateOrderError) and got[1].startswith(error)
 
@@ -651,6 +705,32 @@ def test_the_seventeenth_panel_evicts_the_oldest_slot(tmp_path, cache_home):
     assert parsed == [False] * MAX_SLOTS + [True]
 
 
+def test_slots_beyond_the_byte_cap_are_evicted_oldest_first(tmp_path, cache_home,
+                                                            monkeypatch):
+    files = [_write(tmp_path, _HOLED, name=f"p{i}.csv") for i in range(5)]
+    wait_for_clock(files[-1])
+
+    def load(f):
+        load_panel(f)
+        # a later slot gets a later time, so "oldest" is well defined
+        wait_for_clock(max(cache_home.glob("*.slot"), key=lambda s: s.stat().st_mtime_ns))
+
+    load(files[0])
+    (slot,) = cache_home.glob("*.slot")
+    assert MAX_SLOT_BYTES == 256 << 20
+    monkeypatch.setattr(panel_module, "MAX_SLOT_BYTES", 2 * slot.stat().st_size)
+    for f in files[1:4]:
+        load(f)
+    assert len(list(cache_home.glob("*.slot"))) == 2
+    # newest first: each miss writes a slot and evicts the oldest other one
+    assert [_load_counting(f)[1] for f in reversed(files[:4])] == [False, False, True, True]
+    # a cap below one slot still keeps the newest
+    monkeypatch.setattr(panel_module, "MAX_SLOT_BYTES", 1)
+    load_panel(files[4])
+    assert len(list(cache_home.glob("*.slot"))) == 1
+    assert _load_counting(files[4]) == (_load_outcome(files[0]), False)
+
+
 # ---------------------------------------------------------------------------
 # Memory: a load holds the panel once
 # ---------------------------------------------------------------------------
@@ -669,9 +749,10 @@ def _traced(fn):
         tracemalloc.stop()
 
 
-def _wide_panel(tmp_path, date_pos, holed):
+def _wide_panel(tmp_path, date_pos, holed, quoted=None):
     """A 20000 x 8 panel file (1.28 MB of values) with its date column at
-    ``date_pos``: a dozen blocks of lines."""
+    ``date_pos``: a dozen blocks of lines.  ``quoted`` is None, "last row"
+    (its first value quoted) or "every cell" (the header's too)."""
     rng = np.random.default_rng(8)
     cells = np.char.mod("%.6g", rng.pareto(3.0, (20000, 8)) * 10).astype(object)
     if holed:
@@ -681,6 +762,10 @@ def _wide_panel(tmp_path, date_pos, holed):
     rows = [[f"S{j}" for j in range(8)]] + cells.tolist()
     for row, day in zip(rows, ["date", *days.tolist()]):
         row.insert(date_pos, day)
+    if quoted == "last row":
+        rows[-1][date_pos == 0] = f'"{rows[-1][date_pos == 0]}"'
+    elif quoted == "every cell":
+        rows = [[f'"{cell}"' for cell in row] for row in rows]
     return _write(tmp_path, "\n".join(map(",".join, rows)) + "\n")
 
 
@@ -692,6 +777,21 @@ def test_a_parse_holds_the_panel_once_and_one_block(tmp_path, date_pos, holed):
         p, peak = _traced(lambda: load_panel(f))
     assert p.values.flags.c_contiguous and p.n == 20000
     assert peak <= p.values.nbytes + p.day_labels.nbytes + _ALLOWANCE
+
+
+@pytest.mark.parametrize("quoted", ["last row", "every cell"])
+def test_a_quoted_panel_holds_the_panel_once_and_one_block(tmp_path, quoted):
+    # the row parser reads from the block it takes over into the same arrays
+    f = _wide_panel(tmp_path, 4, True, quoted)
+    with _uncached():
+        p, peak = _traced(lambda: load_panel(f))
+    assert p.values.flags.c_contiguous and p.n == 20000
+    assert peak <= p.values.nbytes + p.day_labels.nbytes + _ALLOWANCE
+    (tmp_path / "plain").mkdir()
+    plain = load_panel(_wide_panel(tmp_path / "plain", 4, True))
+    assert p.values.tobytes() == plain.values.tobytes()
+    assert (p.day_labels.tobytes(), p.station_ids) == (plain.day_labels.tobytes(),
+                                                       plain.station_ids)
 
 
 def test_a_slot_hit_holds_the_panel_once(tmp_path):
