@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 from collections import Counter
 import subprocess
@@ -16,7 +17,7 @@ from click.testing import CliRunner
 
 import scedex
 from scedex import dependence, gp_mle, mc, panel, scedasis, trend_tests
-from scedex.cli import main
+from scedex.cli import _flushed_for_direct_exit, main
 
 from conftest import wait_for_clock
 
@@ -71,6 +72,14 @@ def _ok(result):
     return result
 
 
+def _python(*args, timeout=120, **kwargs):
+    """``python *args`` in a fresh process that imports this scedex."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, timeout=timeout, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Group-level behaviour
 # ---------------------------------------------------------------------------
@@ -121,9 +130,6 @@ def test_analysis_commands_load_no_scipy(panel_csv, tmp_path):
              "--output", str(tmp_path / f"{name}-{i}.out")]
             for name, arg_lists in _SCIPY_FREE_RUNS.items()
             for i, args in enumerate(arg_lists)]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import json, sys\n"
         "sys.modules['scipy'] = None  # any import of scipy now raises ImportError\n"
@@ -140,8 +146,7 @@ def test_analysis_commands_load_no_scipy(panel_csv, tmp_path):
         "    report.append([' '.join(args[:3]), code])\n"
         "print(json.dumps(report))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(runs)], env=env,
-                         capture_output=True, text=True, timeout=300)
+    out = _python("-c", code, json.dumps(runs), capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     report = json.loads(out.stdout.splitlines()[-1])
     assert len(report) == len(runs)
@@ -911,9 +916,6 @@ def test_mc_negative_seed_is_a_spec_error(runner):
 def test_one_thread_loads_no_thread_pool(tmp_path):
     """concurrent.futures (and the logging it imports) costs every process
     about 8 ms; only an mc run on more than one thread needs it."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys\n"
         "from scedex.cli import main\n"
@@ -925,8 +927,7 @@ def test_one_thread_loads_no_thread_pool(tmp_path):
         "    loaded.append('concurrent.futures' in sys.modules)\n"
         "print(loaded)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, str(tmp_path / "mc.json")], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = _python("-c", code, str(tmp_path / "mc.json"), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[False,", "False,", "True]"]
 
@@ -937,9 +938,6 @@ def test_the_panel_cache_loads_no_hash_library(tmp_path, cache_home):
     f = tmp_path / "panel.csv"
     f.write_text("date,A,B\n2000-01-01,1.5,\n2000-01-02,na,2\n")
     wait_for_clock(f)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(scedex.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import sys\n"
         "import scedex.cli\n"
@@ -949,8 +947,7 @@ def test_the_panel_cache_loads_no_hash_library(tmp_path, cache_home):
         "panel.load_panel(sys.argv[1])\n"
         "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
     )
-    out = subprocess.run([sys.executable, "-c", code, str(f)], env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = _python("-c", code, str(f), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["[]"]
     assert len(list(cache_home.glob("*.slot"))) == 1
@@ -1068,3 +1065,133 @@ def test_mc_dry_run_checks_the_simulation_spec(runner):
     report = json.loads(_stderr(bad) or bad.output)
     assert report["command"] == "mc"
     assert "shape" in report["message"]
+
+
+# ---------------------------------------------------------------------------
+# Process exit: ``python -m scedex.cli`` and the ``scedex`` script run
+# ``cli.run``, which ends the process without the interpreter's teardown
+# ---------------------------------------------------------------------------
+
+
+# A canary whose finalizer prints only when the interpreter tears down
+# __main__, then the CLI run as ``python -m scedex.cli <argv>`` would run it.
+_UNDER_RUNPY = (
+    "import atexit, runpy, sys\n"
+    "class Canary:\n"
+    "    def __del__(self):\n"
+    "        print('torn down', flush=True)\n"
+    "canary = Canary()\n"
+    "{setup}\n"
+    "sys.argv = ['scedex', *sys.argv[1:]]\n"
+    "runpy.run_module('scedex.cli', run_name='__main__')\n"
+)
+
+_EXIT_CASES = {
+    "json": (["test-space", "--k", "60", "--input", "{panel}"], 0),
+    "csv to --output": (["scedasis", "--k", "60", "--input", "{panel}",
+                         "--output", "{out}"], 0),
+    "structured failure": (["mc", "--harness", "size", "--n", "200", "--m", "2", "--k", "20",
+                            "--reps", "3", "--seed", "-1"], 1),
+    "usage error": (["scedasis", "--k", "60"], 2),
+    "version": (["--version"], 0),
+}
+
+
+@pytest.mark.parametrize("case", _EXIT_CASES)
+def test_the_process_entry_gives_mains_output_and_status(panel_csv, tmp_path, case):
+    """The same bytes and status as ``main`` called in a process that then
+    exits the normal way (click's version option keeps the first program
+    name it prints, so a CliRunner in this process may print another)."""
+    template, status = _EXIT_CASES[case]
+
+    def run(out, *entry):
+        args = [a.format(panel=panel_csv, out=tmp_path / out) for a in template]
+        return _python(*entry, *args, capture_output=True, text=True)
+
+    child = run("child.out", "-m", "scedex.cli")
+    plain = run("plain.out", "-c",
+                "from scedex.cli import main; main(prog_name='python -m scedex.cli')")
+    assert (child.returncode, child.stdout, child.stderr) == (status, plain.stdout, plain.stderr)
+    if status == 1:
+        assert json.loads(child.stderr)["error"] == "SimSpecError"
+    if "--output" in template:
+        assert child.stdout == ""
+        assert (tmp_path / "child.out").read_text() == (tmp_path / "plain.out").read_text()
+        assert (tmp_path / "child.out").read_text().count("\n") == 3 * 101 + 1
+
+
+def test_the_process_entry_runs_exit_handlers_and_skips_the_teardown():
+    out = _python("-c", _UNDER_RUNPY.format(setup="atexit.register(print, 'handler ran')"),
+                  "--version", capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == f"scedex, version {scedex.__version__}\nhandler ran\n"
+
+
+def test_a_live_thread_gets_the_normal_exit():
+    # the normal exit waits for the thread; os._exit would end it unfinished
+    setup = ("import threading, time\n"
+             "threading.Thread(target=lambda: (time.sleep(0.2), print('thread done'))).start()")
+    out = _python("-c", _UNDER_RUNPY.format(setup=setup), "--version",
+                  capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n")[1:] == ["thread done", "torn down", ""]
+
+
+def test_a_failed_flush_gets_the_normal_exit():
+    # stdout fails once every exit handler has run: the interpreter's own
+    # flush reports it, as it does after main
+    setup = ("class Full:\n"
+             "    def __init__(self, stream): self.stream, self.full = stream, False\n"
+             "    def write(self, text): return self.stream.write(text)\n"
+             "    def flush(self):\n"
+             "        if self.full: raise OSError(28, 'No space left on device')\n"
+             "        self.stream.flush()\n"
+             "sys.stdout = Full(sys.stdout)\n"
+             "atexit.register(setattr, sys.stdout, 'full', True)")
+    entry = _python("-c", _UNDER_RUNPY.format(setup=setup), "--version",
+                    capture_output=True, text=True)
+    plain = _python("-c", _UNDER_RUNPY.format(setup=setup).replace(
+        "runpy.run_module('scedex.cli', run_name='__main__')",
+        "from scedex.cli import main\nmain(prog_name='scedex')"), "--version",
+        capture_output=True, text=True)
+    assert entry.returncode == plain.returncode == 120
+    assert entry.stdout == plain.stdout
+    at = re.compile("0x[0-9a-f]+")  # the address of the stream object
+    assert at.sub("", entry.stderr) == at.sub("", plain.stderr)
+    assert "No space left on device" in entry.stderr
+
+
+def test_a_profiled_run_writes_its_profile(tmp_path):
+    profile = tmp_path / "cli.prof"
+    out = _python("-m", "cProfile", "-o", str(profile), "-m", "scedex.cli", "--version",
+                  capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.endswith(f"version {scedex.__version__}\n")
+    assert profile.stat().st_size > 0
+
+
+def test_python_i_reaches_its_prompt():
+    out = _python("-i", "-m", "scedex.cli", "--version", input="print('prompt reached')\n",
+                  capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "prompt reached"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_full_stdout_fails_as_after_main():
+    with open("/dev/full", "w") as full:
+        entry = _python("-m", "scedex.cli", "--version", stdout=full,
+                        stderr=subprocess.PIPE, text=True)
+        plain = _python("-c", "from scedex.cli import main; main()", "--version", stdout=full,
+                        stderr=subprocess.PIPE, text=True)
+    assert entry.returncode == plain.returncode != 0
+    last = entry.stderr.splitlines()[-1]
+    assert last == plain.stderr.splitlines()[-1]
+    assert last.startswith("OSError: [Errno 28]")
+
+
+@pytest.mark.parametrize("code", ["text", 256, -1, 1.5])
+def test_an_unusual_exit_code_gets_the_normal_exit(code):
+    with mock.patch("atexit._run_exitfuncs") as handlers:
+        assert not _flushed_for_direct_exit(code)
+    handlers.assert_not_called()
