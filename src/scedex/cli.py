@@ -541,8 +541,8 @@ def run() -> None:
     would give.  The process exits the normal way instead while a trace,
     profile or monitoring hook is set (coverage, cProfile, pdb), in
     ``python -i``, while another thread is alive, when the exit code is not
-    an int of 0 to 255 or None, or when a flush fails, so that the normal
-    exit reports it.  Calling :func:`main` from Python is unaffected.
+    an int or None, or when a flush fails, so that the normal exit reports
+    it.  Calling :func:`main` from Python is unaffected.
     """
     try:
         main()
@@ -558,7 +558,7 @@ def _flushed_for_direct_exit(code) -> bool:
     stderr.  False leaves the rest of the exit to the interpreter."""
     monitoring = getattr(sys, "monitoring", None)  # Python 3.12 on: cProfile, coverage
     if (
-        not (code is None or isinstance(code, int) and 0 <= code <= 255)
+        not (code is None or isinstance(code, int))
         or sys.gettrace() is not None
         or sys.getprofile() is not None
         or monitoring is not None and any(map(monitoring.get_tool, range(6)))

@@ -210,12 +210,12 @@ def load_panel(path: str | Path) -> PanelSample:
 
     One forward pass reads the file into the panel's arrays: a vectorised
     parser reads each block of lines it can prove valid, and from the first
-    block it cannot (a quoted comma or line end, a bad cell, ...) the row
-    parser reads the rest of the file and raises the first error in file
-    order.  A parsed regular file is kept in a slot under
-    ``$XDG_CACHE_HOME/scedex`` (default ``~/.cache/scedex``), read back
-    instead of parsing while the file's path, device, inode, size, mtime and
-    ctime and the parser are unchanged (README, "Parsed-panel cache").
+    block it cannot (quoted fields, a bad cell, ...) the row parser reads the
+    rest of the file and raises the first error in file order.  A parsed
+    regular file is kept in a slot under ``$XDG_CACHE_HOME/scedex`` (default
+    ``~/.cache/scedex``), read back instead of parsing while the file's path,
+    device, inode, size, mtime and ctime and the parser are unchanged
+    (README, "Parsed-panel cache").
     """
     with open(path, "rb") as f:
         slot = _slot_for(path, os.fstat(f.fileno()))
@@ -326,9 +326,8 @@ def _parse_fast(f):
     one pass after a count of its line ends, so ``f`` must be seekable;
     raises the error of the first bad row, with its line number.
 
-    Each block of whole lines (:func:`_line_blocks`) that decodes, holds no
-    NUL or lone carriage return and quotes whole cells only
-    (:func:`_unquote`) goes to :func:`_read_block`.  From
+    Each block of whole lines (:func:`_line_blocks`) that decodes and holds
+    no quote, NUL or lone carriage return goes to :func:`_read_block`.  From
     the first block refused, the row parser (:func:`_parse_rows`) reads the
     rest of the file into the same arrays, and the header too when the first
     block is refused before it is read.  The row parser alone gives the same
@@ -353,10 +352,9 @@ def _parse_fast(f):
             break
         if "\r" in text:
             text = text.replace("\r\n", "\n")
-        # an 11-byte date field cannot tell a NUL from its padding
-        if "\r" in text or "\0" in text:
-            break
-        if '"' in text and (text := _unquote(text)) is None:
+        # a quote may open a cell that spans lines, and an 11-byte date field
+        # cannot tell a NUL from its padding
+        if "\r" in text or '"' in text or "\0" in text:
             break
         if values is None:  # the first block starts with the header; csv reads "" as []
             header, _, text = text.partition("\n")
@@ -396,25 +394,6 @@ def _line_blocks(f):
         parts.append(chunk[cut:])
     if tail := b"".join(parts):
         yield tail
-
-
-def _unquote(text: str) -> str | None:
-    """The lines ``text`` without their quotes, or None unless each quote
-    opens or closes a whole cell that holds no comma, quote or line end,
-    which the row parser reads as the cell without its quotes.
-
-    Among the quotes, commas and line ends in file order, the quotes come in
-    adjacent pairs, and a comma or a line end is just before each pair and
-    just after it."""
-    chars = np.frombuffer(f"\n{text}\n".encode(), dtype=np.uint8)  # lines end around the text
-    marks = np.flatnonzero((chars == ord('"')) | (chars == ord(",")) | (chars == ord("\n")))
-    q = np.flatnonzero(chars[marks] == ord('"'))
-    if q.size % 2 or np.any(q[1::2] - q[0::2] != 1):
-        return None
-    around = np.concatenate((chars[marks[q[0::2]] - 1], chars[marks[q[1::2]] + 1]))
-    if not np.all((around == ord(",")) | (around == ord("\n"))):
-        return None
-    return text.translate({ord('"'): None})
 
 
 def _read_block(text: str, values, labels, rows: int, date_pos: int):

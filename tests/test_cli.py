@@ -17,7 +17,7 @@ from click.testing import CliRunner
 
 import scedex
 from scedex import dependence, gp_mle, mc, panel, scedasis, trend_tests
-from scedex.cli import _flushed_for_direct_exit, main
+from scedex.cli import main
 
 from conftest import wait_for_clock
 
@@ -1189,9 +1189,3 @@ def test_a_full_stdout_fails_as_after_main():
     assert last == plain.stderr.splitlines()[-1]
     assert last.startswith("OSError: [Errno 28]")
 
-
-@pytest.mark.parametrize("code", ["text", 256, -1, 1.5])
-def test_an_unusual_exit_code_gets_the_normal_exit(code):
-    with mock.patch("atexit._run_exitfuncs") as handlers:
-        assert not _flushed_for_direct_exit(code)
-    handlers.assert_not_called()

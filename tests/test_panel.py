@@ -218,10 +218,9 @@ def _uncached():
 @contextmanager
 def _row_parser_only():
     """Loads inside parse the file and the row parser reads every data row:
-    the vectorised parser splits a header without quotes and refuses every
-    block after it."""
-    with _uncached(), mock.patch.object(panel_module, "_read_block", lambda *args: None), \
-            mock.patch.object(panel_module, "_unquote", lambda text: None):
+    the vectorised parser splits the header and refuses every block after
+    it."""
+    with _uncached(), mock.patch.object(panel_module, "_read_block", lambda *args: None):
         yield
 
 
@@ -307,15 +306,14 @@ _FAULTS = ("crlf", "blank line", "quote", "bad cell", "field count", "repeated d
 
 
 @st.composite
-def _csv_panels(draw, max_faults=2, kinds=_FAULTS):
+def _csv_panels(draw, max_faults=2):
     """Small panel CSV text: padded and mixed-case missing cells, the date
-    column anywhere, at most ``max_faults`` faults of the ``kinds``."""
+    column anywhere, at most ``max_faults`` faults."""
     m = draw(st.integers(1, 3))
     n = draw(st.integers(1, 5))
     names = [f"S{j}" for j in range(m)]
     date_pos = draw(st.integers(0, m))
-    faults = draw(st.sets(st.sampled_from(kinds), max_size=max_faults))
-    header = names[:date_pos] + ["date"] + names[date_pos:]
+    faults = draw(st.sets(st.sampled_from(_FAULTS), max_size=max_faults))
     steps = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n))
     dates = [str(d) for d in np.datetime64("1999-12-30") + np.cumsum(steps)]
     if "repeated date" in faults and n > 1:
@@ -342,19 +340,17 @@ def _csv_panels(draw, max_faults=2, kinds=_FAULTS):
         i = draw(st.integers(0, n - 1))
         j = draw(st.sampled_from([p for p in range(m + 1) if p != date_pos]))
         rows[i][j] = draw(st.sampled_from(_BAD_CELLS))
-    if "quote" in faults:  # a quoted cell, header name, empty cell or "na"
-        i, j = draw(st.integers(-1, n - 1)), draw(st.integers(0, m))
-        row = rows[i] if i >= 0 else header
-        if i >= 0 and j != date_pos and draw(st.booleans()):
-            row[j] = draw(st.sampled_from(("", "na")))
-        row[j] = f'"{row[j]}"'
+    if "quote" in faults:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, m))
+        rows[i][j] = f'"{rows[i][j]}"'
     if "field count" in faults:
         i = draw(st.integers(0, n - 1))
         if draw(st.booleans()):
             rows[i].append("1")
         else:
             rows[i].pop()
-    lines = [",".join(header)] + [",".join(r) for r in rows]
+    lines = [",".join(names[:date_pos] + ["date"] + names[date_pos:])]
+    lines += [",".join(r) for r in rows]
     if "blank line" in faults:
         blank = draw(st.sampled_from(("", "  ", ", " * m)))
         lines.insert(draw(st.integers(1, len(lines))), blank)
@@ -449,7 +445,6 @@ _LATER_LINE = {
     # a lone carriage return ends a physical line
     "lone cr": (b"2000-02-08,1,2\r2000-02-08,3,4", "line 41: dates must be strictly increasing"),
     "quote": (b'2000-02-08,"1",2', None),
-    "quoted cells": (b'"2000-02-08","","na"', None),
     "nul": (b"2000-02-08,1\x00,2", "line 40: cannot parse value '1\\x00' for station 'A'"),
     "date order": (b"2000-02-07,1,2", "line 40: dates must be strictly increasing"),
     # a quoted line end: more lines than rows, and at a block of 24 bytes the
@@ -481,8 +476,7 @@ def test_a_later_block_gets_the_row_parsers_outcome(tmp_path, fault, block):
         got = _load_outcome(f)
     with _row_parser_only():
         assert got == _load_outcome(f)
-    if fault in ("hole", "crlf", "crlf file", "quote", "quoted cells"):
-        # lines the fast parser reads itself
+    if fault in ("hole", "crlf", "crlf file"):  # lines the fast parser reads itself
         with _uncached(), mock.patch.object(panel_module, "_BLOCK", block), \
                 mock.patch.object(panel_module, "_parse_rows", _refuse_rows):
             load_panel(f)
@@ -591,48 +585,6 @@ def test_fault_free_panels_skip_the_row_parser(tmp_path_factory, case):
 
     with mock.patch.object(panel_module, "_parse_rows", refuse):
         load_panel(f)
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=_csv_panels(max_faults=1, kinds=("quote",)))
-def test_quoted_whole_cells_skip_the_row_parser(tmp_path_factory, case):
-    """A quoted header name, value, date, empty cell or "na" that holds no
-    comma, quote or line end is read by the vectorised parser."""
-    f = tmp_path_factory.mktemp("quoted") / "panel.csv"
-    f.write_bytes(case.encode())
-    _agrees_on_the_fast_path(f)
-
-
-@pytest.mark.parametrize("text", [
-    '"date","A","B"\n"2000-01-01","1.5",""\n"2000-01-02","na"," 2 "\n',
-    '"date",A,"B"\r\n2000-01-01,"1.5",\r\n"2000-01-02",NA,"2"\r\n',
-    'A,"date",B\n"",2000-01-01,""\n"nan","2000-01-02",3\n',
-])
-def test_quoted_cells_stay_on_the_fast_path(tmp_path, text):
-    f = _write(tmp_path, text)
-    _agrees_on_the_fast_path(f)
-    (tmp_path / "plain").mkdir()
-    assert _load_outcome(f) == _load_outcome(_write(tmp_path / "plain", text.replace('"', "")))
-
-
-@pytest.mark.parametrize("text", [
-    'date,"A,B"\n2000-01-01,1\n',  # a quoted comma: one station, "A,B"
-    'date,A\n2000-01-01,"1""2"\n',  # a quoted quote
-    'date,A\n2000-01-01, "1"\n',  # a quote inside a cell
-    'date,A\n2000-01-01,"1" \n',
-    'date,A\n2000-01-01,"1"2\n',
-    'date,A\n2000-01-01,"\n"\n',  # a quoted line end
-    'date,A\n2000-01-01,"\n',  # a quote never closed
-    'date,A,B\n2000-01-01,"",""""\n',
-])
-def test_other_quotes_get_the_row_parsers_outcome(tmp_path, text):
-    f = _write(tmp_path, text)
-    with _uncached(), mock.patch.object(panel_module, "_read_block") as fast:
-        _load_outcome(f)
-    fast.assert_not_called()
-    got = _load_outcome(f)
-    with _row_parser_only():
-        assert got == _load_outcome(f)
 
 
 # ---------------------------------------------------------------------------
@@ -800,8 +752,7 @@ def _traced(fn):
 def _wide_panel(tmp_path, date_pos, holed, quoted=None):
     """A 20000 x 8 panel file (1.28 MB of values) with its date column at
     ``date_pos``: a dozen blocks of lines.  ``quoted`` is None, "last row"
-    (its first value quoted around a line end, which the row parser reads)
-    or "every cell" (the header's too)."""
+    (its first value quoted) or "every cell" (the header's too)."""
     rng = np.random.default_rng(8)
     cells = np.char.mod("%.6g", rng.pareto(3.0, (20000, 8)) * 10).astype(object)
     if holed:
@@ -812,7 +763,7 @@ def _wide_panel(tmp_path, date_pos, holed, quoted=None):
     for row, day in zip(rows, ["date", *days.tolist()]):
         row.insert(date_pos, day)
     if quoted == "last row":
-        rows[-1][date_pos == 0] = f'"{rows[-1][date_pos == 0]}\n"'
+        rows[-1][date_pos == 0] = f'"{rows[-1][date_pos == 0]}"'
     elif quoted == "every cell":
         rows = [[f'"{cell}"' for cell in row] for row in rows]
     return _write(tmp_path, "\n".join(map(",".join, rows)) + "\n")
@@ -830,13 +781,10 @@ def test_a_parse_holds_the_panel_once_and_one_block(tmp_path, date_pos, holed):
 
 @pytest.mark.parametrize("quoted", ["last row", "every cell"])
 def test_a_quoted_panel_holds_the_panel_once_and_one_block(tmp_path, quoted):
-    # the row parser reads from the block it takes over into the same
-    # arrays; the vectorised parser reads every quoted whole cell itself
+    # the row parser reads from the block it takes over into the same arrays
     f = _wide_panel(tmp_path, 4, True, quoted)
-    rows = panel_module._parse_rows
-    with _uncached(), mock.patch.object(panel_module, "_parse_rows", wraps=rows) as slow:
+    with _uncached():
         p, peak = _traced(lambda: load_panel(f))
-    assert slow.called == (quoted == "last row")
     assert p.values.flags.c_contiguous and p.n == 20000
     assert peak <= p.values.nbytes + p.day_labels.nbytes + _ALLOWANCE
     (tmp_path / "plain").mkdir()
