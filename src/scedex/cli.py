@@ -177,8 +177,19 @@ _k_range_opts = (
 )
 
 
+def _print_version(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    """Print the version under the name this call was invoked by, then exit.
+    (click's own version option keeps the first name it prints for the
+    rest of the process.)"""
+    if not value or ctx.resilient_parsing:
+        return
+    click.echo(f"{ctx.find_root().info_name}, version {__version__}", color=ctx.color)
+    ctx.exit()
+
+
 @click.group()
-@click.version_option(version=__version__)
+@click.option("--version", is_flag=True, expose_value=False, is_eager=True,
+              callback=_print_version, help="Show the version and exit.")
 def main():
     """Tail trend analysis for station panels: scedasis estimation,
     space/time heterogeneity tests, and pooled generalized Pareto fits."""

@@ -49,38 +49,55 @@ _PROFILE_GRID = 200     # scan points of Grimshaw's profile
 
 
 def _loglik_terms(g: float, tau: float, x: np.ndarray):
-    """Summed log-likelihood, score and Hessian in (gamma, log sigma).
+    """Summed log-likelihood, score and Hessian in (gamma, log sigma), as
+    (ll, s_g, s_t, h_gg, h_gt, h_tt).
 
     The log-density is -log sigma - (1 + 1/g) log(1 + g x / sigma), and its
-    third-order series in g for |g| < 1e-5.  Returns None when an excess lies
-    outside the support, 1 + g x / sigma <= 0.
+    third-order series in g for |g| < 1e-5.  With z = x / sigma, w = 1 + g z
+    and B = z / w, every closed form is a combination of four sums: sum D
+    with D = log1p(g z) - g B, sum B, B.B and sum B / w.  Returns None when
+    an excess lies outside the support, 1 + g x / sigma <= 0.
     """
-    sigma = math.exp(tau)
-    z = x / sigma
-    w = 1.0 + g * z
-    if np.any(w <= 0):
+    n = x.size
+    z = x / math.exp(tau)
+    gz = g * z
+    w = 1.0 + gz
+    if w.min() <= 0:
         return None
     B = z / w
+    sum_b = float(B.sum())
+    sum_bb = float(B @ B)
+    sum_bw = float((B / w).sum())
     if abs(g) < _SMALL_GAMMA:
-        ll = np.sum(-tau - z - g * z * (2.0 - z) / 2.0
-                    - g * g * z * z * (2.0 * z - 3.0) / 6.0
-                    + g ** 3 * z ** 3 * (3.0 * z - 4.0) / 12.0)
-        s_g = np.sum(z * z / 2.0 - z + g * z * z * (3.0 - 2.0 * z) / 3.0
-                     + g * g * z ** 3 * (0.75 * z - 1.0))
-        h_gg = np.sum(z * z * (1.0 - 2.0 * z / 3.0) + g * z ** 3 * (1.5 * z - 2.0)
-                      + g * g * z ** 4 * (3.0 - 2.4 * z))
+        ll = float(np.sum(-tau - z - g * z * (2.0 - z) / 2.0
+                          - g * g * z * z * (2.0 * z - 3.0) / 6.0
+                          + g ** 3 * z ** 3 * (3.0 * z - 4.0) / 12.0))
+        s_g = float(np.sum(z * z / 2.0 - z + g * z * z * (3.0 - 2.0 * z) / 3.0
+                           + g * g * z ** 3 * (0.75 * z - 1.0)))
+        h_gg = float(np.sum(z * z * (1.0 - 2.0 * z / 3.0) + g * z ** 3 * (1.5 * z - 2.0)
+                            + g * g * z ** 4 * (3.0 - 2.4 * z)))
     else:
-        A = np.log1p(g * z)
-        ll = np.sum(-tau - (1.0 + 1.0 / g) * A)
-        s_g = np.sum(A / g ** 2 - (1.0 + 1.0 / g) * B)
-        h_gg = np.sum(2.0 * B / g ** 2 - 2.0 * A / g ** 3
-                      + (1.0 + 1.0 / g) * B * B)
-    s_t = np.sum(-1.0 + (1.0 + g) * B)
-    h_tt = np.sum(-(1.0 + g) * B / w)
-    h_gt = np.sum(B - (1.0 + g) * B * B)
-    score = np.array([s_g, s_t])
-    hess = np.array([[h_gg, h_gt], [h_gt, h_tt]])
-    return float(ll), score, hess
+        # D is O((g z)^2): summed in place of log1p(g z) it spares s_g and
+        # h_gg the cancellation of sum log1p(g z) / g^2 against sum B / g
+        sum_d = float((np.log1p(gz) - gz / w).sum())
+        c = 1.0 + 1.0 / g
+        ll = -n * tau - c * (sum_d + g * sum_b)
+        s_g = sum_d / (g * g) - sum_b
+        h_gg = c * sum_bb - 2.0 * sum_d / g ** 3
+    u = 1.0 + g
+    return ll, s_g, u * sum_b - n, h_gg, sum_b - u * sum_bb, -u * sum_bw
+
+
+def _ascent_step(s_g: float, s_t: float, h_gg: float, h_gt: float, h_tt: float,
+                 norm: float) -> tuple[float, float, bool]:
+    """The Newton step -H^-1 s by Cramer's rule where the Hessian is negative
+    definite (h_gg < 0 and det > 0), else the steepest-ascent step
+    s / max(1, |s|); the flag says which."""
+    det = h_gg * h_tt - h_gt * h_gt
+    if h_gg < 0 and det > 0:
+        return (h_gt * s_t - h_tt * s_g) / det, (h_gt * s_g - h_gg * s_t) / det, True
+    scale = max(1.0, norm)
+    return s_g / scale, s_t / scale, False
 
 
 # ---------------------------------------------------------------------------
@@ -123,28 +140,25 @@ def _newton(g: float, tau: float, x: np.ndarray, first: int, last: int, trace: l
     terms = _loglik_terms(g, tau, x)
     if terms is None:
         return g, tau, -math.inf, math.inf, first - 1, False
-    ll, score, hess = terms
+    ll, s_g, s_t, h_gg, h_gt, h_tt = terms
     for it in range(first, last + 1):
-        norm = float(np.linalg.norm(score))
+        norm = math.hypot(s_g, s_t)
         trace.append({"iter": it, "gamma": g, "log_scale": tau,
                       "loglik": ll, "score_norm": norm})
-        eig = np.linalg.eigvalsh(hess)
-        if norm < _SCORE_TOL and np.all(eig < 0):
+        d_g, d_t, definite = _ascent_step(s_g, s_t, h_gg, h_gt, h_tt, norm)
+        if norm < _SCORE_TOL and definite:
             return g, tau, ll, norm, it, True
-        if np.all(eig < 0):
-            step = np.linalg.solve(hess, -score)
-        else:
-            step = score / max(1.0, np.linalg.norm(score))  # steepest ascent
         # damped update: stay inside bounds/support, require non-decrease
         alpha = 1.0
         accepted = False
         while alpha > 1e-14:
-            g_new = g + alpha * step[0]
-            tau_new = tau + alpha * step[1]
+            g_new = g + alpha * d_g
+            tau_new = tau + alpha * d_t
             if GAMMA_MIN <= g_new <= GAMMA_MAX:
                 cand = _loglik_terms(g_new, tau_new, x)
                 if cand is not None and cand[0] >= ll - 1e-10 * (1 + abs(ll)):
-                    g, tau, (ll, score, hess) = g_new, tau_new, cand
+                    g, tau = g_new, tau_new
+                    ll, s_g, s_t, h_gg, h_gt, h_tt = cand
                     accepted = True
                     break
             alpha /= 2.0

@@ -96,6 +96,13 @@ def test_version(runner):
     assert result.output == f"scedex, version {scedex.__version__}\n"
 
 
+def test_version_names_each_calls_own_program(runner):
+    # click's version option printed the first name for every later call
+    for name in ("scedex", "python -m scedex.cli", "scedex"):
+        result = _ok(runner.invoke(main, ["--version"], prog_name=name))
+        assert result.output == f"{name}, version {scedex.__version__}\n"
+
+
 # Every command with the arguments that exercise its analysis path.
 _TREND = '[{"kind": "linear", "start": 0.5, "end": 1.5}, {"kind": "constant"}]'
 _SCIPY_FREE_RUNS = {
@@ -1100,8 +1107,7 @@ _EXIT_CASES = {
 @pytest.mark.parametrize("case", _EXIT_CASES)
 def test_the_process_entry_gives_mains_output_and_status(panel_csv, tmp_path, case):
     """The same bytes and status as ``main`` called in a process that then
-    exits the normal way (click's version option keeps the first program
-    name it prints, so a CliRunner in this process may print another)."""
+    exits the normal way."""
     template, status = _EXIT_CASES[case]
 
     def run(out, *entry):

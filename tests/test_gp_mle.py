@@ -116,12 +116,12 @@ def test_score_and_hessian_match_numerical_derivatives(gamma):
     def ll(g, t):
         return _loglik_terms(g, t, x)[0]
 
-    _, score, hess = _loglik_terms(gamma, tau, x)
+    _, s_g, s_t, h_gg, h_gt, h_tt = _loglik_terms(gamma, tau, x)
     h = 1e-6
     num_g = (ll(gamma + h, tau) - ll(gamma - h, tau)) / (2 * h)
     num_t = (ll(gamma, tau + h) - ll(gamma, tau - h)) / (2 * h)
-    assert score[0] == pytest.approx(num_g, rel=1e-5, abs=1e-5)
-    assert score[1] == pytest.approx(num_t, rel=1e-5, abs=1e-5)
+    assert s_g == pytest.approx(num_g, rel=1e-5, abs=1e-5)
+    assert s_t == pytest.approx(num_t, rel=1e-5, abs=1e-5)
 
     h = 1e-4
     num_gg = (ll(gamma + h, tau) - 2 * ll(gamma, tau) + ll(gamma - h, tau)) / h**2
@@ -130,9 +130,9 @@ def test_score_and_hessian_match_numerical_derivatives(gamma):
         ll(gamma + h, tau + h) - ll(gamma + h, tau - h)
         - ll(gamma - h, tau + h) + ll(gamma - h, tau - h)
     ) / (4 * h**2)
-    assert hess[0, 0] == pytest.approx(num_gg, rel=5e-4, abs=5e-4)
-    assert hess[1, 1] == pytest.approx(num_tt, rel=5e-4, abs=5e-4)
-    assert hess[0, 1] == pytest.approx(num_gt, rel=5e-4, abs=5e-4)
+    assert h_gg == pytest.approx(num_gg, rel=5e-4, abs=5e-4)
+    assert h_tt == pytest.approx(num_tt, rel=5e-4, abs=5e-4)
+    assert h_gt == pytest.approx(num_gt, rel=5e-4, abs=5e-4)
 
 
 def test_loglik_terms_continuous_across_taylor_seam():
@@ -143,9 +143,83 @@ def test_loglik_terms_continuous_across_taylor_seam():
         below = _loglik_terms(sign * 0.99e-5, 0.1, x)
         above = _loglik_terms(sign * 1.01e-5, 0.1, x)
         # the log-likelihood continues to first order through the branch switch
-        assert above[0] == pytest.approx(below[0] + below[1][0] * dg, abs=1e-8)
-        assert np.allclose(below[1], above[1], rtol=1e-4, atol=1e-6)
-        assert np.allclose(below[2], above[2], rtol=1e-4, atol=1e-5)
+        assert above[0] == pytest.approx(below[0] + below[1] * dg, abs=1e-8)
+        assert np.allclose(below[1:3], above[1:3], rtol=1e-4, atol=1e-6)
+        assert np.allclose(below[3:], above[3:], rtol=1e-4, atol=1e-5)
+
+
+def _reference_terms(g, tau, x):
+    """(ll, s_g, s_t, h_gg, h_gt, h_tt) summed termwise in long double, each
+    with the summed magnitudes of its terms (the scale its rounding error
+    is measured against).  Every series term is split into monomials, so a
+    cancellation inside a term counts in the scale too."""
+    g, tau = np.longdouble(g), np.longdouble(tau)
+    z = np.asarray(x, dtype=np.longdouble) / np.exp(tau)
+    w = 1 + g * z
+    B = z / w
+    one = np.ones_like(z)
+    u = 1 + g
+    if abs(g) < gp_mle_module._SMALL_GAMMA:
+        g2, g3 = g * g, g ** 3
+        ll = [-tau * one, -z, -g * z, g * z ** 2 / 2, -g2 * z ** 3 / 3, g2 * z ** 2 / 2,
+              g3 * z ** 4 / 4, -g3 * z ** 3 / 3]
+        s_g = [z ** 2 / 2, -z, g * z ** 2, -2 * g * z ** 3 / 3, 3 * g2 * z ** 4 / 4, -g2 * z ** 3]
+        h_gg = [z ** 2, -2 * z ** 3 / 3, 3 * g * z ** 4 / 2, -2 * g * z ** 3, 3 * g2 * z ** 4,
+                -12 * g2 * z ** 5 / 5]
+    else:
+        A = np.log1p(g * z)
+        c = 1 + 1 / g
+        ll = [-tau * one, -c * A]
+        s_g = [A / g ** 2, -c * B]
+        h_gg = [2 * B / g ** 2, -2 * A / g ** 3, c * B * B]
+    quantities = (ll, s_g, [-one, u * B], h_gg, [B, -u * B * B], [-u * B / w])
+    return [(sum(t.sum() for t in q), sum(np.abs(t).sum() for t in q)) for q in quantities]
+
+
+@pytest.mark.parametrize("n", [10, 250, 5000])
+@pytest.mark.parametrize(
+    "gamma", [-0.45, -0.05, -1.01e-5, -0.99e-5, 0.99e-5, 1.01e-5, 7e-4, 0.3, 2.0])
+def test_four_sums_match_the_long_double_termwise_sums(gamma, n):
+    """Each of the six numbers is within 1e-13 of its terms' summed
+    magnitudes of the long-double termwise sum: about 450 double epsilons,
+    room for a few roundings per term, the condition of log1p and 1 / w near
+    the support's end (w >= 0.09 here) and the summation order of n terms."""
+    rng = np.random.default_rng([n, 17])
+    x = stats.genpareto.rvs(c=gamma, scale=1.0, size=n, random_state=rng)
+    tau = 0.1  # the scale exp(0.1) > 1 keeps every draw inside the support
+    got = _loglik_terms(gamma, tau, x)
+    assert len(got) == 6 and all(type(v) is float for v in got)
+    for name, v, (want, scale) in zip(
+            ("ll", "s_g", "s_t", "h_gg", "h_gt", "h_tt"), got, _reference_terms(gamma, tau, x)):
+        assert abs(v - float(want)) <= 1e-13 * float(scale), name
+
+
+_BUILT_HESSIANS = {
+    "negative definite": [[-2.0, 0.5], [0.5, -1.0]],
+    "det = 0": [[-1.0, 2.0], [2.0, -4.0]],
+    "det = 0, diagonal": [[-1.0, 0.0], [0.0, 0.0]],
+    "h_gg = 0": [[0.0, 0.0], [0.0, -1.0]],
+    "h_gg = 0, indefinite": [[0.0, 1.0], [1.0, -3.0]],
+    "indefinite": [[-1.0, 2.0], [2.0, -1.0]],
+    "positive definite": [[2.0, 0.5], [0.5, 1.0]],
+    "negative definite, scaled": [[-3.1e3, 1.2e3], [1.2e3, -7.5e2]],
+}
+
+
+@pytest.mark.parametrize("score", [(0.3, -1.7), (4e-9, 2e-9)])
+@pytest.mark.parametrize("case", _BUILT_HESSIANS)
+def test_closed_form_step_agrees_with_eigvalsh_and_solve(case, score):
+    """Definiteness as eigvalsh reports it, and the step solve (or the
+    steepest-ascent rule) gives, to 1e-14 relative: these matrices have
+    condition numbers under 20, so both rules round only a few times."""
+    h = np.array(_BUILT_HESSIANS[case])
+    s = np.array(score)
+    norm = float(np.linalg.norm(s))
+    d_g, d_t, definite = gp_mle_module._ascent_step(
+        s[0], s[1], h[0, 0], h[0, 1], h[1, 1], math.hypot(*s))
+    assert definite == bool(np.all(np.linalg.eigvalsh(h) < 0))
+    want = np.linalg.solve(h, -s) if definite else s / max(1.0, norm)
+    assert np.allclose([d_g, d_t], want, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +269,116 @@ def test_profile_fallback_reaches_the_newton_fit(monkeypatch):
     assert profile.gamma_hat == pytest.approx(newton.gamma_hat, abs=1e-9)
     assert profile.scale_hat == pytest.approx(newton.scale_hat, rel=1e-9)
     assert profile.loglik == pytest.approx(newton.loglik, rel=1e-12)
+
+
+def _termwise_terms(g, tau, x):
+    """The earlier termwise log-likelihood, score vector and Hessian matrix,
+    one array expression and one sum per term."""
+    sigma = math.exp(tau)
+    z = x / sigma
+    w = 1.0 + g * z
+    if np.any(w <= 0):
+        return None
+    B = z / w
+    if abs(g) < gp_mle_module._SMALL_GAMMA:
+        ll = np.sum(-tau - z - g * z * (2.0 - z) / 2.0
+                    - g * g * z * z * (2.0 * z - 3.0) / 6.0
+                    + g ** 3 * z ** 3 * (3.0 * z - 4.0) / 12.0)
+        s_g = np.sum(z * z / 2.0 - z + g * z * z * (3.0 - 2.0 * z) / 3.0
+                     + g * g * z ** 3 * (0.75 * z - 1.0))
+        h_gg = np.sum(z * z * (1.0 - 2.0 * z / 3.0) + g * z ** 3 * (1.5 * z - 2.0)
+                      + g * g * z ** 4 * (3.0 - 2.4 * z))
+    else:
+        A = np.log1p(g * z)
+        ll = np.sum(-tau - (1.0 + 1.0 / g) * A)
+        s_g = np.sum(A / g ** 2 - (1.0 + 1.0 / g) * B)
+        h_gg = np.sum(2.0 * B / g ** 2 - 2.0 * A / g ** 3 + (1.0 + 1.0 / g) * B * B)
+    s_t = np.sum(-1.0 + (1.0 + g) * B)
+    h_tt = np.sum(-(1.0 + g) * B / w)
+    h_gt = np.sum(B - (1.0 + g) * B * B)
+    return float(ll), np.array([s_g, s_t]), np.array([[h_gg, h_gt], [h_gt, h_tt]])
+
+
+def _linalg_newton(g, tau, x, first, last, trace):
+    """The earlier damped Newton: ``_newton`` on the termwise terms, with
+    eigvalsh for definiteness, solve for the step and norm for the score."""
+    terms = _termwise_terms(g, tau, x)
+    if terms is None:
+        return g, tau, -math.inf, math.inf, first - 1, False
+    ll, score, hess = terms
+    for it in range(first, last + 1):
+        norm = float(np.linalg.norm(score))
+        trace.append({"iter": it, "gamma": g, "log_scale": tau,
+                      "loglik": ll, "score_norm": norm})
+        eig = np.linalg.eigvalsh(hess)
+        if norm < gp_mle_module._SCORE_TOL and np.all(eig < 0):
+            return g, tau, ll, norm, it, True
+        if np.all(eig < 0):
+            step = np.linalg.solve(hess, -score)
+        else:
+            step = score / max(1.0, np.linalg.norm(score))
+        alpha = 1.0
+        accepted = False
+        while alpha > 1e-14:
+            g_new = g + alpha * step[0]
+            tau_new = tau + alpha * step[1]
+            if gp_mle_module.GAMMA_MIN <= g_new <= gp_mle_module.GAMMA_MAX:
+                cand = _termwise_terms(g_new, tau_new, x)
+                if cand is not None and cand[0] >= ll - 1e-10 * (1 + abs(ll)):
+                    g, tau, (ll, score, hess) = g_new, tau_new, cand
+                    accepted = True
+                    break
+            alpha /= 2.0
+        if not accepted:
+            break
+    return g, tau, ll, norm, it, False
+
+
+def _fits_by(newton, run):
+    """``run()`` with ``newton`` as the Newton pass; its value and the
+    (excesses, fit) of every fit that returned."""
+    fits = []
+    fit = gp_mle_module.fit_gp_excesses
+
+    def recorded(x, **kw):
+        fits.append((np.asarray(x), fit(x, **kw)))
+        return fits[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gp_mle_module, "fit_gp_excesses", recorded)
+        patch.setattr(gp_mle_module, "_newton", newton)
+        return run(), fits
+
+
+_MLE_SPEC = SimSpec(n=5000, m=4, gamma=0.1, dependence="logistic", alpha=0.6, seed=1)
+
+
+@pytest.mark.parametrize("case", ["mc mle replications", "gamma path"])
+def test_four_sum_newton_fits_as_the_linalg_newton(case):
+    """On the first 40 replications of the benchmark's mle spec, and along a
+    small panel's gamma path: the same iterations and method, shape and
+    relative scale within 1e-12, and a long-double score norm under the
+    1e-8 stopping tolerance at every fit."""
+    if case == "gamma path":
+        p = simulate_panel(SimSpec(n=1500, m=3, gamma=0.1, dependence="logistic",
+                                   alpha=0.6, seed=5))
+
+        def run():
+            return gamma_path(p, range(20, 1001, 20))
+    else:
+        def run():
+            return [fit_gp_pml(simulate_panel(_MLE_SPEC, rep), 250) for rep in range(40)]
+    old_out, old = _fits_by(_linalg_newton, run)
+    new_out, new = _fits_by(gp_mle_module._newton, run)
+    if case == "gamma path":
+        assert [(r.k, r.error) for r in new_out] == [(r.k, r.error) for r in old_out]
+    assert len(new) == len(old)
+    for (x, a), (_, b) in zip(old, new):
+        assert (b.iterations, b.method) == (a.iterations, a.method)
+        assert abs(b.gamma_hat - a.gamma_hat) <= 1e-12
+        assert abs(b.scale_hat / a.scale_hat - 1.0) <= 1e-12
+        terms = _reference_terms(b.gamma_hat, math.log(b.scale_hat), x)
+        assert math.hypot(float(terms[1][0]), float(terms[2][0])) < 1e-8
 
 
 def test_fit_boundary_shape_raises_with_trace():
@@ -255,7 +439,7 @@ def test_fisher_is_expected_score_outer_product(gamma):
 
     def element(a, b):
         def f(x):
-            _, s, _ = _loglik_terms(gamma, 0.0, np.array([x]))
+            s = _loglik_terms(gamma, 0.0, np.array([x]))[1:3]
             return s[a] * s[b] * stats.genpareto.pdf(x, c=gamma)
         val, err = integrate.quad(f, 0, hi, limit=200)
         return val
