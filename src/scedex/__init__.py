@@ -26,7 +26,6 @@ from .panel import (
     load_panel,
     split_season,
 )
-from .tail import PooledOrderStatistics, pool
 from .scedasis import ScedasisCurve, scedasis_all, scedasis_curve
 from .dependence import EmpiricalTailDependence, TailDependenceMatrix, sigma1_matrix
 from .trend_tests import (
@@ -81,7 +80,6 @@ __all__ = [
     "NoExceedanceError",
     "PanelFormatError",
     "PanelSample",
-    "PooledOrderStatistics",
     "RangeError",
     "SEASONS",
     "ScedasisCurve",
@@ -109,7 +107,6 @@ __all__ = [
     "mc_mle_variance",
     "mc_test_size",
     "mle_asymptotic_cov",
-    "pool",
     "scedasis_all",
     "scedasis_curve",
     "sigma1_matrix",

@@ -21,7 +21,7 @@ from .panel import PanelSample
 from .tail import TailAtK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailDependenceMatrix:
     """Joint exceedance counts at the pooled threshold, divided by ``divisor``.
 
@@ -52,7 +52,7 @@ def sigma1_matrix(p: PanelSample, k: int, renormalize: bool = False) -> TailDepe
     divisor, which restores the exact row-sum identity when the threshold is
     tied.
     """
-    tail = TailAtK(p, k)
+    tail = TailAtK.of(p, k)
     # Only days with an exceedance add to E.T @ E, and its entries are whole
     # counts, exact in any summation order.
     E = tail.hits.astype(np.float64)
@@ -81,11 +81,11 @@ class EmpiricalTailDependence:
     """
 
     def __init__(self, p: PanelSample, k: int):
-        tail = TailAtK(p, k)
+        tail = TailAtK.of(p, k)
         self.k = k = tail.k
         # a hit exceeds X_{N-k:N}, so every pooled value at least as large
         # is among the top k
-        top = tail.pooled.values[-k:]
+        top = p.sorted_values[-k:]
         self._ranks = np.full(tail.hits.shape, k + 1)
         self._ranks[tail.hits] = k - np.searchsorted(top, p.values[tail.rows][tail.hits])
         N = tail.hits.sum(axis=1)

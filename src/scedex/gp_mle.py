@@ -289,7 +289,7 @@ def fit_gp_pml(p: PanelSample, k: int) -> GpFit:
     Observations tied with the threshold contribute zero excess and are
     dropped (their count is recorded on the fit).
     """
-    tail = TailAtK(p, k)
+    tail = TailAtK.of(p, k)
     if tail.k < 10:
         raise InsufficientDataError(f"k must be at least 10 for a GP fit, got {tail.k}")
     if tail.n_exceedances < 10:
@@ -297,8 +297,7 @@ def fit_gp_pml(p: PanelSample, k: int) -> GpFit:
             f"only {tail.n_exceedances} positive excesses at k={tail.k} "
             f"({tail.tie_count} tied with the threshold)"
         )
-    o = tail.pooled
-    positive = o.values[o.n_effective - tail.n_exceedances:] - tail.threshold
+    positive = p.sorted_values[-tail.n_exceedances:] - tail.threshold
     return fit_gp_excesses(positive, k=tail.k, dropped_ties=tail.tie_count)
 
 
@@ -386,7 +385,7 @@ def sigma_gamma0(gamma: float, c1, *, moment: float = 0.0,
     return _score_covariance(gamma, total + moment, total + corner), 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AsymptoticCov:
     """Sandwich covariance of sqrt(k) (gamma_hat - gamma, scale ratio - 1)."""
 

@@ -50,7 +50,7 @@ MAX_SLOT_BYTES = 256 << 20
 _BLOCK = 1 << 17
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanelSample:
     """Daily observations for ``m`` stations over ``n`` days.
 
@@ -630,17 +630,8 @@ def _kept_days(peaks: np.ndarray, days: np.ndarray, gap_days: int) -> np.ndarray
 
 
 def _window_min(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """``min(x[lo[i]:hi[i]])`` for every ``i`` (no window empty), from a
-    sparse table: level ``j`` holds the minima of the windows of length
-    ``2**j``, and two of them cover each window."""
-    levels = [x]
-    level = np.log2(hi - lo).astype(np.int64)  # the floor, exact at powers of two
-    for j in range(1, int(level.max()) + 1):
-        step = 1 << (j - 1)
-        levels.append(np.minimum(levels[-1][:-step], levels[-1][step:]))
-    out = np.empty_like(x)
-    for j, table in enumerate(levels):
-        at = level == j
-        out[at] = np.minimum(table[lo[at]], table[hi[at] - (1 << j)])
-    return out
+    """``min(x[lo[i]:hi[i]])`` for every ``i`` (no window empty): one
+    reduction over the interleaved bounds, whose odd slots (from ``hi[i]`` on)
+    are dropped; the appended cell lets ``hi`` reach ``x.size``."""
+    return np.minimum.reduceat(np.append(x, 0), np.column_stack((lo, hi)).ravel())[::2]
 

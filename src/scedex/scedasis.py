@@ -21,7 +21,7 @@ from .panel import PanelSample
 from .tail import TailAtK
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScedasisCurve:
     """Right-continuous step curve of one station's share of pooled extremes.
 
@@ -66,7 +66,7 @@ class ScedasisCurve:
 
 
 def _curve(tail: TailAtK, j: int, renormalize: bool) -> ScedasisCurve:
-    n = tail.panel.n
+    n = tail.values.shape[0]
     rows = tail.rows[tail.hits[:, j]] + 1  # 1-based day index
     return ScedasisCurve(
         station=j,
@@ -80,7 +80,7 @@ def _curve(tail: TailAtK, j: int, renormalize: bool) -> ScedasisCurve:
 
 def scedasis_curve(p: PanelSample, k: int, j: int, renormalize: bool = False) -> ScedasisCurve:
     """Estimate station ``j``'s integrated scedasis curve at level ``k``."""
-    tail = TailAtK(p, k)
+    tail = TailAtK.of(p, k)
     if not 0 <= j < p.m:
         raise RangeError(f"station index {j} out of range for m={p.m}")
     return _curve(tail, j, renormalize)
@@ -88,5 +88,5 @@ def scedasis_curve(p: PanelSample, k: int, j: int, renormalize: bool = False) ->
 
 def scedasis_all(p: PanelSample, k: int, renormalize: bool = False) -> list[ScedasisCurve]:
     """Scedasis curves for every station (one level-k tail view for all)."""
-    tail = TailAtK(p, k)
+    tail = TailAtK.of(p, k)
     return [_curve(tail, j, renormalize) for j in range(p.m)]

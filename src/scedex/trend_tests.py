@@ -118,7 +118,7 @@ def kolmogorov_pvalue(d: float) -> float:
         i += 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BonferroniResult:
     corrected_level: float
     reject: np.ndarray

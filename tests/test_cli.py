@@ -18,6 +18,7 @@ from click.testing import CliRunner
 import scedex
 from scedex import dependence, gp_mle, mc, panel, scedasis, trend_tests
 from scedex.cli import main
+from scedex.tail import TailAtK
 
 from conftest import wait_for_clock
 
@@ -544,7 +545,7 @@ def test_commands_load_and_pool_once(runner, panel_csv, monkeypatch):
         if name.partition(".")[0] == "scedex" and getattr(
                 module, "load_panel", None) is panel.load_panel:
             monkeypatch.setattr(module, "load_panel", counting(panel.load_panel, "load_panel"))
-    # every pool() of a panel reads the sample the panel sorted on first use
+    # every estimator reads the sample the panel sorted on first use
     sorted_values = panel.PanelSample.sorted_values
     monkeypatch.setattr(sorted_values, "func", counting(sorted_values.func, "sort"))
 
@@ -553,6 +554,32 @@ def test_commands_load_and_pool_once(runner, panel_csv, monkeypatch):
     calls.clear()
     _ok(runner.invoke(main, ["ingest-check", "--input", str(panel_csv)]))
     assert calls == {"load_panel": 1}
+
+
+@pytest.mark.parametrize("args", [["test-time", "--k", "100"],
+                                  ["fit-gp", "--k", "100", "--with-cov"]],
+                         ids=["test-time", "fit-gp-with-cov"])
+def test_commands_build_one_exceedance_table(runner, tmp_path, monkeypatch, args):
+    """Every estimator a command runs reads the panel's one level-k view:
+    the time tests of all five stations, and the fit with its covariance."""
+    rng = np.random.default_rng(5)
+    f = tmp_path / "panel.csv"
+    _write_panel(f, 10.0 * rng.pareto(2.5, size=(400, 5)))
+    built = Counter()
+    init, rows = TailAtK.__init__, TailAtK.rows.func
+
+    def counted_init(self, *a):
+        built["view"] += 1
+        init(self, *a)
+
+    def counted_rows(self):
+        built["table"] += 1
+        return rows(self)
+
+    monkeypatch.setattr(TailAtK, "__init__", counted_init)
+    monkeypatch.setattr(TailAtK.rows, "func", counted_rows)
+    _ok(runner.invoke(main, [args[0], "--input", str(f), *args[1:]]))
+    assert built == {"view": 1, "table": 1}
 
 
 PANEL_COMMANDS = [c for c in COMMANDS if c != "mc"]

@@ -11,7 +11,6 @@ from scedex import (
     scedasis_all,
     sigma1_matrix,
 )
-from scedex.tail import pool
 
 from conftest import make_panel
 
@@ -87,9 +86,9 @@ def test_sigma1_symmetric_and_dominated(n, m, seed):
 def _above(p, level):
     """Which cells strictly exceed the level-``level`` pooled threshold,
     thresholded from scratch on the raw panel."""
-    o = pool(p)
+    pooled = p.sorted_values
     filled = np.where(p.missing_mask, -np.inf, p.values)
-    return filled > o.values[o.n_effective - 1 - level]
+    return filled > pooled[pooled.size - 1 - level]
 
 
 def _brute_pair_count(p, k, i, j, si, sj):
@@ -167,10 +166,10 @@ def test_surface_diagonal_matches_marginal(surface_panel):
     """r_jj(s, s) is the marginal exceedance frequency at level floor(k s)."""
     k = 40
     etd = EmpiricalTailDependence(surface_panel, k)
-    o = pool(surface_panel)
+    pooled = surface_panel.sorted_values
     for s in np.r_[LEVELS, 0.33, 0.999]:
         ks = int(np.floor(k * s + 1e-9))
-        thr = o.values[o.n_effective - ks - 1]
+        thr = pooled[pooled.size - ks - 1]
         marg = np.count_nonzero(surface_panel.values[:, 1] > thr) / k
         assert etd.r(1, 1, s, s) == marg
 
@@ -211,7 +210,7 @@ def test_moment_and_corner_match_a_brute_force_recount(kind, k):
     its corner X(1, 1) the level-k count; one station has neither."""
     p = _surface_panel(kind)
     if kind == "tied":
-        assert np.unique(pool(p).values[-k:]).size < k
+        assert np.unique(p.sorted_values[-k:]).size < k
     etd = EmpiricalTailDependence(p, k)
     edge = _brute_edge(p, k)
     levels = np.arange(1, k)

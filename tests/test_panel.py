@@ -82,6 +82,23 @@ def test_the_constructor_copies_what_a_caller_passes():
     assert not (p.values.flags.writeable or p.day_labels.flags.writeable)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: make_panel([[1.0, 2.0], [3.0, 4.0]]),
+    lambda: scedex.ScedasisCurve(station=0, k=2, n_rows=4, jump_times=[0.5, 1.0],
+                                 divisor=2, tie_count=0),
+    lambda: scedex.TailDependenceMatrix(entries=np.eye(2), k=2, divisor=2, tie_count=0),
+    lambda: scedex.BonferroniResult(corrected_level=0.025, reject=[True, False]),
+    lambda: scedex.AsymptoticCov(matrix=np.eye(2), sigma=np.eye(2), k=2),
+], ids=["PanelSample", "ScedasisCurve", "TailDependenceMatrix", "BonferroniResult",
+        "AsymptoticCov"])
+def test_records_holding_arrays_compare_by_identity(make):
+    """Comparing two array fields has no single truth value, so a record
+    that holds one is equal only to itself, and hashes."""
+    a, b = make(), make()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+
+
 def test_months_and_years():
     p = make_panel(np.ones((3, 1)), start="1999-12-30")
     assert p.months().tolist() == [12, 12, 1]

@@ -1,4 +1,4 @@
-"""Pooled order statistics and the level-k tail.
+"""The pooled sample and the level-k tail.
 
 The small 8x2 fixture pools to N=16 tie-free values; with k=4 the global
 threshold is the 5th largest pooled value (5.0), checked by hand.  Property
@@ -6,6 +6,9 @@ tests recount the level-k tail of tied panels with missing cells, check
 that every estimator sees the same exceedances and ties, and that the
 tail-copula ranks place every cell at the levels the threshold rule does.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,9 +27,9 @@ from scedex import (
     fit_gp_pml,
     gamma_path,
     k_sweep,
-    pool,
     scedasis_all,
     sigma1_matrix,
+    space_test,
     split_season,
     time_test,
 )
@@ -36,19 +39,18 @@ from conftest import make_panel
 
 
 def test_pool_sorted_and_frozen(small_panel):
-    o = pool(small_panel)
-    assert o.n_effective == 16
-    assert np.all(np.diff(o.values) > 0)  # fixture is tie-free
-    assert o.values[-1] == 9.0
+    pooled = small_panel.sorted_values
+    assert pooled.size == 16
+    assert np.all(np.diff(pooled) > 0)  # fixture is tie-free
+    assert pooled[-1] == 9.0
     # arrays are frozen
     with pytest.raises(ValueError):
-        o.values[0] = -1.0
+        pooled[0] = -1.0
 
 
 def test_pool_keeps_tied_values():
     p = make_panel([[2.0, 2.0], [2.0, 1.0]])
-    o = pool(p)
-    assert o.values.tolist() == [1.0, 2.0, 2.0, 2.0]
+    assert p.sorted_values.tolist() == [1.0, 2.0, 2.0, 2.0]
 
 
 def test_pool_skips_missing(small_panel):
@@ -56,20 +58,22 @@ def test_pool_skips_missing(small_panel):
     miss = np.zeros_like(vals, dtype=bool)
     miss[3, 0] = True  # drop the maximum, 9.0
     p = make_panel(vals, missing=miss)
-    o = pool(p)
-    assert o.n_effective == 15
-    assert o.values[-1] == 8.0
+    assert p.sorted_values.size == 15
+    assert p.sorted_values[-1] == 8.0
 
 
 def test_pool_empty_raises():
     p = make_panel([[1.0, 2.0]], missing=[[True, True]])
     with pytest.raises(EmptyPoolError):
-        pool(p)
+        p.sorted_values
+    with pytest.raises(EmptyPoolError):
+        TailAtK.of(p, 1)
 
 
 def test_pool_shares_the_panels_one_read_only_array(small_panel):
-    assert pool(small_panel).values is pool(small_panel).values
-    assert not pool(small_panel).values.flags.writeable
+    assert small_panel.sorted_values is small_panel.sorted_values
+    assert not small_panel.sorted_values.flags.writeable
+    assert TailAtK.of(small_panel, 4).sorted_values is small_panel.sorted_values
 
 
 def test_derived_panels_pool_their_own_rows():
@@ -77,13 +81,13 @@ def test_derived_panels_pool_their_own_rows():
     vals = rng.pareto(2.0, (60, 3))  # 2001-01-01 on: January and February
     missing = rng.random((60, 3)) < 0.1
     p = make_panel(vals, missing=missing)
-    whole = pool(p).values  # sorted before the derived panels exist
+    whole = p.sorted_values  # sorted before the derived panels exist
     february = split_season(p, {2})  # all 28 days the record spans: no thin-year warning
     for derived in (decluster(p, 1), february):
         assert derived.n < p.n
-        assert np.array_equal(pool(derived).values,
+        assert np.array_equal(derived.sorted_values,
                               np.sort(derived.values[~derived.missing_mask]))
-        assert pool(derived).n_effective < whole.size
+        assert derived.sorted_values.size < whole.size
 
 
 def test_one_sort_per_panel(monkeypatch):
@@ -102,6 +106,33 @@ def test_one_sort_per_panel(monkeypatch):
     for j in range(p.m):
         time_test(p, 60, j)
     assert len(sorts) == 1 and sorts[0] is p
+
+
+def test_a_panel_holds_one_view_after_a_sweep():
+    p = make_panel(np.random.default_rng(7).pareto(2.0, (300, 3)))
+    for which in ("space", "time"):
+        k_sweep(p, [30, 60, 90, 120], which=which, station=0)
+        views = [v for v in vars(p).values() if isinstance(v, TailAtK)]
+        assert len(views) == 1 and views[0].k == 120
+        assert TailAtK.of(p, 120) is views[0]
+    assert TailAtK.of(p, 30) is not views[0]
+
+
+def test_a_panel_with_its_view_is_freed_without_the_collector():
+    """The view holds the panel's arrays, not the panel: no reference cycle
+    keeps a panel alive once its last reference goes."""
+    p = make_panel(np.random.default_rng(8).pareto(2.0, (200, 3)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        space_test(p, 40)
+        assert TailAtK.of(p, 40).hits.any()
+        ref = weakref.ref(p)
+        del p
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_check_k_bounds():
@@ -126,12 +157,11 @@ def test_renormalising_without_exceedances_raises():
 
 
 def test_global_threshold_is_k_plus_first_largest(small_panel):
-    o = pool(small_panel)
     # exactly k = 4 pooled values (6, 7, 8, 9) exceed the threshold
     tail = TailAtK(small_panel, 4)
     thr = tail.threshold
     assert thr == 5.0
-    assert int((o.values > thr).sum()) == 4
+    assert int((small_panel.sorted_values > thr).sum()) == 4
     assert TailAtK(small_panel, 1).threshold == 8.0
     assert TailAtK(small_panel, 15).threshold == 0.1
 
