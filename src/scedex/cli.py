@@ -102,12 +102,21 @@ def _check_output(output: str | None) -> None:
         raise click.UsageError(f"--output directory not found: {os.path.dirname(target)}")
 
 
+def _csv_cell(text: str) -> str:
+    """``text`` as one CSV cell: quoted, its quotes doubled, when it holds a
+    comma, a quote or a line end.  ``csv.writer`` with ``lineterminator="\\n"``
+    would leave a lone ``\\r`` unquoted on Python 3.10 and 3.11."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _render(out) -> str:
     """A dict payload as JSON, a ``(header, rows)`` table as CSV."""
     if isinstance(out, dict):
         return json.dumps(_jsonable(out), sort_keys=True, indent=2) + "\n"
     header, rows = out
-    lines = [",".join(header)]
+    lines = [",".join(map(_csv_cell, header))]
     for row in rows:
         cells = []
         for cell in row:
@@ -117,7 +126,7 @@ def _render(out) -> str:
                 x = float(cell)
                 cells.append(_FLOAT_FMT % x if math.isfinite(x) else repr(x))
             else:
-                cells.append(str(cell))
+                cells.append(_csv_cell(str(cell)))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -174,13 +174,11 @@ def _profile_maximum(x: np.ndarray) -> tuple[float, float]:
     With theta = gamma / sigma the likelihood is maximised over the shape in
     closed form, gamma(theta) = mean log(1 + theta x), which leaves a profile
     in theta alone, -n (1 + log sigma(theta) + gamma(theta)) with
-    sigma(theta) = gamma(theta) / theta.  Its slope has the sign of
-    h(theta) = (1 + gamma(theta)) mean 1 / (1 + theta x) - 1, whose root at
-    theta = 0 is double and changes no sign.  theta is carried as
+    sigma(theta) = gamma(theta) / theta.  theta is carried as
     e = theta max(x) in (-1, inf); gamma(theta) increases with it, so the
     admissible shapes are one interval of e.  A scan of log(1 + e) over that
-    interval picks the best grid point, and a safeguarded Newton/bisection
-    root of h between its neighbours refines it.
+    interval returns its best grid point; the Newton polish in
+    :func:`fit_gp_excesses` refines it.
     """
     x_max = float(np.max(x))
     r = x / x_max
@@ -190,12 +188,6 @@ def _profile_maximum(x: np.ndarray) -> tuple[float, float]:
 
     def log_scale(e: float, g: float) -> float:
         return math.log(g * x_max / e) if e != 0.0 else math.log(float(np.mean(x)))
-
-    def h(e: float) -> tuple[float, float]:
-        """h and its derivative in e."""
-        q = 1.0 / (1.0 + e * r)
-        g, v, rq = shape(e), float(np.mean(q)), r * q
-        return (1.0 + g) * v - 1.0, float(np.mean(rq)) * v - (1.0 + g) * float(np.mean(rq * q))
 
     def crossing(lo: float, hi: float, target: float) -> float:
         """Smallest log(1 + e) in [lo, hi] whose shape reaches ``target``
@@ -213,22 +205,7 @@ def _profile_maximum(x: np.ndarray) -> tuple[float, float]:
                                 crossing(0.0, phi_hi, GAMMA_MAX), _PROFILE_GRID))
     shapes = [shape(e) for e in grid]
     j = int(np.argmax([-(g + log_scale(e, g)) for e, g in zip(grid, shapes)]))
-    e = float(grid[j])
-    if 0 < j < grid.size - 1 and h(grid[j - 1])[0] > 0.0 > h(grid[j + 1])[0]:
-        a, b = float(grid[j - 1]), float(grid[j + 1])
-        for _ in range(100):
-            val, slope = h(e)
-            if val == 0.0:
-                break
-            a, b = (e, b) if val > 0.0 else (a, e)
-            step = e - val / slope if slope != 0.0 else math.nan
-            nxt = step if a < step < b else 0.5 * (a + b)
-            done = abs(nxt - e) <= 4e-16 * abs(e)
-            e = nxt
-            if done:
-                break
-    g = shape(e)
-    return g, log_scale(e, g)
+    return shapes[j], log_scale(float(grid[j]), shapes[j])
 
 
 def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> GpFit:
@@ -237,8 +214,9 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
 
     The shape is constrained to (-0.5, 10]; convergence requires the score
     norm below 1e-8 at an interior point with negative-definite Hessian.
-    When Newton stalls, the maximum is located on Grimshaw's one-dimensional
-    profile (:func:`_profile_maximum`) and polished by Newton from there.
+    When Newton stalls, the best point of a scan of Grimshaw's one-dimensional
+    profile (:func:`_profile_maximum`) starts a Newton polish, the only
+    refinement of that point.
     """
     x = np.asarray(excesses, dtype=float)
     if x.ndim != 1:

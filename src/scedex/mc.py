@@ -252,28 +252,6 @@ def simulate_panel(spec: SimSpec, replication: int = 0) -> PanelSample:
                               tuple(f"S{j + 1:02d}" for j in range(m)))
 
 
-def _tail_integral(spec: SimSpec, i: int, j: int, s, t, upper: float = 1.0):
-    """(1/m) int_0^upper R_ij(s c_i(u), t c_j(u)) du by :func:`_nodes`.  R_ij is
-    min within one station and the spec's pair copula across stations; where
-    the arguments of min cross, the rule is not exact (the integrand kinks)."""
-    if not (0 <= i < spec.m and 0 <= j < spec.m):
-        raise RangeError(f"station indices ({i}, {j}) out of range for m={spec.m}")
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if not (np.all(s >= 0) and np.all(t >= 0)):
-        raise RangeError("tail copula arguments must be >= 0")
-    if i == j or spec.dependence == "comonotone":
-        R = np.minimum
-    elif spec.dependence == "independent":
-        R = lambda x, y: 0.0 * np.minimum(x, y)
-    else:
-        R = logistic_tail_copula(spec.alpha)
-    u, w = _nodes()
-    vals = R(s[..., None] * spec.level(i, upper * u), t[..., None] * spec.level(j, upper * u))
-    out = upper * (vals @ w) / spec.m
-    return float(out) if out.ndim == 0 else out
-
-
 def _analytic_moment_corner(spec: SimSpec) -> tuple:
     """(moment, corner): int_0^1 X(v, 1) / v dv and X(1, 1) of the spec's exact
     aggregate cross-station surface X(s, t) = sum over i != j of r(i, j; s, t),
@@ -293,19 +271,37 @@ def _analytic_moment_corner(spec: SimSpec) -> tuple:
         groups.setdefault(line, []).append(j)
     w, weights = _nodes()
     v = np.append(w ** 3, 1.0)
-    edge = sum(pairs * _tail_integral(spec, a[0], b[-1], v, 1.0)  # distinct when a is b
+    edge = sum(pairs * analytic_sigma(spec, a[0], b[-1], v, 1.0, 1.0, 1.0)  # distinct when a is b
                for a in groups.values() for b in groups.values()
                if (pairs := len(a) * (len(b) - (a is b))))
     return 3.0 * float(weights @ (edge[:-1] / w)), float(edge[-1])
 
 
-def analytic_sigma(spec: SimSpec, j1: int, j2: int, s1: float, s2: float,
-                   t1: float, t2: float) -> float:
+def analytic_sigma(spec: SimSpec, j1: int, j2: int, s1, s2, t1: float, t2: float):
     """Limiting covariance of the threshold-exceedance counts:
-    (1/m) int_0^{t1 ^ t2} R(s1 c_{j1}(u), s2 c_{j2}(u)) du."""
+    (1/m) int_0^{t1 ^ t2} R(s1 c_{j1}(u), s2 c_{j2}(u)) du by :func:`_nodes`,
+    elementwise over array levels.  R is min within one station and the
+    spec's pair copula across stations; where the arguments of min cross, the
+    rule is not exact (the integrand kinks)."""
     if not (0 <= t1 <= 1 and 0 <= t2 <= 1):  # NaN fails both comparisons
         raise RangeError(f"time fractions must lie in [0, 1], got t1={t1}, t2={t2}")
-    return _tail_integral(spec, j1, j2, s1, s2, upper=min(t1, t2))
+    if not (0 <= j1 < spec.m and 0 <= j2 < spec.m):
+        raise RangeError(f"station indices ({j1}, {j2}) out of range for m={spec.m}")
+    s1 = np.asarray(s1, dtype=float)
+    s2 = np.asarray(s2, dtype=float)
+    if not (np.all(s1 >= 0) and np.all(s2 >= 0)):
+        raise RangeError("tail copula arguments must be >= 0")
+    if j1 == j2 or spec.dependence == "comonotone":
+        R = np.minimum
+    elif spec.dependence == "independent":
+        R = lambda x, y: 0.0 * np.minimum(x, y)
+    else:
+        R = logistic_tail_copula(spec.alpha)
+    upper = min(t1, t2)
+    u, w = _nodes()
+    vals = R(s1[..., None] * spec.level(j1, upper * u), s2[..., None] * spec.level(j2, upper * u))
+    out = upper * (vals @ w) / spec.m
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line frontend via click's CliRunner."""
 
+import csv
+import io
 import json
 import os
 import re
@@ -480,6 +482,33 @@ def test_gamma_path_csv(runner, panel_csv):
         assert converged == "True" and error == ""
         assert np.isfinite(float(gamma))
         assert float(scale) > 0.0 and float(se) > 0.0
+
+
+def test_csv_cells_holding_commas_quotes_or_line_ends_are_quoted(runner, tmp_path):
+    # A duplicated station makes every sweep row's error list station pairs,
+    # and the quoted header gives names holding a comma, a quote and a lone
+    # carriage return.
+    rng = np.random.default_rng(7)
+    values = 10.0 * rng.pareto(2.5, size=(200, 3)) + rng.uniform(0.0, 0.01, (200, 3))
+    values[:, 2] = values[:, 0]
+    f = tmp_path / "quoted.csv"
+    _write_panel(f, values)
+    names = ["Bremen, Airport", 'say "hi"', "Kiel\rHafen"]
+    header = "date," + ",".join('"' + name.replace('"', '""') + '"' for name in names)
+    f.write_text(header + "\n" + f.read_text().split("\n", 1)[1])
+    tables = {}
+    for args in (["sweep", "--k-min", "20", "--k-max", "60", "--k-step", "20"],
+                 ["scedasis", "--k", "60", "--grid", "2"],
+                 ["sigma1", "--k", "60"]):
+        out = _ok(runner.invoke(main, [*args, "--input", str(f), "--gap", "0"])).output
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows), args[0]
+        tables[args[0]] = rows
+    assert all("near-duplicate station pair(s): (0, 2)" in row[3]
+               for row in tables["sweep"][1:])
+    assert [row[0] for row in tables["scedasis"][1::3]] == names
+    assert {(row[0], row[1]) for row in tables["sigma1"][1:]} == {
+        (a, b) for a in names for b in names}
 
 
 # ---------------------------------------------------------------------------

@@ -254,21 +254,44 @@ def test_fit_scale_equivariance():
 
 
 def test_profile_fallback_reaches_the_newton_fit(monkeypatch):
-    rng = np.random.default_rng(3)
-    x = stats.genpareto.rvs(c=0.25, scale=1.0, size=2000, random_state=rng)
-    newton = fit_gp_excesses(x)
-    assert newton.method == "newton" and newton.iterations > 1
-    # One Newton iteration leaves the start unconverged; the profile pass
-    # lands on the maximum, so the Newton polish from it stops at once and
-    # the fit meets the same score tolerance as Newton's.
+    # One Newton iteration leaves the start unconverged, so the forced fits
+    # take the profile path: the best point of the profile scan, then the
+    # Newton polish.  Where the default fit converges, the forced one reaches
+    # the same maximum: both meet the score tolerance, so on the quadratic
+    # model they lie within 2 tol / lambda_min(-H) of each other.  Where the
+    # default fit fails, the forced one fails too.
+    samples = {(gamma, n): stats.genpareto.rvs(c=gamma, scale=1.0, size=n,
+                                                random_state=np.random.default_rng(3))
+               for gamma in (-0.3, 0.0, 0.25, 1.0, 3.0) for n in (15, 50, 200, 2000)}
+
+    def fit_all():
+        fits = {}
+        for key, x in samples.items():
+            try:
+                fits[key] = fit_gp_excesses(x)
+            except FitConvergenceError:
+                fits[key] = None
+        return fits
+
+    default = fit_all()
     monkeypatch.setattr(gp_mle_module, "_MAX_ITER", 1)
-    profile = fit_gp_excesses(x)
-    assert profile.method == "profile"
-    assert profile.iterations == 2  # one Newton iteration, then the profile pass
-    assert profile.converged and profile.score_norm < 1e-8
-    assert profile.gamma_hat == pytest.approx(newton.gamma_hat, abs=1e-9)
-    assert profile.scale_hat == pytest.approx(newton.scale_hat, rel=1e-9)
-    assert profile.loglik == pytest.approx(newton.loglik, rel=1e-12)
+    forced = fit_all()
+    assert None in default.values() and sum(f is not None for f in default.values()) > 10
+    for key, fit in default.items():
+        profile = forced[key]
+        if fit is None:
+            assert profile is None, key
+            continue
+        assert profile.method == "profile", key
+        assert 2 < profile.iterations <= 1 + gp_mle_module._POLISH_ITER, key
+        assert profile.converged and profile.score_norm < 1e-8, key
+        _, _, _, h_gg, h_gt, h_tt = _loglik_terms(
+            fit.gamma_hat, math.log(fit.scale_hat), samples[key])
+        reach = 2 * gp_mle_module._SCORE_TOL / np.linalg.eigvalsh(
+            -np.array([[h_gg, h_gt], [h_gt, h_tt]])).min()
+        assert profile.gamma_hat == pytest.approx(fit.gamma_hat, abs=reach), key
+        assert profile.scale_hat == pytest.approx(fit.scale_hat, rel=reach), key
+        assert profile.loglik == pytest.approx(fit.loglik, rel=1e-12), key
 
 
 def _termwise_terms(g, tau, x):
