@@ -368,20 +368,27 @@ def _test_time(p, k, station, alpha, **_):
     """Kolmogorov-Smirnov test of constant frequency over time, per station."""
     # a station named twice (by name and by index, say) is tested once
     idx = list(dict.fromkeys(p.station_index(s) for s in station)) or list(range(p.m))
-    results = [trend_tests.time_test(p, k, j) for j in idx]
-    corr = trend_tests.bonferroni(np.array([r.p_value for r in results]), alpha=alpha)
+    # a station that cannot be tested (no exceedance) is left out of the family
+    results = err.each(idx, lambda j: trend_tests.time_test(p, k, j), lambda j, _: None)
+    tested = [r for r in results if r is not None]
+    if not tested:
+        trend_tests.time_test(p, k, idx[0])  # raises the first station's error again
+    corr = trend_tests.bonferroni([r.p_value for r in tested], alpha=alpha)
+    flags = iter(corr.reject.tolist())
+    untested = {"statistic": None, "p_value": None, "reject_corrected": False,
+                "n_exceedances": 0}
     return {
         "k": k,
         "alpha": alpha,
         "bonferroni_level": corr.corrected_level,
         "stations": {
-            p.station_ids[j]: {
+            p.station_ids[j]: untested if r is None else {
                 "statistic": r.statistic,
                 "p_value": r.p_value,
-                "reject_corrected": bool(flag),
+                "reject_corrected": next(flags),
                 "n_exceedances": r.extras["n_exceedances"],
             }
-            for j, r, flag in zip(idx, results, corr.reject)
+            for j, r in zip(idx, results)
         },
     }
 

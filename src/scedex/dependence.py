@@ -85,9 +85,8 @@ class EmpiricalTailDependence:
         self.k = k = tail.k
         # a hit exceeds X_{N-k:N}, so every pooled value at least as large
         # is among the top k
-        top = p.sorted_values[-k:]
         self._ranks = np.full(tail.hits.shape, k + 1)
-        self._ranks[tail.hits] = k - np.searchsorted(top, p.values[tail.rows][tail.hits])
+        self._ranks[tail.hits] = k - np.searchsorted(tail.top, p.values[tail.rows][tail.hits])
         N = tail.hits.sum(axis=1)
         # log(k / l_c) on the hits; min() puts the other cells at log 1 = 0
         depth = np.log(k / np.minimum(self._ranks, k)).sum(axis=1)

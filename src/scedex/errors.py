@@ -67,3 +67,18 @@ class FitConvergenceError(ScedexError):
 
 class SimSpecError(ScedexError):
     """Invalid simulation specification."""
+
+
+def each(keys, one, failed) -> list:
+    """``one(key)`` for each key in turn, except that a :class:`ScedexError`
+    fails only its key, as ``failed(key, message)``: the list of what they
+    return.  An :class:`EmptyPoolError` fails every key, and it is raised."""
+    out = []
+    for key in keys:
+        try:
+            out.append(one(key))
+        except EmptyPoolError:
+            raise
+        except ScedexError as exc:
+            out.append(failed(key, str(exc)))
+    return out

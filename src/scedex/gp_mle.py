@@ -27,6 +27,7 @@ from .errors import (
     FitConvergenceError,
     InsufficientDataError,
     RangeError,
+    each,
 )
 from .panel import PanelSample
 from .tail import TailAtK
@@ -275,8 +276,7 @@ def fit_gp_pml(p: PanelSample, k: int) -> GpFit:
             f"only {tail.n_exceedances} positive excesses at k={tail.k} "
             f"({tail.tie_count} tied with the threshold)"
         )
-    positive = p.sorted_values[-tail.n_exceedances:] - tail.threshold
-    return fit_gp_excesses(positive, k=tail.k, dropped_ties=tail.tie_count)
+    return fit_gp_excesses(tail.excesses, k=tail.k, dropped_ties=tail.tie_count)
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +428,15 @@ def gamma_path(p: PanelSample, k_values) -> list[GammaPathRow]:
     (1 + gamma_hat) / sqrt(k), which is exact for a single station and for
     independent stations under the pooled normalisation; cross-station
     dependence inflates the truth above it (see :func:`mle_asymptotic_cov`
-    for the full version).  Failures at individual levels are recorded and
-    the sweep continues.
+    for the full version).  A level fails as :func:`~scedex.errors.each`
+    says: in its row, and the sweep continues.
     """
-    rows: list[GammaPathRow] = []
-    for k in k_values:
-        try:
-            fit = fit_gp_pml(p, int(k))
-            rows.append(
-                GammaPathRow(
-                    k=int(k),
-                    gamma=fit.gamma_hat,
-                    scale=fit.scale_hat,
-                    se=(1.0 + fit.gamma_hat) / math.sqrt(fit.k),
-                    converged=fit.converged,
-                )
-            )
-        except (FitConvergenceError, InsufficientDataError, RangeError, DomainError) as exc:
-            rows.append(
-                GammaPathRow(
-                    k=int(k), gamma=None, scale=None, se=None,
-                    converged=False, error=str(exc),
-                )
-            )
-    return rows
+
+    def one(k):
+        fit = fit_gp_pml(p, k)
+        return GammaPathRow(k=k, gamma=fit.gamma_hat, scale=fit.scale_hat,
+                            se=(1.0 + fit.gamma_hat) / math.sqrt(fit.k),
+                            converged=fit.converged)
+
+    return each(map(int, k_values), one, lambda k, error: GammaPathRow(
+        k=k, gamma=None, scale=None, se=None, converged=False, error=error))

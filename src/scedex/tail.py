@@ -2,17 +2,19 @@
 
 All stations are pooled into one sample of size ``N``; thresholds are order
 statistics of that sample, which the panel sorts once
-(:attr:`PanelSample.sorted_values`).  Every estimator takes just the panel
-and ``k`` and reads the level-k tail from the panel's one :class:`TailAtK`,
-got through :meth:`TailAtK.of`: the threshold X_{N-k:N}, the ties at it,
-and the exceedance table (the days holding an exceedance and which of their
-cells exceed).  The panel holds the view it was last asked for, so the
-estimators run at one level share one table.  Exceedances are always strict
-(``>``), and a missing cell holds NaN, which never exceeds a threshold.  The
-tail-copula counts of :class:`~scedex.dependence.EmpiricalTailDependence`
-rank the table's cells against the pooled sample to place them at deeper
-levels; every deeper level's threshold is at least the level-k one, so the
-table holds every cell any estimator counts.
+(:attr:`PanelSample.sorted_values`).  This module is the only reader of that
+sample at a level: every estimator takes just the panel and ``k`` and reads
+the level-k tail from the panel's one :class:`TailAtK`, got through
+:meth:`TailAtK.of`: the threshold X_{N-k:N}, the ties at it, the k largest
+pooled values and their excesses over it, and the exceedance table (the
+days holding an exceedance and which of their cells exceed).  The panel
+holds the view it was last asked for, so the estimators run at one level
+share one table.  Exceedances are always strict (``>``), and a missing cell
+holds NaN, which never exceeds a threshold.  The tail-copula counts of
+:class:`~scedex.dependence.EmpiricalTailDependence` rank the table's cells
+against the top k to place them at deeper levels; every deeper level's
+threshold is at least the level-k one, so the table holds every cell any
+estimator counts.
 """
 
 from __future__ import annotations
@@ -39,19 +41,21 @@ class TailAtK:
     ``threshold`` is the pooled order statistic X_{N-k:N}; an observation is
     extreme when it strictly exceeds it, and a missing cell (NaN) never does.
     ``n_exceedances`` pooled observations do, so ``tie_count = k -
-    n_exceedances`` of the top k are tied with the threshold.  The
-    exceedance table, built on first use, is :attr:`rows` and :attr:`hits`.
+    n_exceedances`` of the top k, :attr:`top`, are tied with the threshold
+    and left out of :attr:`excesses`.  The exceedance table, built on first
+    use, is :attr:`rows` and :attr:`hits`.
     The view holds the panel's arrays, not the panel, so a panel that holds
     its view forms no reference cycle.
     """
 
     def __init__(self, p: PanelSample, k: int):
         self.values = p.values
-        self.sorted_values = s = p.sorted_values
+        s = p.sorted_values
         self.k = check_k(k, s.size)
+        self.top = s[s.size - self.k:]  # the k largest, ascending: a view of s
         self.threshold = float(s[s.size - self.k - 1])
-        self.n_exceedances = int(s.size - np.searchsorted(s, self.threshold, side="right"))
-        self.tie_count = self.k - self.n_exceedances
+        self.tie_count = int(np.searchsorted(self.top, self.threshold, side="right"))
+        self.n_exceedances = self.k - self.tie_count
 
     @classmethod
     def of(cls, p: PanelSample, k: int) -> "TailAtK":
@@ -71,6 +75,12 @@ class TailAtK:
         if self.n_exceedances == 0:
             raise NoExceedanceError("no strict exceedances of the pooled threshold")
         return self.n_exceedances
+
+    @property
+    def excesses(self) -> np.ndarray:
+        """The strict exceedances' excesses over the threshold, ascending: a
+        new array, empty when every top-k value is tied with the threshold."""
+        return self.top[self.tie_count:] - self.threshold
 
     @cached_property
     def rows(self) -> np.ndarray:

@@ -16,13 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dependence import sigma1_matrix
-from .errors import (
-    EmptyPoolError,
-    NoExceedanceError,
-    RangeError,
-    ScedexError,
-    SingularCovarianceError,
-)
+from .errors import NoExceedanceError, RangeError, SingularCovarianceError, each
 from .panel import PanelSample
 from .scedasis import scedasis_curve
 
@@ -258,24 +252,18 @@ def k_sweep(
 ) -> list[SweepRow]:
     """Run one test across a range of threshold levels.
 
-    Failures at individual levels are recorded in the row and the sweep
-    continues; a panel with nothing observed fails at every level, and its
-    :class:`EmptyPoolError` is raised.
+    A level fails as :func:`~scedex.errors.each` says: in its row, and the
+    sweep continues; a panel with nothing observed fails at every level, and
+    its :class:`EmptyPoolError` is raised.
     """
     if which not in ("space", "time"):
         raise RangeError(f"which must be 'space' or 'time', got {which!r}")
     if which == "time" and station is None:
         raise RangeError("time sweep requires a station")
-    rows: list[SweepRow] = []
-    for k in k_values:
-        try:
-            if which == "space":
-                res = space_test(p, int(k))
-            else:
-                res = time_test(p, int(k), station)
-            rows.append(SweepRow(k=int(k), statistic=res.statistic, p_value=res.p_value))
-        except EmptyPoolError:
-            raise
-        except ScedexError as exc:
-            rows.append(SweepRow(k=int(k), statistic=None, p_value=None, error=str(exc)))
-    return rows
+
+    def one(k):
+        res = space_test(p, k) if which == "space" else time_test(p, k, station)
+        return SweepRow(k=k, statistic=res.statistic, p_value=res.p_value)
+
+    return each(map(int, k_values), one,
+                lambda k, error: SweepRow(k=k, statistic=None, p_value=None, error=error))

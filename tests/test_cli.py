@@ -793,6 +793,33 @@ def test_no_exceedance_renders_structured_report(runner, tied_csv, command, args
     assert report["message"] == "no strict exceedances of the pooled threshold"
 
 
+def test_time_command_leaves_a_station_without_exceedances_out_of_the_family(
+        runner, tmp_path):
+    rng = np.random.default_rng(5)
+    values = rng.pareto(2.5, size=(200, 3))
+    values[:, 1] = rng.uniform(0.0, 1e-3, 200)  # stn_b never reaches the top 40
+    f = tmp_path / "dry.csv"
+    _write_panel(f, values)
+    base = ["test-time", "--input", str(f), "--gap", "0", "--k", "40", "--alpha", "0.1"]
+    payload = json.loads(_ok(runner.invoke(main, base)).output)
+    assert payload["stations"]["stn_b"] == {
+        "statistic": None, "p_value": None, "reject_corrected": False, "n_exceedances": 0}
+    # the family is the stations tested: the same rows as when only they are asked for
+    pair = json.loads(_ok(runner.invoke(
+        main, [*base, "--station", "stn_a", "--station", "stn_c"])).output)
+    assert payload["bonferroni_level"] == pair["bonferroni_level"] == 0.05
+    assert {s: payload["stations"][s] for s in ("stn_a", "stn_c")} == pair["stations"]
+    assert sum(e["n_exceedances"] for e in pair["stations"].values()) == 40
+
+    # with no station left to test, the command fails on the first one
+    result = runner.invoke(main, [*base, "--station", "stn_b"])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    report = json.loads(_stderr(result))
+    assert report["error"] == "NoExceedanceError"
+    assert report["message"].startswith("station 1 has no strict exceedances")
+
+
 def test_non_utf8_input_renders_structured_report(runner, tmp_path):
     f = tmp_path / "latin.csv"
     f.write_bytes(b"date,A\n2000-01-01,1\n2000-01-02,\xff\n")
@@ -1190,9 +1217,13 @@ def test_the_process_entry_runs_exit_handlers_and_skips_the_teardown():
 
 
 def test_a_live_thread_gets_the_normal_exit():
-    # the normal exit waits for the thread; os._exit would end it unfinished
+    # the thread lives until the main thread has ended, which only the
+    # normal exit marks before it waits for the thread; os._exit would end
+    # it unfinished
     setup = ("import threading, time\n"
-             "threading.Thread(target=lambda: (time.sleep(0.2), print('thread done'))).start()")
+             "main = threading.main_thread()\n"
+             "threading.Thread(target=lambda: (main.join(), time.sleep(0.2),\n"
+             "                                 print('thread done'))).start()")
     out = _python("-c", _UNDER_RUNPY.format(setup=setup), "--version",
                   capture_output=True, text=True)
     assert out.returncode == 0, out.stderr

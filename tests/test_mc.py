@@ -370,6 +370,22 @@ def test_simulate_logistic_joint_exceedance_rate():
 # ---------------------------------------------------------------------------
 
 
+def test_quadrature_rule_matches_leggauss_and_integrates_monomials():
+    u, w = mc_module._nodes()
+    assert mc_module._nodes() is mc_module._nodes()
+    assert not (u.flags.writeable or w.flags.writeable)
+    assert u.size == w.size == 200
+    assert np.all(np.diff(u) > 0) and np.array_equal(w, w[::-1])
+    # numpy's eigensolver rule as an oracle: its nodes, and its weights to
+    # within their own error (about 2e-11 relative)
+    x, v = np.polynomial.legendre.leggauss(200)
+    assert np.abs(u - (x + 1.0) / 2.0).max() <= 2.3e-16
+    assert np.abs(w / (v / 2.0) - 1.0).max() <= 5e-11
+    # exact for polynomials of degree < 400 up to rounding (leggauss: 2.9e-15)
+    p = np.arange(400)
+    assert np.abs(w @ u[:, None] ** p - 1.0 / (p + 1)).max() <= 1e-15
+
+
 def _r(spec):
     """The pairwise tail-copula surface r(i, j; s, t): the covariance over
     the whole record."""

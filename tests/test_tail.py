@@ -73,7 +73,22 @@ def test_pool_empty_raises():
 def test_pool_shares_the_panels_one_read_only_array(small_panel):
     assert small_panel.sorted_values is small_panel.sorted_values
     assert not small_panel.sorted_values.flags.writeable
-    assert TailAtK.of(small_panel, 4).sorted_values is small_panel.sorted_values
+    assert np.shares_memory(TailAtK.of(small_panel, 4).top, small_panel.sorted_values)
+
+
+def test_the_view_hands_out_the_top_k_and_their_excesses():
+    # pooled 1, 2, 2, 2, 3, 5: at k = 4 the threshold 2 ties two of the top 4
+    p = make_panel([[1.0, 2.0], [2.0, 5.0], [2.0, 3.0]])
+    tail = TailAtK.of(p, 4)
+    assert tail.top.tolist() == [2.0, 2.0, 3.0, 5.0]
+    assert np.shares_memory(tail.top, p.sorted_values)
+    assert (tail.threshold, tail.tie_count, tail.n_exceedances) == (2.0, 2, 2)
+    assert tail.excesses.tolist() == [1.0, 3.0]
+    assert not np.shares_memory(tail.excesses, p.sorted_values)
+    # every top-k value tied with the threshold: nothing to fit
+    tied = TailAtK.of(make_panel(np.ones((30, 2))), 5)
+    assert tied.top.size == 5
+    assert tied.excesses.size == 0
 
 
 def test_derived_panels_pool_their_own_rows():
@@ -233,6 +248,9 @@ def test_every_estimator_sees_the_same_level_k_tail(n, m, k_draw, seed):
     ties = k - int(np.count_nonzero(observed > thr))
     p = make_panel(vals, missing=missing)
 
+    tail = TailAtK.of(p, k)
+    assert np.array_equal(tail.top, observed[N - k:])
+    assert np.array_equal(tail.excesses, observed[observed > thr] - thr)
     curves = scedasis_all(p, k)
     assert [c.n_exceedances for c in curves] == counts.tolist()
     assert [c.tie_count for c in curves] == [ties] * m

@@ -23,6 +23,7 @@ from scedex import (
     space_test,
     time_test,
 )
+from scedex.errors import each
 from scedex.trend_tests import ks_statistic_from_jumps
 
 from conftest import make_panel
@@ -282,6 +283,33 @@ def test_k_sweep_raises_on_a_panel_with_nothing_observed():
     for which, station in (("space", None), ("time", 0)):
         with pytest.raises(EmptyPoolError, match="no non-missing observations"):
             k_sweep(p, [1, 2], which=which, station=station)
+
+
+def test_each_fails_one_key_on_a_scedex_error_and_goes_on():
+    def one(k):
+        if k == 2:
+            raise SingularCovarianceError("singular at 2")
+        if k == 3:
+            raise NoExceedanceError("nothing at 3")
+        return ("ok", k)
+
+    assert each([1, 2, 3, 4], one, lambda k, error: ("failed", k, error)) == [
+        ("ok", 1), ("failed", 2, "singular at 2"), ("failed", 3, "nothing at 3"), ("ok", 4)]
+
+
+@pytest.mark.parametrize("exc", [EmptyPoolError("nothing observed"), ValueError("a bug")])
+def test_each_raises_an_empty_pool_and_every_other_error(exc):
+    seen = []
+
+    def one(k):
+        seen.append(k)
+        if k == 2:
+            raise exc
+        return k
+
+    with pytest.raises(type(exc)):
+        each([1, 2, 3], one, lambda k, error: None)
+    assert seen == [1, 2]
 
 
 def test_k_sweep_time_requires_station(small_panel):
