@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -340,31 +341,48 @@ class McReport:
 
 
 def _replicate(fn: Callable, reps: int, threads: int, need: int):
-    """Evaluate fn(rep) for rep = 0..reps-1 on ``threads`` threads.
+    """Evaluate fn(rep) for rep = 0..reps-1 on the caller's thread and
+    ``min(threads, reps) - 1`` helper threads.
 
-    A replication that raises a ``ScedexError`` is skipped.  Returns the
+    Every thread takes the next replication from one shared iterator, so the
+    caller runs a share itself (a tracer nests those calls in its span) and
+    one thread starts none.  A replication that raises a ``ScedexError`` is
+    skipped.  Any other exception stops the handing out of replications and
+    is raised on the caller once every helper has ended.  Returns the
     successes stacked in rep order, so the aggregation is independent of
     completion order, and the number skipped; raises ``ScedexError`` when
     fewer than ``need`` succeed.
     """
     if threads < 1:
         raise RangeError(f"need threads >= 1, got {threads}")
+    todo, lock = iter(range(reps)), threading.Lock()
+    results, failures = [None] * reps, []
 
-    def guarded(rep: int):
-        try:
-            return fn(rep)
-        except ScedexError:
-            return None
+    def work():
+        while not failures:
+            with lock:  # each replication to one thread, with or without a GIL
+                rep = next(todo, None)
+            if rep is None:
+                return
+            try:
+                results[rep] = fn(rep)
+            except ScedexError:
+                pass  # skipped: its slot stays None
+            except BaseException as exc:
+                failures.append(exc)
 
-    if threads == 1:  # on the caller's thread, so a tracer nests each call in it
-        results = [guarded(r) for r in range(reps)]
-    else:
-        # imported here: concurrent.futures (and the logging it loads) costs
-        # every process that imports scedex about 8 ms, and only this uses it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool_:
-            results = list(pool_.map(guarded, range(reps)))
+    helpers = []
+    try:
+        for _ in range(min(threads, reps) - 1):
+            helper = threading.Thread(target=work)
+            helper.start()
+            helpers.append(helper)
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[0]
     done = [r for r in results if r is not None]
     if len(done) < need:
         raise ScedexError(

@@ -1003,9 +1003,9 @@ def test_mc_negative_seed_is_a_spec_error(runner):
         assert "seed must be a non-negative integer, got -1" in report["message"]
 
 
-def test_one_thread_loads_no_thread_pool(tmp_path):
+def test_no_mc_run_loads_a_thread_pool(tmp_path):
     """concurrent.futures (and the logging it imports) costs every process
-    about 8 ms; only an mc run on more than one thread needs it."""
+    about 8 ms and its peak memory: the replications run on plain threads."""
     code = (
         "import sys\n"
         "from scedex.cli import main\n"
@@ -1019,7 +1019,7 @@ def test_one_thread_loads_no_thread_pool(tmp_path):
     )
     out = _python("-c", code, str(tmp_path / "mc.json"), capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[False,", "False,", "True]"]
+    assert out.stdout.split() == ["[False,", "False,", "False]"]
 
 
 def test_the_panel_cache_loads_no_hash_library(tmp_path, cache_home):

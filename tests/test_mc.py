@@ -8,6 +8,7 @@ mixing variable.
 
 import hashlib
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -602,6 +603,73 @@ def test_replicate_stacks_successes_in_rep_order(threads):
     assert skipped == 3
     with pytest.raises(ScedexError, match="3 of 6 replications succeeded; need at least 4"):
         _replicate(one, 6, threads, need=4)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_replicate_raises_a_failing_replication_on_the_caller(threads):
+    before = threading.active_count()
+
+    def one(rep):
+        if rep == 4:
+            raise TypeError("replication 4 is broken")
+        return float(rep)
+
+    with pytest.raises(TypeError, match="replication 4 is broken"):
+        _replicate(one, 12, threads, need=1)
+    assert threading.active_count() == before  # every helper was joined
+    vals, _ = _replicate(lambda rep: float(rep), 12, threads, need=1)
+    assert vals.tolist() == list(map(float, range(12)))
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_replicate_stops_handing_out_replications_after_a_failure(threads):
+    ran = []
+
+    def one(rep):
+        ran.append(rep)
+        raise ValueError("broken")
+
+    with pytest.raises(ValueError):
+        _replicate(one, 50, threads, need=1)
+    assert len(ran) <= threads  # each thread ran at most the one that failed
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_replicate_runs_a_share_on_the_callers_thread(threads):
+    """So a tracer's spans of those replications nest in the harness's span."""
+    caller = threading.get_ident()
+    caller_ran = threading.Event()
+    idents = []
+
+    def one(rep):
+        idents.append(threading.get_ident())
+        if threading.get_ident() == caller:
+            caller_ran.set()
+        else:  # a helper waits until the caller has taken a replication
+            caller_ran.wait(timeout=10)
+        return rep
+
+    vals, skipped = _replicate(one, 2 * threads, threads, need=1)
+    assert vals.tolist() == list(range(2 * threads)) and skipped == 0
+    assert caller in idents
+
+
+@pytest.mark.parametrize("threads, reps, helpers", [(1, 5, 0), (2, 5, 1), (3, 5, 2),
+                                                    (8, 3, 2), (8, 1, 0)])
+def test_replicate_starts_one_helper_fewer_than_it_uses_threads(threads, reps, helpers,
+                                                                 monkeypatch):
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(mc_module.threading, "Thread", Counted)
+    vals, _ = _replicate(lambda rep: rep, reps, threads, need=1)
+    assert vals.tolist() == list(range(reps))
+    assert len(started) == helpers
 
 
 def test_mc_test_size_smoke():
