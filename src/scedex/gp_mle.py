@@ -121,13 +121,16 @@ class GpFit:
 
 
 def _start_values(x: np.ndarray) -> tuple[float, float]:
-    """Moment-style start: log-spacing of the top quartile for the shape,
-    mean excess for the scale."""
+    """Start inside Newton's basin: the log-spacing of the top quartile for
+    the shape g0, and the scale that puts the GP(g0) median,
+    sigma (2^g0 - 1) / g0, at the sample median.  (The mean excess, which the
+    largest values dominate on heavy tails, sent Newton to the shape bound.)"""
     xs = np.sort(x)[::-1]
     q = max(1, xs.size // 4)
     g0 = float(np.mean(np.log(xs[:q]) - np.log(xs[q - 1])))
     g0 = float(np.clip(g0, 0.01, 2.0))
-    return g0, float(np.log(np.mean(x)))
+    median = 0.5 * float(xs[(xs.size - 1) // 2] + xs[xs.size // 2])  # np.median imports numpy.ma
+    return g0, math.log(g0 * median / (2.0 ** g0 - 1.0))
 
 
 def _newton(g: float, tau: float, x: np.ndarray, first: int, last: int, trace: list):

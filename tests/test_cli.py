@@ -1022,6 +1022,21 @@ def test_no_mc_run_loads_a_thread_pool(tmp_path):
     assert out.stdout.split() == ["[False,", "False,", "False]"]
 
 
+def test_the_gp_fit_loads_no_masked_arrays(tmp_path):
+    """numpy.ma costs a process about 1.5 MB of peak RSS: the fit's start
+    reads the sample median off the sorted excesses, not from np.median."""
+    code = (
+        "import sys\n"
+        "from scedex.cli import main\n"
+        "main.main(['mc', '--harness', 'mle', '--n', '2000', '--m', '2', '--k', '100',\n"
+        "           '--reps', '3', '--output', sys.argv[1]], standalone_mode=False)\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    out = _python("-c", code, str(tmp_path / "mc.json"), capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
+
+
 def test_the_panel_cache_loads_no_hash_library(tmp_path, cache_home):
     """hashlib loads OpenSSL, about 3 MB of a process's peak RSS: the cache
     keys its slots by file status, never by a digest of the contents."""
