@@ -123,8 +123,9 @@ class GpFit:
 def _start_values(x: np.ndarray) -> tuple[float, float]:
     """Start inside Newton's basin: the log-spacing of the top quartile for
     the shape g0, and the scale that puts the GP(g0) median,
-    sigma (2^g0 - 1) / g0, at the sample median.  (The mean excess, which the
-    largest values dominate on heavy tails, sent Newton to the shape bound.)"""
+    sigma (2^g0 - 1) / g0, at the sample median.  Not the mean excess: the
+    largest values dominate it on heavy tails, and Newton started there
+    climbs to the shape bound."""
     xs = np.sort(x)[::-1]
     q = max(1, xs.size // 4)
     g0 = float(np.mean(np.log(xs[:q]) - np.log(xs[q - 1])))

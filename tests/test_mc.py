@@ -8,6 +8,7 @@ mixing variable.
 
 import hashlib
 import math
+import sys
 import threading
 import warnings
 
@@ -653,6 +654,27 @@ def test_replicate_runs_a_share_on_the_callers_thread(threads):
     vals, skipped = _replicate(one, 2 * threads, threads, need=1)
     assert vals.tolist() == list(range(2 * threads)) and skipped == 0
     assert caller in idents
+
+
+def test_replicate_hands_each_replication_to_one_thread_under_stress():
+    # more threads than cores, and thread switches as often as the
+    # interpreter allows: a replication handed out twice or never shows
+    ran = []
+
+    def one(rep):
+        ran.append(rep)
+        return rep
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for threads in (2, 8):
+            ran.clear()
+            vals, skipped = _replicate(one, 3000, threads, need=1)
+            assert sorted(ran) == list(range(3000)) and skipped == 0
+            assert vals.tolist() == list(range(3000))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("threads, reps, helpers", [(1, 5, 0), (2, 5, 1), (3, 5, 2),
