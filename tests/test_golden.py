@@ -94,6 +94,7 @@ CASES = {
     **{name: (args, 1) for name, args in {
         "fail/test-space-k-too-large": ["test-space", "--input", "holed.csv", "--k", "30000"],
         "fail/fit-gp-too-few-excesses": ["fit-gp", "--input", "complete.csv", "--k", "5"],
+        "fail/fit-gp-shape-boundary": ["fit-gp", "--input", "rounded.csv", "--k", "10"],
         "fail/test-time-unknown-station": ["test-time", "--input", "rounded.csv", "--k", "50",
                                            "--station", "S99"],
         "fail/unsorted-dates": ["test-space", "--input", "unsorted.csv", "--k", "1"],
