@@ -40,8 +40,6 @@ GAMMA_MAX = 10.0
 _SMALL_GAMMA = 1e-5
 _SCORE_TOL = 1e-8
 _MAX_ITER = 80
-_POLISH_ITER = 10       # Newton steps from the profile maximum
-_PROFILE_GRID = 200     # scan points of Grimshaw's profile
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +115,23 @@ class GpFit:
     iterations: int
     converged: bool
     score_norm: float
-    method: str
+    method: str  # always "newton", the one optimiser; the payload keeps the key
 
 
-def _start_values(x: np.ndarray) -> tuple[float, float]:
-    """Start inside Newton's basin: the log-spacing of the top quartile for
-    the shape g0, and the scale that puts the GP(g0) median,
-    sigma (2^g0 - 1) / g0, at the sample median.  Not the mean excess: the
-    largest values dominate it on heavy tails, and Newton started there
-    climbs to the shape bound."""
+def _start_values(x: np.ndarray) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Two starts (g0, log sigma0) for Newton, both with the scale that puts
+    the GP(g0) median, sigma (2^g0 - 1) / g0, at the sample median.  The
+    first takes the log-spacing of the top quartile for g0 and lies in
+    Newton's basin on most samples; the second, for the few where Newton
+    stalls from the first, takes g0 = 1, where that scale is the median
+    itself.  Not the mean excess: the largest values dominate it on heavy
+    tails, and Newton started there climbs to the shape bound."""
     xs = np.sort(x)[::-1]
     q = max(1, xs.size // 4)
     g0 = float(np.mean(np.log(xs[:q]) - np.log(xs[q - 1])))
     g0 = float(np.clip(g0, 0.01, 2.0))
     median = 0.5 * float(xs[(xs.size - 1) // 2] + xs[xs.size // 2])  # np.median imports numpy.ma
-    return g0, math.log(g0 * median / (2.0 ** g0 - 1.0))
+    return (g0, math.log(g0 * median / (2.0 ** g0 - 1.0))), (1.0, math.log(median))
 
 
 def _newton(g: float, tau: float, x: np.ndarray, first: int, last: int, trace: list):
@@ -172,56 +172,15 @@ def _newton(g: float, tau: float, x: np.ndarray, first: int, last: int, trace: l
     return g, tau, ll, norm, it, False
 
 
-def _profile_maximum(x: np.ndarray) -> tuple[float, float]:
-    """Shape and log-scale of the likelihood maximum over the admissible
-    shapes, by Grimshaw's reduction (Technometrics 1993).
-
-    With theta = gamma / sigma the likelihood is maximised over the shape in
-    closed form, gamma(theta) = mean log(1 + theta x), which leaves a profile
-    in theta alone, -n (1 + log sigma(theta) + gamma(theta)) with
-    sigma(theta) = gamma(theta) / theta.  theta is carried as
-    e = theta max(x) in (-1, inf); gamma(theta) increases with it, so the
-    admissible shapes are one interval of e.  A scan of log(1 + e) over that
-    interval returns its best grid point; the Newton polish in
-    :func:`fit_gp_excesses` refines it.
-    """
-    x_max = float(np.max(x))
-    r = x / x_max
-
-    def shape(e: float) -> float:
-        return float(np.mean(np.log1p(e * r)))
-
-    def log_scale(e: float, g: float) -> float:
-        return math.log(g * x_max / e) if e != 0.0 else math.log(float(np.mean(x)))
-
-    def crossing(lo: float, hi: float, target: float) -> float:
-        """Smallest log(1 + e) in [lo, hi] whose shape reaches ``target``
-        (``hi`` if none does)."""
-        while hi - lo > 1e-12 * max(1.0, abs(lo), abs(hi)):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if shape(math.expm1(mid)) < target else (lo, mid)
-        return hi
-
-    # log(1 + e) stops at log(eps): e any closer to -1 rounds to -1
-    phi_hi = 1.0
-    while shape(math.expm1(phi_hi)) < GAMMA_MAX and phi_hi < 512.0:
-        phi_hi *= 2.0
-    grid = np.expm1(np.linspace(crossing(-36.0, 0.0, GAMMA_MIN),
-                                crossing(0.0, phi_hi, GAMMA_MAX), _PROFILE_GRID))
-    shapes = [shape(e) for e in grid]
-    j = int(np.argmax([-(g + log_scale(e, g)) for e, g in zip(grid, shapes)]))
-    return shapes[j], log_scale(float(grid[j]), shapes[j])
-
-
 def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> GpFit:
     """GP pseudo-ML fit of finite positive excesses via damped Newton in
-    (gamma, log sigma), with a profile-likelihood fallback.
+    (gamma, log sigma), from at most two starts (:func:`_start_values`).
 
     The shape is constrained to (-0.5, 10]; convergence requires the score
     norm below 1e-8 at an interior point with negative-definite Hessian.
-    When Newton stalls, the best point of a scan of Grimshaw's one-dimensional
-    profile (:func:`_profile_maximum`) starts a Newton polish, the only
-    refinement of that point.
+    When Newton stalls from the first start, it runs once more from the
+    second and keeps the higher of the two ends; an end at the shape bound
+    or one that has not converged is an error.
     """
     x = np.asarray(excesses, dtype=float)
     if x.ndim != 1:
@@ -237,15 +196,15 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
     k_label = int(k) if k is not None else int(x.size)
 
     trace: list[dict] = []
-    g, tau = _start_values(x)  # g > 0 and x > 0: inside the support
-    g, tau, ll, norm, it, converged = _newton(g, tau, x, 1, _MAX_ITER, trace)
-    method = "newton"
+    first, second = _start_values(x)  # g > 0 and x > 0: inside the support
+    g, tau, ll, norm, it, converged = _newton(*first, x, 1, _MAX_ITER, trace)
     if not converged:
-        # Newton stalled: the profile pass is the first entry of the polish
-        method = "profile"
-        newton_iterations = it
-        g, tau, ll, norm, it, converged = _newton(
-            *_profile_maximum(x), x, it + 1, it + _POLISH_ITER, trace)
+        # the second start may converge to a local maximum below the first
+        # start's stalled end (at the shape bound on tied tails): keep the higher
+        stalled = g, tau, ll, norm
+        g, tau, ll, norm, it, converged = _newton(*second, x, it + 1, it + _MAX_ITER, trace)
+        if stalled[2] > ll:
+            (g, tau, ll, norm), converged = stalled, False
         if g <= GAMMA_MIN + 1e-4 or g >= GAMMA_MAX - 1e-4:
             raise FitConvergenceError(
                 f"likelihood is maximised at the shape boundary (gamma={g:.6g}); "
@@ -254,15 +213,15 @@ def fit_gp_excesses(excesses, k: int | None = None, dropped_ties: int = 0) -> Gp
             )
         if not converged:
             raise FitConvergenceError(
-                f"optimiser failed to converge after {newton_iterations} Newton "
-                f"iterations, a profile pass and a Newton polish (score norm {norm:.3g})",
+                f"optimiser failed to converge after {it} Newton iterations "
+                f"from two starts (score norm {norm:.3g})",
                 trace=trace,
             )
     return GpFit(
         gamma_hat=g, scale_hat=math.exp(tau), k=k_label,
         n_excesses=int(x.size), dropped_ties=int(dropped_ties),
         loglik=ll, iterations=it, converged=True,
-        score_norm=norm, method=method,
+        score_norm=norm, method="newton",
     )
 
 

@@ -267,16 +267,37 @@ def test_heavy_tailed_fits_converge_by_newton_alone():
                 assert fit.converged and fit.score_norm < 1e-8, (gamma, n, seed)
 
 
-def test_profile_fallback_reaches_the_newton_fit(monkeypatch):
-    # One Newton iteration leaves the start unconverged, so the forced fits
-    # take the profile path: the best point of the profile scan, then the
-    # Newton polish.  Where the default fit converges, the forced one reaches
-    # the same maximum: both meet the score tolerance, so on the quadratic
-    # model they lie within 2 tol / lambda_min(-H) of each other.  Where the
-    # default fit fails, the forced one fails too.
-    samples = {(gamma, n): stats.genpareto.rvs(c=gamma, scale=1.0, size=n,
-                                                random_state=np.random.default_rng(3))
-               for gamma in (-0.3, 0.0, 0.25, 1.0, 3.0) for n in (15, 50, 200, 2000)}
+def _heavy_tailed_samples():
+    return {(gamma, n, seed): stats.genpareto.rvs(c=gamma, scale=1.0, size=n,
+                                                   random_state=np.random.default_rng(seed))
+            for gamma in (3.0, 4.0, 6.0) for n in (50, 100, 200, 500, 1000)
+            for seed in range(10)}
+
+
+def _counting_newton_calls(monkeypatch) -> list:
+    """Patch ``_newton`` to count its calls into the returned one-item list."""
+    calls = [0]
+    newton = gp_mle_module._newton
+
+    def counted(*args):
+        calls[0] += 1
+        return newton(*args)
+
+    monkeypatch.setattr(gp_mle_module, "_newton", counted)
+    return calls
+
+
+def test_second_start_reaches_the_default_fit(monkeypatch):
+    # With the log mean excess as the first scale start, Newton stalls on
+    # many heavy-tailed samples and the fit restarts from the second start.
+    # Where the default fit converges, the restarted one reaches the same
+    # maximum: both meet the score tolerance, so on the quadratic model they
+    # lie within 2 tol / lambda_min(-H) of each other.  Where the default
+    # fit fails, the forced one fails too.
+    samples = _heavy_tailed_samples()
+    samples.update({(gamma, n, 3): stats.genpareto.rvs(
+        c=gamma, scale=1.0, size=n, random_state=np.random.default_rng(3))
+        for gamma in (-0.3, 0.0, 0.25, 1.0) for n in (15, 50, 200, 2000)})
 
     def fit_all():
         fits = {}
@@ -288,24 +309,91 @@ def test_profile_fallback_reaches_the_newton_fit(monkeypatch):
         return fits
 
     default = fit_all()
-    monkeypatch.setattr(gp_mle_module, "_MAX_ITER", 1)
-    forced = fit_all()
-    assert None in default.values() and sum(f is not None for f in default.values()) > 10
+    start = gp_mle_module._start_values
+    monkeypatch.setattr(gp_mle_module, "_start_values", lambda x: (
+        (start(x)[0][0], float(np.log(np.mean(x)))), start(x)[1]))
+    calls = _counting_newton_calls(monkeypatch)
+    restarted = 0
     for key, fit in default.items():
-        profile = forced[key]
+        calls[0] = 0
+        try:
+            forced = fit_gp_excesses(samples[key])
+        except FitConvergenceError:
+            forced = None
         if fit is None:
-            assert profile is None, key
+            assert forced is None, key
             continue
-        assert profile.method == "profile", key
-        assert 2 < profile.iterations <= 1 + gp_mle_module._POLISH_ITER, key
-        assert profile.converged and profile.score_norm < 1e-8, key
+        assert forced is not None, key
+        restarted += calls[0] == 2
+        if calls[0] == 1:
+            continue
+        assert forced.converged and forced.score_norm < 1e-8, key
         _, _, _, h_gg, h_gt, h_tt = _loglik_terms(
             fit.gamma_hat, math.log(fit.scale_hat), samples[key])
         reach = 2 * gp_mle_module._SCORE_TOL / np.linalg.eigvalsh(
             -np.array([[h_gg, h_gt], [h_gt, h_tt]])).min()
-        assert profile.gamma_hat == pytest.approx(fit.gamma_hat, abs=reach), key
-        assert profile.scale_hat == pytest.approx(fit.scale_hat, rel=reach), key
-        assert profile.loglik == pytest.approx(fit.loglik, rel=1e-12), key
+        assert forced.gamma_hat == pytest.approx(fit.gamma_hat, abs=reach), key
+        assert forced.scale_hat == pytest.approx(fit.scale_hat, rel=reach), key
+        assert forced.loglik == pytest.approx(fit.loglik, rel=1e-12), key
+    assert None in default.values() and restarted >= 40
+
+
+def _profile_scan_maximum(x: np.ndarray) -> float:
+    """Best log-likelihood on a (gamma, log sigma) grid over the admissible
+    shapes: at each shape, log sigma runs from the support edge (or far
+    below the smallest excess) to far above the largest."""
+    best = -math.inf
+    top = math.log(x.max())
+    for g in np.concatenate([np.linspace(gp_mle_module.GAMMA_MIN, 1.0, 300),
+                             np.linspace(1.0, gp_mle_module.GAMMA_MAX, 100)[1:]]):
+        low = math.log(-g * x.max()) + 1e-9 if g < 0 else math.log(x.min()) - 8.0
+        taus = np.linspace(low, top + 8.0, 400)
+        z = x[None, :] / np.exp(taus)[:, None]
+        if abs(g) < 1e-12:
+            ll = -x.size * taus - z.sum(axis=1)
+        else:
+            ll = -x.size * taus - (1.0 + 1.0 / g) * np.log1p(g * z).sum(axis=1)
+        best = max(best, float(ll.max()))
+    return best
+
+
+@pytest.mark.parametrize("gamma,n,seed", [
+    (-0.45, 50, 0), (-0.45, 200, 24), (4.0, 10, 1), (6.0, 10, 10),
+    (-0.49, 30, 33), (-0.49, 100, 60), (-0.45, 30, 36), (-0.4, 30, 32), (-0.4, 30, 58),
+    (-0.3, 10, 47), (-0.3, 10, 50), (0.1, 10, 41), (0.1, 10, 43), (2.0, 10, 60),
+    (6.0, 12, 35)])
+def test_second_start_reaches_the_global_maximum(gamma, n, seed, monkeypatch):
+    # Newton stalls from the first start on these samples; the fit from the
+    # second start is the global maximum, not a local one at the bound
+    x = stats.genpareto.rvs(c=gamma, scale=1.0, size=n,
+                            random_state=np.random.default_rng(seed))
+    calls = _counting_newton_calls(monkeypatch)
+    fit = fit_gp_excesses(x)
+    assert calls[0] == 2
+    assert fit.converged and fit.score_norm < 1e-8
+    best = _profile_scan_maximum(x)
+    assert fit.loglik >= best - 1e-10 * (1.0 + abs(best))
+
+
+def test_a_stalled_end_above_a_local_maximum_is_a_boundary_failure(monkeypatch):
+    # On this tied comonotone tail Newton stalls at the shape bound from the
+    # first start, and from the second it converges to an interior local
+    # maximum below that end: the fit reports the bound, not the local maximum
+    p = simulate_panel(SimSpec(n=2000, m=4, gamma=0.5, dependence="comonotone", seed=1), 32)
+    x = np.asarray(TailAtK.of(p, 25).excesses)
+    ends = []
+    newton = gp_mle_module._newton
+
+    def recorded(*args):
+        ends.append(newton(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(gp_mle_module, "_newton", recorded)
+    with pytest.raises(FitConvergenceError, match="shape boundary"):
+        fit_gp_excesses(x)
+    (g1, _, ll1, _, _, ok1), (g2, _, ll2, _, _, ok2) = ends
+    assert not ok1 and g1 < gp_mle_module.GAMMA_MIN + 1e-4
+    assert ok2 and g2 > 0.5 and ll2 < ll1 and ll2 < _profile_scan_maximum(x)
 
 
 def _termwise_terms(g, tau, x):
@@ -391,8 +479,8 @@ def _fits_by(newton, run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gp_mle_module, "fit_gp_excesses", recorded)
         patch.setattr(gp_mle_module, "_newton", newton)
-        patch.setattr(gp_mle_module, "_start_values",
-                      lambda x: (start(x)[0], float(np.log(np.mean(x)))))
+        patch.setattr(gp_mle_module, "_start_values", lambda x: (
+            (start(x)[0][0], float(np.log(np.mean(x)))), start(x)[1]))
         return run(), fits
 
 
