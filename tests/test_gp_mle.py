@@ -253,18 +253,18 @@ def test_fit_scale_equivariance():
     assert b.scale_hat == pytest.approx(lam * a.scale_hat, rel=1e-9)
 
 
-def test_heavy_tailed_fits_converge_by_newton_alone():
-    # the median-matched scale start lies in Newton's basin; the mean excess,
-    # which the largest values dominate here, sent Newton to the shape bound
-    # and left these fits to the profile fallback
-    for gamma in (3.0, 4.0, 6.0):
-        for n in (50, 100, 200, 500, 1000):
-            for seed in range(10):
-                x = stats.genpareto.rvs(c=gamma, scale=1.0, size=n,
-                                        random_state=np.random.default_rng(seed))
-                fit = fit_gp_excesses(x)
-                assert fit.method == "newton", (gamma, n, seed)
-                assert fit.converged and fit.score_norm < 1e-8, (gamma, n, seed)
+def _recording_newton(monkeypatch) -> list:
+    """Patch ``_newton`` to append the end point of each of its runs to the
+    returned list."""
+    ends = []
+    newton = gp_mle_module._newton
+
+    def recorded(*args):
+        ends.append(newton(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(gp_mle_module, "_newton", recorded)
+    return ends
 
 
 def _heavy_tailed_samples():
@@ -274,17 +274,15 @@ def _heavy_tailed_samples():
             for seed in range(10)}
 
 
-def _counting_newton_calls(monkeypatch) -> list:
-    """Patch ``_newton`` to count its calls into the returned one-item list."""
-    calls = [0]
-    newton = gp_mle_module._newton
-
-    def counted(*args):
-        calls[0] += 1
-        return newton(*args)
-
-    monkeypatch.setattr(gp_mle_module, "_newton", counted)
-    return calls
+def test_heavy_tailed_fits_converge_by_newton_alone(monkeypatch):
+    # the median-matched scale start lies in Newton's basin; the mean excess,
+    # which the largest values dominate here, sent Newton to the shape bound
+    ends = _recording_newton(monkeypatch)
+    for key, x in _heavy_tailed_samples().items():
+        ends.clear()
+        fit = fit_gp_excesses(x)
+        assert len(ends) == 1, key
+        assert fit.converged and fit.score_norm < 1e-8, key
 
 
 def test_second_start_reaches_the_default_fit(monkeypatch):
@@ -312,10 +310,10 @@ def test_second_start_reaches_the_default_fit(monkeypatch):
     start = gp_mle_module._start_values
     monkeypatch.setattr(gp_mle_module, "_start_values", lambda x: (
         (start(x)[0][0], float(np.log(np.mean(x)))), start(x)[1]))
-    calls = _counting_newton_calls(monkeypatch)
+    ends = _recording_newton(monkeypatch)
     restarted = 0
     for key, fit in default.items():
-        calls[0] = 0
+        ends.clear()
         try:
             forced = fit_gp_excesses(samples[key])
         except FitConvergenceError:
@@ -324,9 +322,9 @@ def test_second_start_reaches_the_default_fit(monkeypatch):
             assert forced is None, key
             continue
         assert forced is not None, key
-        restarted += calls[0] == 2
-        if calls[0] == 1:
+        if len(ends) == 1:
             continue
+        restarted += 1
         assert forced.converged and forced.score_norm < 1e-8, key
         _, _, _, h_gg, h_gt, h_tt = _loglik_terms(
             fit.gamma_hat, math.log(fit.scale_hat), samples[key])
@@ -367,9 +365,9 @@ def test_second_start_reaches_the_global_maximum(gamma, n, seed, monkeypatch):
     # second start is the global maximum, not a local one at the bound
     x = stats.genpareto.rvs(c=gamma, scale=1.0, size=n,
                             random_state=np.random.default_rng(seed))
-    calls = _counting_newton_calls(monkeypatch)
+    ends = _recording_newton(monkeypatch)
     fit = fit_gp_excesses(x)
-    assert calls[0] == 2
+    assert len(ends) == 2
     assert fit.converged and fit.score_norm < 1e-8
     best = _profile_scan_maximum(x)
     assert fit.loglik >= best - 1e-10 * (1.0 + abs(best))
@@ -381,14 +379,7 @@ def test_a_stalled_end_above_a_local_maximum_is_a_boundary_failure(monkeypatch):
     # maximum below that end: the fit reports the bound, not the local maximum
     p = simulate_panel(SimSpec(n=2000, m=4, gamma=0.5, dependence="comonotone", seed=1), 32)
     x = np.asarray(TailAtK.of(p, 25).excesses)
-    ends = []
-    newton = gp_mle_module._newton
-
-    def recorded(*args):
-        ends.append(newton(*args))
-        return ends[-1]
-
-    monkeypatch.setattr(gp_mle_module, "_newton", recorded)
+    ends = _recording_newton(monkeypatch)
     with pytest.raises(FitConvergenceError, match="shape boundary"):
         fit_gp_excesses(x)
     (g1, _, ll1, _, _, ok1), (g2, _, ll2, _, _, ok2) = ends
