@@ -267,6 +267,14 @@ def _recording_newton(monkeypatch) -> list:
     return ends
 
 
+def _start_the_scale_at_the_mean_excess(patch: pytest.MonkeyPatch) -> None:
+    """Patch the first start's log-scale to log mean(x), the earlier start;
+    the second start stays."""
+    start = gp_mle_module._start_values
+    patch.setattr(gp_mle_module, "_start_values", lambda x: (
+        (start(x)[0][0], float(np.log(np.mean(x)))), start(x)[1]))
+
+
 def _heavy_tailed_samples():
     return {(gamma, n, seed): stats.genpareto.rvs(c=gamma, scale=1.0, size=n,
                                                    random_state=np.random.default_rng(seed))
@@ -307,9 +315,7 @@ def test_second_start_reaches_the_default_fit(monkeypatch):
         return fits
 
     default = fit_all()
-    start = gp_mle_module._start_values
-    monkeypatch.setattr(gp_mle_module, "_start_values", lambda x: (
-        (start(x)[0][0], float(np.log(np.mean(x)))), start(x)[1]))
+    _start_the_scale_at_the_mean_excess(monkeypatch)
     ends = _recording_newton(monkeypatch)
     restarted = 0
     for key, fit in default.items():
@@ -461,7 +467,6 @@ def _fits_by(newton, run):
     k = 180 of the gamma path (1.24e-12) and nowhere else."""
     fits = []
     fit = gp_mle_module.fit_gp_excesses
-    start = gp_mle_module._start_values
 
     def recorded(x, **kw):
         fits.append((np.asarray(x), fit(x, **kw)))
@@ -470,8 +475,7 @@ def _fits_by(newton, run):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gp_mle_module, "fit_gp_excesses", recorded)
         patch.setattr(gp_mle_module, "_newton", newton)
-        patch.setattr(gp_mle_module, "_start_values", lambda x: (
-            (start(x)[0][0], float(np.log(np.mean(x)))), start(x)[1]))
+        _start_the_scale_at_the_mean_excess(patch)
         return run(), fits
 
 
